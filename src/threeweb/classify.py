@@ -10,7 +10,12 @@ the tolerance) are surfaced through the report's `inconclusive` list
 instead of being silently rounded to a verdict.  Sample points whose
 Jacobian blocks are nearly singular are skipped (see NDET_FLOOR): the
 pipeline's values there are dominated by roundoff and would poison the
-residuals of identities that genuinely hold.
+residuals of identities that genuinely hold.  So are points where the
+defining functions or the invariants are not finite, which count as
+outside an implicit domain; only running out of draws is an error.
+
+The sample is one SnapshotBatch, and each zero test reduces its residual
+over all rows at once.  A residual that is not finite fails the test.
 
 Residuals are always measured against the larger of 1 and the magnitude of
 the tensors entering the tested identity, so roundoff noise from large
@@ -38,14 +43,12 @@ The label lattice, with the defining predicate of each label:
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .expr import Web
-from .tensor import TensorSnapshot, snapshot, sym3_lower, DegenerateWeb
+from .tensor import STRUCTURE_TOL, SnapshotBatch, snapshot, sym3_lower
 
 
 class SamplerExhausted(RuntimeError):
@@ -105,74 +108,92 @@ NDET_FLOOR = 0.05
 
 
 def _admissible_stream(web: Web, config: RunConfig, bound):
+    """The admissible rows of each 256-draw chunk, in draw order."""
     rng = np.random.default_rng(config.seed)
     lo, hi = config.box
     draws = 0
     budget = max(20000, 500 * config.points)
     while draws < budget:
-        chunk = rng.uniform(lo, hi, size=(256, 4))
-        for row in chunk:
-            draws += 1
-            if draws > budget:
-                return
-            pt = (float(row[0]), float(row[1]), float(row[2]), float(row[3]))
-            if web.admissible(pt, bound, config.margin):
-                yield pt
+        chunk = rng.uniform(lo, hi, size=(256, 4))[:budget - draws]
+        draws += len(chunk)
+        yield chunk[web.admissible(chunk, bound, config.margin)]
 
 
 def sample_points(web: Web, config: RunConfig, params=None):
     """Rejection-sample admissible points from the configured box."""
     bound = web.bind(params)
-    points = list(itertools.islice(
-        _admissible_stream(web, config, bound), config.points))
-    if len(points) < config.points:
-        raise SamplerExhausted(
-            "only %d of %d admissible points found in the draw budget"
-            % (len(points), config.points))
-    return points
+    points = []
+    for chunk in _admissible_stream(web, config, bound):
+        points.extend(map(tuple, chunk.tolist()))
+        if len(points) >= config.points:
+            return points[:config.points]
+    raise SamplerExhausted(
+        "only %d of %d admissible points found in the draw budget"
+        % (len(points), config.points))
 
 
 def _well_conditioned(s):
+    ok = np.ones(len(s), dtype=bool)
     for m, det in ((s.fbar, s.det_bar), (s.ftilde, s.det_til)):
-        r1 = math.hypot(m[0, 0], m[0, 1])
-        r2 = math.hypot(m[1, 0], m[1, 1])
-        if abs(det) < NDET_FLOOR * r1 * r2:
-            return False
-    return True
+        r1 = np.hypot(m[:, 0, 0], m[:, 0, 1])
+        r2 = np.hypot(m[:, 1, 0], m[:, 1, 1])
+        ok &= np.abs(det) >= NDET_FLOOR * r1 * r2
+    return ok
 
 
 def collect_snapshots(web: Web, config: RunConfig, params=None):
-    """Snapshots at admissible, well-conditioned sample points."""
+    """Snapshots at admissible, well-conditioned sample points, as one
+    SnapshotBatch of `config.points` rows in draw order.
+
+    Each chunk's admissible points, up to a cap of 60 per wanted point,
+    go through `snapshot` in batches.  A row is rejected when it is
+    degenerate, not finite or ill-conditioned; a kept row whose structural
+    identities fail raises StructureViolation, since there the failure
+    means a bug.  Rows after the one that completes the sample are never
+    judged.
+    """
     bound = web.bind(params)
-    snaps = []
-    tried = 0
-    for pt in _admissible_stream(web, config, bound):
-        tried += 1
-        if tried > 60 * config.points:
+    cap = 60 * config.points
+    kept = []
+    found = tried = 0
+    for chunk in _admissible_stream(web, config, bound):
+        chunk = chunk[:cap - tried]
+        tried += len(chunk)
+        while len(chunk):
+            # twice the rows still wanted: one batch unless most are rejected
+            size = 2 * (config.points - found)
+            batch = snapshot(web, chunk[:size], bound, margin=config.margin,
+                             check_domain=False)
+            chunk = chunk[size:]
+            ok = batch.finite & ~batch.degenerate & _well_conditioned(batch)
+            rows = np.flatnonzero(ok)[:config.points - found]
+            broken = rows[(batch.torsion_residual[rows] > STRUCTURE_TOL)
+                          | (batch.trace_residual[rows] > STRUCTURE_TOL)]
+            if broken.size:
+                batch.check(broken[0])
+            kept.append(batch[rows])
+            found += len(rows)
+            if found == config.points:
+                return SnapshotBatch.concat(kept)
+        if tried == cap:
             break
-        try:
-            s = snapshot(web, pt, bound, margin=config.margin,
-                         check_domain=False)
-        except DegenerateWeb:
-            continue
-        if _well_conditioned(s):
-            snaps.append(s)
-            if len(snaps) == config.points:
-                return snaps
     raise SamplerExhausted(
         "only %d of %d well-conditioned admissible points found"
-        % (len(snaps), config.points))
+        % (found, config.points))
 
 
-def hexagonality_polynomials(snap: TensorSnapshot, t):
+def hexagonality_polynomials(snap, t):
     """The quartic and the two cubic hexagonality polynomials at t.
 
+    `snap` is a TensorSnapshot, or a SnapshotBatch for per-row values.
     The three are linearly dependent: quartic + t*cubic2 + cubic1 = 0
     identically in the curvature components, which the test suite uses as a
     transcription oracle.
     """
-    sym = sym3_lower(snap.b)
-    b = snap.b
+    # the tensor indices first: b[i, j, k, l] is then a number, or an array
+    # over the rows of a batch
+    sym, b = (np.moveaxis(x, range(-4, 0), range(4))
+              for x in (sym3_lower(snap.b), snap.b))
 
     def c(i, j, k, l):
         return sym[i, j, k, l]
@@ -190,26 +211,34 @@ def hexagonality_polynomials(snap: TensorSnapshot, t):
 
 
 class _Tester:
-    """Runs zero-identity tests over a fixed snapshot sample."""
+    """Runs zero-identity tests over a fixed snapshot sample, a batch.
+
+    `values_fn(batch)` returns a list of arrays with one row per point,
+    and `scale_fn(batch)` the per-row scale of the identity.
+    """
 
     def __init__(self, snaps, tol):
         self.snaps = snaps
         self.tol = tol
         self.ambiguous = []
 
+    def residuals(self, values_fn, scale_fn):
+        """Per row, the largest |value| over max(1, scale)."""
+        n = len(self.snaps)
+        worst = np.maximum.reduce([np.abs(v).reshape(n, -1).max(axis=1)
+                                   for v in values_fn(self.snaps)])
+        return worst / np.maximum(1.0, scale_fn(self.snaps))
+
     def zero(self, name, values_fn, scale_fn):
-        worst = 0.0
-        witness = None
-        for s in self.snaps:
-            vals = np.atleast_1d(np.asarray(values_fn(s), dtype=float))
-            scale = max(1.0, float(scale_fn(s)))
-            resid = float(np.max(np.abs(vals))) / scale
-            if resid >= worst:
-                worst = resid
-                witness = s.point
+        # a NaN residual counts as infinite, so it fails and is the witness
+        resid = self.residuals(values_fn, scale_fn)
+        resid[np.isnan(resid)] = np.inf
+        last = len(resid) - 1 - int(np.argmax(resid[::-1]))
+        worst = float(resid[last])
         holds = worst < self.tol
         if self.tol <= worst < 10.0 * self.tol:
             self.ambiguous.append(name)
+        witness = tuple(self.snaps.points[last].tolist())
         return IdentityVerdict(holds, worst, len(self.snaps),
                                None if holds else witness)
 
@@ -280,23 +309,23 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
     preds = {}
     preds["isoclinic"] = T.zero(
         "isoclinic",
-        lambda s: [s.p[0, 1] - s.p[1, 0], s.q[0, 1] - s.q[1, 0]],
+        lambda s: [s.p[:, 0, 1] - s.p[:, 1, 0], s.q[:, 0, 1] - s.q[:, 1, 0]],
         mag_of("p", "q"))
     preds["isoclinicly_geodesic"] = T.zero(
-        "isoclinicly_geodesic", lambda s: s.a_cov, mag_of("a_cov", "gamma"))
+        "isoclinicly_geodesic", lambda s: [s.a_cov], mag_of("a_cov", "gamma"))
     preds["transversally_geodesic"] = T.zero(
-        "transversally_geodesic", lambda s: s.a4.ravel(),
+        "transversally_geodesic", lambda s: [s.a4],
         mag_of("a4", "b", "f2", "g2", "h2"))
     preds["almost_algebraizable"] = T.zero(
-        "almost_algebraizable", lambda s: (s.f2 + s.g2 + s.h2).ravel(),
+        "almost_algebraizable", lambda s: [s.f2 + s.g2 + s.h2],
         mag_of("f2", "g2", "h2"))
     preds["almost_Bol"] = T.zero(
         "almost_Bol",
-        lambda s: np.concatenate([(s.f2 + s.g2).ravel(), s.h2.ravel()]),
+        lambda s: [s.f2 + s.g2, s.h2],
         mag_of("f2", "g2", "h2"))
     preds["almost_parallelizable"] = T.zero(
         "almost_parallelizable",
-        lambda s: np.concatenate([s.f2.ravel(), s.g2.ravel(), s.h2.ravel()]),
+        lambda s: [s.f2, s.g2, s.h2],
         mag_of("b", "p", "q", "f2", "g2", "h2"))
     preds["hexagonal"] = T.both(preds["transversally_geodesic"],
                                 preds["almost_algebraizable"])
@@ -334,42 +363,42 @@ def _branch_a(T, snaps, preds, tol):
     a_nonzero = not preds["isoclinicly_geodesic"].holds
 
     def quad_values(s):
-        a1, a2 = s.a_cov
-        p12 = 0.5 * (s.p[0, 1] + s.p[1, 0])
-        q12 = 0.5 * (s.q[0, 1] + s.q[1, 0])
-        return [a2 * a2 * s.p[0, 0] - 2.0 * a1 * a2 * p12 + a1 * a1 * s.p[1, 1],
-                a2 * a2 * s.q[0, 0] - 2.0 * a1 * a2 * q12 + a1 * a1 * s.q[1, 1]]
+        a1, a2 = s.a_cov.T
+        p12 = 0.5 * (s.p[:, 0, 1] + s.p[:, 1, 0])
+        q12 = 0.5 * (s.q[:, 0, 1] + s.q[:, 1, 0])
+        return [a2 * a2 * s.p[:, 0, 0] - 2.0 * a1 * a2 * p12
+                + a1 * a1 * s.p[:, 1, 1],
+                a2 * a2 * s.q[:, 0, 0] - 2.0 * a1 * a2 * q12
+                + a1 * a1 * s.q[:, 1, 1]]
 
     def quad_scale(s):
-        a1, a2 = abs(s.a_cov[0]), abs(s.a_cov[1])
-        pq = max(float(np.max(np.abs(s.p))), float(np.max(np.abs(s.q))))
-        return (a1 + a2) ** 2 * pq
+        a1, a2 = np.abs(s.a_cov.T)
+        return (a1 + a2) ** 2 * mag_of("p", "q")(s)
 
     branch["integrability"] = T.zero("integrability", quad_values, quad_scale)
-    branch["a1_zero"] = T.zero("a1_zero", lambda s: [s.a_cov[0]],
+    branch["a1_zero"] = T.zero("a1_zero", lambda s: [s.a_cov[:, 0]],
                                mag_of("a_cov"))
-    branch["a2_zero"] = T.zero("a2_zero", lambda s: [s.a_cov[1]],
+    branch["a2_zero"] = T.zero("a2_zero", lambda s: [s.a_cov[:, 1]],
                                mag_of("a_cov"))
     branch["a1_eq_a2"] = T.zero("a1_eq_a2",
-                                lambda s: [s.a_cov[0] - s.a_cov[1]],
+                                lambda s: [s.a_cov[:, 0] - s.a_cov[:, 1]],
                                 mag_of("a_cov"))
     branch["omega21_zero"] = T.zero(
         "omega21_zero",
-        lambda s: [s.gamma[0, 0, 1], s.gamma[0, 1, 1], s.gamma[0, 1, 0]],
+        lambda s: [s.gamma[:, 0, 0, 1], s.gamma[:, 0, 1, 1],
+                   s.gamma[:, 0, 1, 0]],
         mag_of("gamma"))
     branch["omega12_zero"] = T.zero(
         "omega12_zero",
-        lambda s: [s.gamma[1, 0, 0], s.gamma[1, 1, 0], s.gamma[1, 0, 1]],
+        lambda s: [s.gamma[:, 1, 0, 0], s.gamma[:, 1, 1, 0],
+                   s.gamma[:, 1, 0, 1]],
         mag_of("gamma"))
 
     # t = a2/a1 where a1 is usable; None when a1 vanishes identically
-    t_vals = []
-    for s in snaps:
-        if abs(s.a_cov[0]) > 1e-9 * max(1.0, abs(s.a_cov[1])):
-            t_vals.append(s.a_cov[1] / s.a_cov[0])
-    if t_vals and not branch["a1_zero"].holds:
+    t_vals = snaps.t_ratio[~np.isnan(snaps.t_ratio)]
+    if t_vals.size and not branch["a1_zero"].holds:
         t_mean = float(np.mean(t_vals))
-        spread = float(np.max(np.abs(np.array(t_vals) - t_mean)))
+        spread = float(np.max(np.abs(t_vals - t_mean)))
         t_holds = spread < tol * (1.0 + abs(t_mean))
         branch["t_constant"] = IdentityVerdict(t_holds, spread, len(t_vals),
                                                None)
@@ -388,18 +417,17 @@ def _branch_a(T, snaps, preds, tol):
             g = s.gamma
             out = []
             for k in range(2):
-                out.append(g[0, k, 1] - t0 ** 2 * g[1, k, 0]
-                           - t0 * (g[0, k, 0] - g[1, k, 1]))
-                out.append(g[0, 1, k] - t0 ** 2 * g[1, 0, k]
-                           - t0 * (g[0, 0, k] - g[1, 1, k]))
+                out.append(g[:, 0, k, 1] - t0 ** 2 * g[:, 1, k, 0]
+                           - t0 * (g[:, 0, k, 0] - g[:, 1, k, 1]))
+                out.append(g[:, 0, 1, k] - t0 ** 2 * g[:, 1, 0, k]
+                           - t0 * (g[:, 0, 0, k] - g[:, 1, 1, k]))
             return out
 
-        worst = 0.0
-        for s in snaps:
-            scale = max(1.0, float(np.max(np.abs(s.gamma)))
-                        * max(1.0, abs(t0)) ** 2)
-            worst = max(worst, float(np.max(np.abs(frame_vals(s)))) / scale)
-        branch["frame_alignment_residual"] = worst
+        def frame_scale(s):
+            return s.magnitude("gamma") * max(1.0, abs(t0)) ** 2
+
+        branch["frame_alignment_residual"] = float(
+            np.max(T.residuals(frame_vals, frame_scale)))
     else:
         branch["frame_alignment_residual"] = None
 
@@ -409,37 +437,41 @@ def _branch_a(T, snaps, preds, tol):
             return [c1, c2]
 
         def scale(s):
-            return float(np.max(np.abs(s.b))) * max(1.0, abs(t0)) ** 3
+            return s.magnitude("b") * max(1.0, abs(t0)) ** 3
 
         return values, scale
 
     # leaf conditions, computed unconditionally so reports are comparable
     branch["p22_q22_zero"] = T.zero(
-        "p22_q22_zero", lambda s: [s.p[1, 1], s.q[1, 1]], mag_of("p", "q"))
+        "p22_q22_zero", lambda s: [s.p[:, 1, 1], s.q[:, 1, 1]],
+        mag_of("p", "q"))
     branch["p11_q11_zero"] = T.zero(
-        "p11_q11_zero", lambda s: [s.p[0, 0], s.q[0, 0]], mag_of("p", "q"))
+        "p11_q11_zero", lambda s: [s.p[:, 0, 0], s.q[:, 0, 0]],
+        mag_of("p", "q"))
 
     def quadsum_values(s):
-        p12 = 0.5 * (s.p[0, 1] + s.p[1, 0])
-        q12 = 0.5 * (s.q[0, 1] + s.q[1, 0])
-        return [s.p[0, 0] - 2.0 * p12 + s.p[1, 1],
-                s.q[0, 0] - 2.0 * q12 + s.q[1, 1]]
+        p12 = 0.5 * (s.p[:, 0, 1] + s.p[:, 1, 0])
+        q12 = 0.5 * (s.q[:, 0, 1] + s.q[:, 1, 0])
+        return [s.p[:, 0, 0] - 2.0 * p12 + s.p[:, 1, 1],
+                s.q[:, 0, 0] - 2.0 * q12 + s.q[:, 1, 1]]
 
     branch["pq_quadsum_zero"] = T.zero("pq_quadsum_zero", quadsum_values,
                                        mag_of("p", "q"))
     branch["b_222_zero"] = T.zero(
-        "b_222_zero", lambda s: [s.b[0, 1, 1, 1], s.b[1, 1, 1, 1]],
+        "b_222_zero", lambda s: [s.b[:, 0, 1, 1, 1], s.b[:, 1, 1, 1, 1]],
         mag_of("b"))
     branch["b_111_zero"] = T.zero(
-        "b_111_zero", lambda s: [s.b[0, 0, 0, 0], s.b[1, 0, 0, 0]],
+        "b_111_zero", lambda s: [s.b[:, 0, 0, 0, 0], s.b[:, 1, 0, 0, 0]],
         mag_of("b"))
 
     def balance_values(s):
         g = s.gamma
         out = []
         for k in range(2):
-            out.append(g[0, k, 0] + g[1, k, 0] - g[0, k, 1] - g[1, k, 1])
-            out.append(g[0, 0, k] + g[1, 0, k] - g[0, 1, k] - g[1, 1, k])
+            out.append(g[:, 0, k, 0] + g[:, 1, k, 0]
+                       - g[:, 0, k, 1] - g[:, 1, k, 1])
+            out.append(g[:, 0, 0, k] + g[:, 1, 0, k]
+                       - g[:, 0, 1, k] - g[:, 1, 1, k])
         return out
 
     branch["omega_balance"] = T.zero("omega_balance", balance_values,
@@ -482,7 +514,7 @@ def _branch_a(T, snaps, preds, tol):
 
 def mag_of(*names):
     def scale(s):
-        return max(float(np.max(np.abs(getattr(s, n)))) for n in names)
+        return np.maximum.reduce([s.magnitude(n) for n in names])
     return scale
 
 
@@ -512,21 +544,23 @@ def _branch_cd(preds):
 def _e_pattern(T):
     """Most-specific-first matching of the p/q vanishing patterns."""
     z = {}
-    z["p"] = T.zero("e_p_zero", lambda s: s.p.ravel(), mag_of("p", "q"))
-    z["q"] = T.zero("e_q_zero", lambda s: s.q.ravel(), mag_of("p", "q"))
-    z["p11"] = T.zero("e_p11", lambda s: [s.p[0, 0]], mag_of("p", "q"))
-    z["p12"] = T.zero("e_p12", lambda s: [s.p[0, 1], s.p[1, 0]],
+    z["p"] = T.zero("e_p_zero", lambda s: [s.p], mag_of("p", "q"))
+    z["q"] = T.zero("e_q_zero", lambda s: [s.q], mag_of("p", "q"))
+    z["p11"] = T.zero("e_p11", lambda s: [s.p[:, 0, 0]], mag_of("p", "q"))
+    z["p12"] = T.zero("e_p12", lambda s: [s.p[:, 0, 1], s.p[:, 1, 0]],
                       mag_of("p", "q"))
-    z["p22"] = T.zero("e_p22", lambda s: [s.p[1, 1]], mag_of("p", "q"))
-    z["q11"] = T.zero("e_q11", lambda s: [s.q[0, 0]], mag_of("p", "q"))
-    z["q12"] = T.zero("e_q12", lambda s: [s.q[0, 1], s.q[1, 0]],
+    z["p22"] = T.zero("e_p22", lambda s: [s.p[:, 1, 1]], mag_of("p", "q"))
+    z["q11"] = T.zero("e_q11", lambda s: [s.q[:, 0, 0]], mag_of("p", "q"))
+    z["q12"] = T.zero("e_q12", lambda s: [s.q[:, 0, 1], s.q[:, 1, 0]],
                       mag_of("p", "q"))
-    z["q22"] = T.zero("e_q22", lambda s: [s.q[1, 1]], mag_of("p", "q"))
-    z["pq_sum"] = T.zero("e_pq_sum", lambda s: (s.p + s.q).ravel(),
+    z["q22"] = T.zero("e_q22", lambda s: [s.q[:, 1, 1]], mag_of("p", "q"))
+    z["pq_sum"] = T.zero("e_pq_sum", lambda s: [s.p + s.q],
                          mag_of("p", "q"))
-    z["p22_q22"] = T.zero("e_p22_plus_q22", lambda s: [s.p[1, 1] + s.q[1, 1]],
+    z["p22_q22"] = T.zero("e_p22_plus_q22",
+                          lambda s: [s.p[:, 1, 1] + s.q[:, 1, 1]],
                           mag_of("p", "q"))
-    z["p11_q11"] = T.zero("e_p11_plus_q11", lambda s: [s.p[0, 0] + s.q[0, 0]],
+    z["p11_q11"] = T.zero("e_p11_plus_q11",
+                          lambda s: [s.p[:, 0, 0] + s.q[:, 0, 0]],
                           mag_of("p", "q"))
 
     if z["p"].holds and z["q"].holds:
@@ -601,7 +635,7 @@ def classify_generic(web: Web, config: RunConfig | None = None,
         try:
             reports.append(classify_web(web, config, params=binding,
                                         metadata=metadata))
-        except (SamplerExhausted, DegenerateWeb):
+        except SamplerExhausted:
             continue
     if len(reports) < bindings:
         raise SamplerExhausted("only %d of %d parameter bindings were "

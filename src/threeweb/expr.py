@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class ParseError(ValueError):
     """Raised on malformed web text; carries 1-based line and column."""
@@ -400,6 +402,44 @@ def _eval(e, env, params):
     raise TypeError("not an expression node: %r" % (e,))
 
 
+def _eval_rows(e, cols, params):
+    """`_eval` over columns of values at once (numpy arrays, under the
+    caller's np.errstate); the result is NaN on rows where `_eval` would
+    raise EvalError, so a caller rejects a row by testing for finiteness."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return cols[e.name]
+    if isinstance(e, ParamRef):
+        return _eval(e, cols, params)
+    if isinstance(e, Neg):
+        return -_eval_rows(e.arg, cols, params)
+    if isinstance(e, Exp):
+        return np.exp(_eval_rows(e.arg, cols, params))
+    if isinstance(e, Ln):
+        v = _eval_rows(e.arg, cols, params)
+        return np.log(np.where(v > 0.0, v, np.nan))
+    if isinstance(e, Add):
+        return _eval_rows(e.left, cols, params) + _eval_rows(e.right, cols,
+                                                             params)
+    if isinstance(e, Sub):
+        return _eval_rows(e.left, cols, params) - _eval_rows(e.right, cols,
+                                                             params)
+    if isinstance(e, Mul):
+        return _eval_rows(e.left, cols, params) * _eval_rows(e.right, cols,
+                                                             params)
+    if isinstance(e, Div):
+        denom = _eval_rows(e.right, cols, params)
+        return (_eval_rows(e.left, cols, params)
+                / np.where(denom != 0.0, denom, np.nan))
+    if isinstance(e, Pow):
+        base = _eval_rows(e.base, cols, params)
+        if e.exponent < 0:
+            base = np.where(base != 0.0, base, np.nan)
+        return base ** e.exponent
+    raise TypeError("not an expression node: %r" % (e,))
+
+
 def free_params(e):
     """Set of parameter names appearing in the expression."""
     out = set()
@@ -463,9 +503,20 @@ class Web:
         """True if every domain constraint holds with the given margin.
 
         `expr != 0` requires |expr| > margin and `expr > 0` requires
-        expr > margin, so points hugging the singular set are rejected.
+        expr > margin, so points hugging the singular set are rejected; so
+        are points where a constraint does not evaluate to a finite number.
+        Given an (N, 4) array of points, returns the (N,) boolean mask.
         """
-        return self.violated_constraint(point, params, margin) is None
+        bound = self.bind(params)
+        rows = np.atleast_2d(np.asarray(point, dtype=float))
+        cols = dict(zip(VARIABLES, rows.T))
+        ok = np.ones(len(rows), dtype=bool)
+        with np.errstate(all="ignore"):
+            for c in self.constraints:
+                v = _eval_rows(c.expr, cols, bound)
+                ok &= np.isfinite(v) & ((np.abs(v) if c.kind == "nonzero"
+                                         else v) > margin)
+        return ok if np.ndim(point) == 2 else bool(ok[0])
 
     def violated_constraint(self, point, params=None, margin=1e-3):
         """The first failing domain constraint as text, or None if all hold."""

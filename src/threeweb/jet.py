@@ -11,12 +11,13 @@ defining functions of a web through `jet_lift`, every coefficient is the
 exact partial derivative (up to float roundoff), with no finite-difference
 truncation error anywhere.
 
-`deriv` differentiates inside the algebra.  The result is again a Jet, but
-only its coefficients of degree <= 2 are meaningful (degree-3 ones are set
-to zero); more generally each application of `deriv` lowers by one the
-degree through which downstream products are trustworthy.  The tensor
-pipeline only ever reads `deriv` results through degree 1, which keeps
-everything exact.
+Any leading axes of the coefficient array are a batch of points, so one
+walk of an expression tree lifts it at N points into (N, 35) coefficients
+(vectorized Taylor arithmetic; Griewank & Walther, *Evaluating
+Derivatives*, ch. 13).  A batch row outside the domain of ln or of a
+division becomes NaN; a single jet there raises EvalError.  The tensor
+pipeline reads partials off a lifted jet with `derivatives`; `deriv`
+differentiates inside the algebra and is valid through degree 2.
 """
 
 from __future__ import annotations
@@ -49,80 +50,79 @@ INDEX = {alpha: i for i, alpha in enumerate(MULTI)}
 _FACTORIAL = np.array([math.prod(math.factorial(a) for a in alpha)
                        for alpha in MULTI], dtype=float)
 
-# Multiplication table: all (i, j, k) with MULTI[i] + MULTI[j] = MULTI[k].
-_MUL_I, _MUL_J, _MUL_K = [], [], []
-for _i, _a in enumerate(MULTI):
-    for _j, _b in enumerate(MULTI):
-        _s = tuple(x + y for x, y in zip(_a, _b))
-        if sum(_s) <= DEGREE:
-            _MUL_I.append(_i)
-            _MUL_J.append(_j)
-            _MUL_K.append(INDEX[_s])
-_MUL_I = np.array(_MUL_I)
-_MUL_J = np.array(_MUL_J)
-_MUL_K = np.array(_MUL_K)
+# Multiplication table: all (i, j) with |MULTI[i] + MULTI[j]| <= 3, sorted
+# by the index k of the sum, and where each k's run of pairs starts.
+_PAIRS = sorted((INDEX[tuple(x + y for x, y in zip(a, b))], i, j)
+                for i, a in enumerate(MULTI) for j, b in enumerate(MULTI)
+                if sum(a) + sum(b) <= DEGREE)
+_MUL_K, _MUL_I, _MUL_J = (np.array(col) for col in zip(*_PAIRS))
+_MUL_START = np.searchsorted(_MUL_K, np.arange(NCOEFF))
 
-# Derivative table, one (src, dst, factor) list per variable:
-# d/dx_v maps coefficient at alpha+e_v to (alpha_v + 1) * coeff at alpha.
-_DERIV = []
-for _v in range(NVARS):
-    src, dst, fac = [], [], []
-    for _i, _a in enumerate(MULTI):
-        if sum(_a) == DEGREE:
-            continue
-        up = list(_a)
-        up[_v] += 1
-        src.append(INDEX[tuple(up)])
-        dst.append(_i)
-        fac.append(up[_v])
-    _DERIV.append((np.array(src), np.array(dst), np.array(fac, dtype=float)))
+
+def _partials_table(order):
+    """Coefficient index and factorial of d^order / dx_a dx_b ... for every
+    tuple (a, b, ...) of variables, as arrays of shape (4,) * order."""
+    idx = np.empty((NVARS,) * order, dtype=int)
+    for vs in itertools.product(range(NVARS), repeat=order):
+        idx[vs] = INDEX[tuple(vs.count(v) for v in range(NVARS))]
+    return idx, _FACTORIAL[idx]
+
+
+_PARTIALS = [_partials_table(order) for order in range(DEGREE + 1)]
 
 
 class Jet:
-    """Degree-3 truncated Taylor expansion of a scalar function."""
+    """Degree-3 truncated Taylor expansion of a scalar function, at one
+    point or at a batch of points (the leading axes of `c`)."""
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs):
         self.c = np.asarray(coeffs, dtype=float)
-        if self.c.shape != (NCOEFF,):
+        if self.c.shape[-1:] != (NCOEFF,):
             raise ValueError("jet needs %d coefficients" % NCOEFF)
 
     # construction -----------------------------------------------------
 
     @staticmethod
     def constant(value):
-        c = np.zeros(NCOEFF)
-        c[0] = value
+        value = np.asarray(value, dtype=float)
+        c = np.zeros(value.shape + (NCOEFF,))
+        c[..., 0] = value
         return Jet(c)
 
     @staticmethod
     def variable(v, value):
         """The coordinate function x_v expanded at x_v = value."""
-        c = np.zeros(NCOEFF)
-        c[0] = value
-        alpha = tuple(1 if i == v else 0 for i in range(NVARS))
-        c[INDEX[alpha]] = 1.0
-        return Jet(c)
+        jet = Jet.constant(value)
+        jet.c[..., INDEX[tuple(int(i == v) for i in range(NVARS))]] = 1.0
+        return jet
 
     # accessors ----------------------------------------------------------
 
     @property
     def value(self):
-        return float(self.c[0])
+        return self.c[..., 0]
 
     def partial(self, alpha):
         """The partial derivative d^alpha F at the expansion point."""
-        alpha = tuple(alpha)
-        i = INDEX[alpha]  # KeyError for |alpha| > 3 is the right failure
-        return float(self.c[i] * _FACTORIAL[i])
+        i = INDEX[tuple(alpha)]  # KeyError for |alpha| > 3 is right
+        return self.c[..., i] * _FACTORIAL[i]
+
+    def derivatives(self, order):
+        """All partials of one order: shape (..., 4, ..., 4), symmetric in
+        the `order` trailing axes."""
+        idx, fac = _PARTIALS[order]
+        return self.c[..., idx] * fac
 
     def deriv(self, v):
         """d/dx_v inside the algebra; degree-3 coefficients of the result
         are zeroed, so treat the result as valid through degree 2 only."""
-        src, dst, fac = _DERIV[v]
-        c = np.zeros(NCOEFF)
-        c[dst] = self.c[src] * fac
+        c = np.zeros_like(self.c)
+        for i, alpha in enumerate(MULTI):
+            if sum(alpha) < DEGREE:
+                up = alpha[:v] + (alpha[v] + 1,) + alpha[v + 1:]
+                c[..., i] = self.c[..., INDEX[up]] * (alpha[v] + 1)
         return Jet(c)
 
     # arithmetic -----------------------------------------------------------
@@ -145,9 +145,8 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return Jet(self.c * other)
-        prod = np.bincount(_MUL_K, weights=self.c[_MUL_I] * other.c[_MUL_J],
-                           minlength=NCOEFF)
-        return Jet(prod)
+        prod = self.c[..., _MUL_I] * other.c[..., _MUL_J]
+        return Jet(np.add.reduceat(prod, _MUL_START, axis=-1))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -162,32 +161,38 @@ class Jet:
     def __rtruediv__(self, other):
         return _as_jet(other) * self.reciprocal()
 
+    def _value_where(self, ok, message):
+        """The value column, NaN on the batch rows where `ok` fails, which
+        poisons those rows of everything computed from it; a single jet
+        outside the domain raises EvalError instead."""
+        c0 = self.c[..., :1]
+        if self.c.ndim == 1 and not ok[0]:
+            raise EvalError("%s %r" % (message, float(c0[0])))
+        return np.where(ok, c0, np.nan)
+
     def reciprocal(self):
-        c0 = self.c[0]
-        if c0 == 0.0:
-            raise EvalError("jet division by a jet with zero value")
+        c0 = self._value_where(self.c[..., :1] != 0.0,
+                               "jet division by a jet with value")
         u = Jet(self.c / c0)
-        u.c[0] = 0.0
+        u.c[..., 0] = 0.0
         # (1+u)^-1 = 1 - u + u^2 - u^3, exact at degree 3
         w = 1.0 - u * (1.0 - u * (1.0 - u))
         return Jet(w.c / c0)
 
     def exp(self):
-        c0 = self.c[0]
         u = Jet(self.c.copy())
-        u.c[0] = 0.0
+        u.c[..., 0] = 0.0
         w = 1.0 + u * (1.0 + u * (0.5 + u * (1.0 / 6.0)))
-        return Jet(w.c * math.exp(c0))
+        return Jet(w.c * np.exp(self.c[..., :1]))
 
     def ln(self):
-        c0 = self.c[0]
-        if c0 <= 0.0:
-            raise EvalError("ln of a jet with non-positive value %r" % c0)
+        c0 = self._value_where(self.c[..., :1] > 0.0,
+                               "ln of a jet with non-positive value")
         u = Jet(self.c / c0)
-        u.c[0] = 0.0
+        u.c[..., 0] = 0.0
         w = u * (1.0 - u * (0.5 - u * (1.0 / 3.0)))
-        w.c[0] = math.log(c0)
-        return Jet(w.c)
+        w.c[..., :1] = np.log(c0)
+        return w
 
     def int_pow(self, k):
         if not isinstance(k, int):
@@ -195,17 +200,12 @@ class Jet:
         if k < 0:
             return self.reciprocal().int_pow(-k)
         out = Jet.constant(1.0)
-        base = self
-        n = k
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        for _ in range(k):
+            out = out * self
         return out
 
     def __repr__(self):
-        return "Jet(value=%r)" % self.value
+        return "Jet(value=%r)" % (self.value,)
 
 
 def _as_jet(v):
@@ -215,11 +215,15 @@ def _as_jet(v):
 
 
 def jet_lift(e, point, params=None):
-    """Expand an expression tree around `point` = (x1, x2, y1, y2)."""
-    params = params or {}
-    vars_ = {name: Jet.variable(i, float(point[i]))
+    """Expand an expression tree around `point` = (x1, x2, y1, y2), or
+    around every row of an (N, 4) array of points at once."""
+    point = np.asarray(point, dtype=float)
+    vars_ = {name: Jet.variable(i, point[..., i])
              for i, name in enumerate(VARIABLES)}
-    return _lift(e, vars_, params)
+    with np.errstate(all="ignore"):
+        jet = _lift(e, vars_, params or {})
+    # a constant expression still gets one row per point
+    return Jet(np.broadcast_to(jet.c, point.shape[:-1] + (NCOEFF,)))
 
 
 def _lift(e, vars_, params):

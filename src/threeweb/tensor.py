@@ -1,4 +1,4 @@
-"""Pointwise tensor pipeline: web plus admissible point -> TensorSnapshot.
+"""Tensor pipeline: web plus admissible points -> TensorSnapshot.
 
 Everything is computed from the degree-3 jets of the two defining functions
 at the point, so the only numeric error anywhere is float roundoff:
@@ -19,17 +19,20 @@ at the point, so the only numeric error anywhere is float roundoff:
     q[i][k] = D2_k a_cov[i] - a_cov[j] gamma[j][i][k]
 
 where D1_j = gbar[m][j] d/dx^m and D2_j = gtilde[m][j] d/dy^m are the frame
-directional derivatives dual to the base forms of the first two foliations.
-The symmetric decomposition follows:
+directional derivatives dual to the base forms of the first two foliations;
+D gamma follows from the partials of f by the closed form
+d(gbar) = -gbar d(fbar) gbar (likewise for gtilde).  Then:
 
     h2 = 1/4 * sym3(b)^k_{kij} - 1/3 (p + q)      (sym3 = mean over the six
     f2 = p + h2,  g2 = q + h2,  s = f2 + g2 + h2   permutations of jkl)
     a4[i][j][k][l] = sym3(b)[i][j][k][l]
                      - 1/3 (s[j][k] d[i][l] + s[k][l] d[i][j] + s[l][j] d[i][k])
 
-Derived invariants that must hold by construction are asserted here:
-the Jacobian inverses, the torsion reconstruction from the covector, and
-(for isoclinic webs) the vanishing trace of a4.
+All of it runs on N points at once as arrays with a leading axis of N (a
+SnapshotBatch); one point is a batch of one.  Each row records what makes
+it unusable: a singular Jacobian block, non-finite values, or a failed
+identity that holds by construction (the torsion reconstruction and, for
+isoclinic rows, the vanishing trace of a4).
 """
 
 from __future__ import annotations
@@ -39,12 +42,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Web
-from .jet import Jet, jet_lift, INDEX
+from .expr import EvalError, Web
+from .jet import jet_lift
 
-# positions of the four first-order coefficients inside a jet
-_E1 = tuple(INDEX[tuple(1 if i == v else 0 for i in range(4))]
-            for v in range(4))
+# relative residual above which a structural identity counts as broken
+STRUCTURE_TOL = 1e-8
+
+_EYE = np.eye(2)
 
 
 class DegenerateWeb(ValueError):
@@ -72,7 +76,6 @@ class TensorSnapshot:
     det_bar: float
     det_til: float
     gamma: np.ndarray      # (2,2,2)  gamma[i][j][k]
-    omega_coeffs: np.ndarray  # (2,2,2,2)  [0][i][j][k], [1][i][j][k]
     torsion: np.ndarray    # (2,2,2)
     a_cov: np.ndarray      # (2,)
     b: np.ndarray          # (2,2,2,2)
@@ -90,6 +93,12 @@ class TensorSnapshot:
         "gamma": 3, "torsion": 3, "a_cov": 1,
         "b": 4, "p": 2, "q": 2, "f2": 2, "g2": 2, "h2": 2, "a4": 4,
     }
+
+    @property
+    def omega_coeffs(self):
+        """(2,2,2,2) connection form coefficients: [0][i][j][k] on base
+        form 1 is gamma[i][k][j], [1][i][j][k] on base form 2 is gamma."""
+        return np.stack([np.transpose(self.gamma, (0, 2, 1)), self.gamma])
 
     def lookup(self, path):
         """Resolve a dotted component path like "b.2111" or "a_cov.1".
@@ -135,140 +144,191 @@ class TensorSnapshot:
         return out
 
 
-def _invert2(m, label, point):
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    dv = det.value
-    scale = max(abs(e.value) for row in m for e in row)
-    if dv == 0.0 or abs(dv) < 1e-10 * scale * scale:
-        raise DegenerateWeb("det %s = %g at %s: defining functions are "
-                            "degenerate here" % (label, dv, (point,)))
-    inv_det = det.reciprocal()
-    inv = [[m[1][1] * inv_det, -(m[0][1] * inv_det)],
-           [-(m[1][0] * inv_det), m[0][0] * inv_det]]
-    return inv, dv
+class SnapshotBatch:
+    """The invariants at N points: each TensorSnapshot field with a leading
+    axis of N (`t_ratio` NaN for None), `points` (N, 4), and the rows'
+    `degenerate`, `finite`, `torsion_residual` and `trace_residual`.  An
+    int index gives one TensorSnapshot, a slice or index array a batch.
+    """
+
+    def __init__(self, points, params, fields):
+        self.points = points
+        self.params = params
+        self.fields = fields
+        self.__dict__.update(fields)
+        self._magnitudes = {}
+
+    @classmethod
+    def concat(cls, batches):
+        return cls(np.concatenate([b.points for b in batches]),
+                   batches[0].params,
+                   {name: np.concatenate([b.fields[name] for b in batches])
+                    for name in batches[0].fields})
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, index):
+        if not isinstance(index, (int, np.integer)):
+            return SnapshotBatch(self.points[index], self.params,
+                                 {name: v[index]
+                                  for name, v in self.fields.items()})
+        t = float(self.t_ratio[index])
+        return TensorSnapshot(
+            point=tuple(self.points[index].tolist()), params=self.params,
+            det_bar=float(self.det_bar[index]),
+            det_til=float(self.det_til[index]),
+            t_ratio=None if np.isnan(t) else t,
+            non_isoclinic=bool(self.non_isoclinic[index]),
+            **{name: self.fields[name][index].copy()
+               for name in TensorSnapshot._FIELDS})
+
+    def magnitude(self, name):
+        """Per row, the largest absolute component of one field; computed
+        once per batch."""
+        if name not in self._magnitudes:
+            self._magnitudes[name] = _row_max(getattr(self, name))
+        return self._magnitudes[name]
+
+    def check(self, i):
+        """Raise the error that row i's values show, if any."""
+        point = tuple(self.points[i].tolist())
+        if self.degenerate[i]:
+            raise DegenerateWeb(
+                "det fbar = %g, det ftilde = %g at %s: defining functions are "
+                "degenerate here" % (self.det_bar[i], self.det_til[i], point))
+        if not self.finite[i]:
+            raise EvalError("the defining functions or their invariants are "
+                            "not finite at %s" % (point,))
+        if self.torsion_residual[i] > STRUCTURE_TOL:
+            raise StructureViolation("torsion reconstruction residual %g"
+                                     % self.torsion_residual[i])
+        if self.trace_residual[i] > STRUCTURE_TOL:
+            raise StructureViolation("a4 trace residual %g"
+                                     % self.trace_residual[i])
 
 
-def _values2(m):
-    return np.array([[m[0][0].value, m[0][1].value],
-                     [m[1][0].value, m[1][1].value]])
+def _row_max(x):
+    return np.abs(x).max(axis=tuple(range(1, x.ndim)))
+
+
+def _invert2(m):
+    """Determinants, inverses and singularity of a stack of 2x2 matrices."""
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    adj = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]], -1)
+    scale = np.abs(m).max(axis=(1, 2))
+    singular = (det == 0.0) | (np.abs(det) < 1e-10 * scale * scale)
+    return det, adj.reshape(-1, 2, 2) / det[:, None, None], singular
 
 
 def sym3_lower(b):
     """Mean over the six permutations of the three lower indices."""
-    out = np.zeros((2, 2, 2, 2))
-    for j, k, l in itertools.product(range(2), repeat=3):
-        out[:, j, k, l] = sum(b[:, pj, pk, pl] for pj, pk, pl
-                              in itertools.permutations((j, k, l))) / 6.0
-    return out
+    return sum(np.einsum("...i%s->...ijkl" % "".join(perm), b)
+               for perm in itertools.permutations("jkl")) / 6.0
 
 
 def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True):
-    """Compute every invariant of the web at one admissible point."""
+    """Compute every invariant of the web at one admissible point.
+
+    Given an (N, 4) array of points instead, return their SnapshotBatch
+    with no row judged: the caller decides from the batch's per-row record
+    which rows to keep, and `check(i)` raises what row i shows.
+    """
     bound = web.bind(params)
+    points = np.atleast_2d(np.asarray(point, dtype=float))
     if check_domain:
-        broken = web.violated_constraint(point, bound, margin)
-        if broken is not None:
-            raise InadmissiblePoint(
-                "inadmissible point %s: constraint %s fails"
-                % (tuple(point), broken))
+        for row in points:
+            broken = web.violated_constraint(tuple(row), bound, margin)
+            if broken is not None:
+                raise InadmissiblePoint(
+                    "inadmissible point %s: constraint %s fails"
+                    % (tuple(row.tolist()), broken))
+    F = [jet_lift(web.u1, points, bound), jet_lift(web.u2, points, bound)]
+    with np.errstate(all="ignore"):
+        batch = _invariants(points, bound, F)
+    if np.ndim(point) == 2:
+        return batch
+    batch.check(0)
+    return batch[0]
 
-    F = [jet_lift(web.u1, point, bound), jet_lift(web.u2, point, bound)]
 
-    fbar_j = [[F[i].deriv(j) for j in range(2)] for i in range(2)]
-    ftil_j = [[F[i].deriv(2 + j) for j in range(2)] for i in range(2)]
-    gbar_j, det_bar = _invert2(fbar_j, "fbar", point)
-    gtil_j, det_til = _invert2(ftil_j, "ftilde", point)
+def _invariants(points, bound, F):
+    # partials of f^i: grad (N,2,4), hess (N,2,4,4), third (N,2,4,4,4);
+    # axes after i run over (x1, x2, y1, y2)
+    grad, hess, third = (np.stack([f.derivatives(order) for f in F], 1)
+                         for order in (1, 2, 3))
+    fbar, ftilde = grad[:, :, :2], grad[:, :, 2:]
+    det_bar, gbar, singular_bar = _invert2(fbar)
+    det_til, gtil, singular_til = _invert2(ftilde)
 
-    # mixed Hessian and the connection coefficients, still as jets so their
-    # first derivatives remain available for the curvature
-    H = [[[fbar_j[i][l].deriv(2 + m) for m in range(2)] for l in range(2)]
-         for i in range(2)]
-    G = [[[-sum(H[i][l][m] * gbar_j[l][j] * gtil_j[m][k]
-                for l in range(2) for m in range(2))
-           for k in range(2)] for j in range(2)] for i in range(2)]
-    a3 = [[[(G[i][j][k] - G[i][k][j]) * 0.5 for k in range(2)]
-           for j in range(2)] for i in range(2)]
-    acov_j = [2.0 * (a3[0][j][0] + a3[1][j][1]) for j in range(2)]
+    # gamma and its frame derivatives: axis r of a derivative is D1_0, D1_1,
+    # D2_0, D2_1, i.e. the coordinate partials contracted with the frame
+    frame = np.zeros((len(points), 4, 4))
+    frame[:, :2, :2] = gbar
+    frame[:, 2:, 2:] = gtil
+    hess_f = np.einsum("npqa,nar->npqr", hess, frame)
+    mixed = hess[:, :, :2, 2:]
+    d_mixed = np.einsum("nilma,nar->nilmr", third[:, :, :2, 2:], frame)
+    d_gbar = -np.einsum("npq,nqsr,nst->nptr", gbar,
+                        hess_f[:, :, :2], gbar)
+    d_gtil = -np.einsum("npq,nqsr,nst->nptr", gtil,
+                        hess_f[:, :, 2:], gtil)
+    gamma = -np.einsum("nilm,nlj,nmk->nijk", mixed, gbar, gtil)
+    d_gamma = -(np.einsum("nilmr,nlj,nmk->nijkr", d_mixed, gbar, gtil)
+                + np.einsum("nilm,nljr,nmk->nijkr", mixed, d_gbar,
+                            gtil)
+                + np.einsum("nilm,nlj,nmkr->nijkr", mixed, gbar,
+                            d_gtil))
+    torsion = 0.5 * (gamma - np.swapaxes(gamma, -1, -2))
+    a_cov = np.einsum("nmjm->nj", gamma) - np.einsum("nmmj->nj", gamma)
+    d_acov = (np.einsum("nmjmr->njr", d_gamma)
+              - np.einsum("nmmjr->njr", d_gamma))
 
-    gbar_v = _values2(gbar_j)
-    gtil_v = _values2(gtil_j)
-    gamma = np.array([[[G[i][j][k].value for k in range(2)]
-                       for j in range(2)] for i in range(2)])
-    torsion = np.array([[[a3[i][j][k].value for k in range(2)]
-                         for j in range(2)] for i in range(2)])
-    a_cov = np.array([acov_j[0].value, acov_j[1].value])
-
-    # forced algebraic shape of the torsion: a^i_jk = (a_j d^i_k - a_k d^i_j)/2
-    recon = np.zeros((2, 2, 2))
-    for i, j, k in itertools.product(range(2), repeat=3):
-        recon[i, j, k] = 0.5 * (a_cov[j] * (i == k) - a_cov[k] * (i == j))
-    resid = np.max(np.abs(torsion - recon)) / max(1.0, np.max(np.abs(torsion)))
-    if resid > 1e-8:
-        raise StructureViolation("torsion reconstruction residual %g" % resid)
-
-    # frame directional derivatives of a jet-valued field, value only
-    def d1(jet, j):
-        return sum(jet.c[_E1[m]] * gbar_v[m][j] for m in range(2))
-
-    def d2(jet, j):
-        return sum(jet.c[_E1[2 + m]] * gtil_v[m][j] for m in range(2))
-
-    b = np.zeros((2, 2, 2, 2))
-    for i, j, k, l in itertools.product(range(2), repeat=4):
-        quad1 = sum(gamma[m][j][l] * gamma[i][k][m] for m in range(2))
-        quad2 = sum(gamma[m][k][j] * gamma[i][m][l] for m in range(2))
-        tor = sum(gamma[m][k][l] * torsion[i][m][j] for m in range(2))
-        b[i, j, k, l] = 0.5 * (d1(G[i][k][l], j) + d1(G[i][j][l], k)
-                               - d2(G[i][k][j], l) - d2(G[i][k][l], j)
-                               + quad1 - quad2 + 2.0 * tor)
-
-    p = np.zeros((2, 2))
-    q = np.zeros((2, 2))
-    for i, k in itertools.product(range(2), repeat=2):
-        p[i, k] = d1(acov_j[i], k) - sum(a_cov[j] * gamma[j][k][i]
-                                         for j in range(2))
-        q[i, k] = d2(acov_j[i], k) - sum(a_cov[j] * gamma[j][i][k]
-                                         for j in range(2))
+    D1, D2 = d_gamma[..., :2], d_gamma[..., 2:]
+    b = 0.5 * (np.einsum("niklj->nijkl", D1)
+               + np.einsum("nijlk->nijkl", D1)
+               - np.einsum("nikjl->nijkl", D2)
+               - np.einsum("niklj->nijkl", D2)
+               + np.einsum("nmjl,nikm->nijkl", gamma, gamma)
+               - np.einsum("nmkj,niml->nijkl", gamma, gamma)
+               + 2.0 * np.einsum("nmkl,nimj->nijkl", gamma, torsion))
+    p = d_acov[..., :2] - np.einsum("nj,njki->nik", a_cov, gamma)
+    q = d_acov[..., 2:] - np.einsum("nj,njik->nik", a_cov, gamma)
 
     sym = sym3_lower(b)
-    bkk = sym[0, 0] + sym[1, 1]          # sym(b)^k_{k i j} as a 2x2 block
-    h2 = 0.25 * bkk - (p + q) / 3.0
+    h2 = 0.25 * (sym[:, 0, 0] + sym[:, 1, 1]) - (p + q) / 3.0
     f2 = p + h2
     g2 = q + h2
     s2 = f2 + g2 + h2
+    a4 = sym - (np.einsum("njk,il->nijkl", s2, _EYE)
+                + np.einsum("nkl,ij->nijkl", s2, _EYE)
+                + np.einsum("nlj,ik->nijkl", s2, _EYE)) / 3.0
 
-    a4 = np.array(sym)
-    for i, j, k, l in itertools.product(range(2), repeat=4):
-        a4[i, j, k, l] -= (s2[j, k] * (i == l) + s2[k, l] * (i == j)
-                           + s2[l, j] * (i == k)) / 3.0
+    # forced algebraic shape of the torsion: a^i_jk = (a_j d^i_k - a_k d^i_j)/2
+    recon = 0.5 * (np.einsum("nj,ik->nijk", a_cov, _EYE)
+                   - np.einsum("nk,ij->nijk", a_cov, _EYE))
+    torsion_residual = (_row_max(torsion - recon)
+                        / np.maximum(1.0, _row_max(torsion)))
+    pq_scale = np.maximum(1.0, np.maximum(_row_max(p), _row_max(q)))
+    non_isoclinic = ((np.abs(p[:, 0, 1] - p[:, 1, 0]) > 1e-7 * pq_scale)
+                     | (np.abs(q[:, 0, 1] - q[:, 1, 0]) > 1e-7 * pq_scale))
+    trace_residual = np.where(
+        non_isoclinic, 0.0,
+        _row_max(a4[:, 0, 0] + a4[:, 1, 1]) / np.maximum(1.0, _row_max(a4)))
 
-    pq_scale = max(1.0, np.max(np.abs(p)), np.max(np.abs(q)))
-    non_isoclinic = (abs(p[0, 1] - p[1, 0]) > 1e-7 * pq_scale
-                     or abs(q[0, 1] - q[1, 0]) > 1e-7 * pq_scale)
+    a1, a2 = a_cov[:, 0], a_cov[:, 1]
+    usable = np.abs(a1) > 1e-9 * np.maximum(1.0, np.abs(a2))
+    t_ratio = np.where(usable, a2 / np.where(usable, a1, 1.0), np.nan)
 
-    if not non_isoclinic:
-        trace = a4[0, 0] + a4[1, 1]      # a4^i_{i k l}
-        tr_resid = np.max(np.abs(trace)) / max(1.0, np.max(np.abs(a4)))
-        if tr_resid > 1e-8:
-            raise StructureViolation("a4 trace residual %g" % tr_resid)
-
-    if abs(a_cov[0]) > 1e-9 * max(1.0, abs(a_cov[1])):
-        t_ratio = a_cov[1] / a_cov[0]
-    else:
-        t_ratio = None
-
-    omega = np.zeros((2, 2, 2, 2))
-    omega[0] = np.transpose(gamma, (0, 2, 1))   # coeff of base form 1: gamma[i][k][j]
-    omega[1] = gamma                            # coeff of base form 2: gamma[i][j][k]
-
-    return TensorSnapshot(
-        point=tuple(float(c) for c in point),
-        params=bound,
-        fbar=_values2(fbar_j), ftilde=_values2(ftil_j),
-        gbar=gbar_v, gtilde=gtil_v,
-        det_bar=det_bar, det_til=det_til,
-        gamma=gamma, omega_coeffs=omega,
-        torsion=torsion, a_cov=a_cov,
-        b=b, p=p, q=q, f2=f2, g2=g2, h2=h2, a4=a4,
-        t_ratio=t_ratio, non_isoclinic=non_isoclinic,
-    )
+    fields = dict(fbar=fbar, ftilde=ftilde, gbar=gbar, gtilde=gtil,
+                  gamma=gamma, torsion=torsion, a_cov=a_cov, b=b, p=p, q=q,
+                  f2=f2, g2=g2, h2=h2, a4=a4)
+    finite = np.logical_and.reduce(
+        [np.isfinite(v).all(axis=tuple(range(1, v.ndim)))
+         for v in [f.c for f in F] + list(fields.values())])
+    return SnapshotBatch(points, bound, dict(
+        fields, det_bar=det_bar, det_til=det_til, t_ratio=t_ratio,
+        non_isoclinic=non_isoclinic,
+        degenerate=singular_bar | singular_til,
+        finite=finite, torsion_residual=torsion_residual,
+        trace_residual=trace_residual))

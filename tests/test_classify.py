@@ -3,17 +3,21 @@ import json
 import numpy as np
 import pytest
 
+from threeweb import classify
 from threeweb.classify import (
     RunConfig,
     SamplerExhausted,
     classify_generic,
     classify_web,
     collect_snapshots,
+    _Tester,
     hexagonality_polynomials,
+    mag_of,
     sample_points,
 )
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import parse_web
+from threeweb.tensor import StructureViolation
 
 EX9_MUTATED_BILINEAR = (
     "u1 = x1*y1 + x2*y2 + 0.1*x1*y1\n"
@@ -193,3 +197,70 @@ def test_ambiguity_band_is_reported():
     again = classify_web(web, RunConfig(tol=r))
     assert "transversally_geodesic" in again.inconclusive
     assert not again.predicates["transversally_geodesic"].holds
+
+
+# --- rejected sample rows -----------------------------------------------
+
+def test_structural_check_skips_ill_conditioned_points():
+    # seed 4 with a thin margin draws a near-degenerate point whose a4 trace
+    # residual (3e-08) is roundoff; it is rejected like any ill-conditioned
+    # point instead of aborting the classification
+    r = classify_web(load_example(7).web, RunConfig(seed=4, margin=1e-6))
+    assert r.labels == ("A2", "D21", "E8")
+
+
+def test_overflowing_points_count_as_outside_the_domain():
+    web = parse_web("u1 = exp(exp(x1*y1)) + y2\nu2 = x2 + y1\n", name="ee")
+    r = classify_web(web)
+    assert r.labels and not r.inconclusive
+    assert all(np.isfinite(v.max_residual) for v in r.predicates.values())
+
+
+def test_undefined_points_count_as_outside_the_domain():
+    # no domain line: about half the draws have x1 < 0, where ln fails
+    web = parse_web("u1 = ln(x1) + y1\nu2 = x2 + y2\n", name="ln")
+    assert classify_web(web).labels == ("B", "D232", "E1")
+
+
+def test_zero_test_never_skips_a_nan_row():
+    web = load_example(9).web
+    snaps = collect_snapshots(web, RunConfig(points=8))
+    vanishing = (lambda s: [s.b - s.b], mag_of("b"))
+    assert _Tester(snaps, 1e-7).zero("b", *vanishing).holds
+    snaps.b[3, 1, 0, 0, 0] = np.nan
+    verdict = _Tester(snaps, 1e-7).zero("b", *vanishing)
+    assert not verdict.holds
+    assert verdict.max_residual == np.inf
+    assert verdict.witness == tuple(snaps.points[3])
+
+
+def test_zero_test_witness_is_the_last_worst_row():
+    snaps = collect_snapshots(load_example(9).web, RunConfig(points=8))
+    values = np.zeros(len(snaps))
+    values[[2, 5]] = 1.0
+    verdict = _Tester(snaps, 1e-7).zero("planted", lambda s: [values],
+                                         lambda s: 1.0)
+    assert verdict.max_residual == 1.0
+    assert verdict.witness == tuple(snaps.points[5])
+
+
+def test_only_kept_rows_are_judged_structurally(monkeypatch):
+    web = load_example(9).web
+    config = RunConfig(points=8)
+    kept = collect_snapshots(web, config).points
+    real = classify.snapshot
+
+    def planting(on_kept_rows):
+        def fake(*args, **kwargs):
+            batch = real(*args, **kwargs)
+            in_sample = (batch.points[:, None] == kept).all(-1).any(-1)
+            batch.trace_residual[in_sample == on_kept_rows] = 1.0
+            return batch
+        return fake
+
+    # rejected rows and rows after the last kept one are never judged
+    monkeypatch.setattr(classify, "snapshot", planting(False))
+    assert np.array_equal(collect_snapshots(web, config).points, kept)
+    monkeypatch.setattr(classify, "snapshot", planting(True))
+    with pytest.raises(StructureViolation):
+        collect_snapshots(web, config)

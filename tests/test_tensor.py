@@ -5,7 +5,7 @@ import pytest
 
 from threeweb.classify import RunConfig, collect_snapshots
 from threeweb.corpus import load_corpus, load_example
-from threeweb.expr import parse_web
+from threeweb.expr import EvalError, parse_web
 from threeweb.tensor import (
     DegenerateWeb,
     InadmissiblePoint,
@@ -206,3 +206,56 @@ def test_identities_hold_at_random_points_too():
             bkk = sym[0, 0] + sym[1, 1]
             h_again = 0.25 * bkk - (s.p + s.q) / 3.0
             assert h_again == pytest.approx(s.h2, abs=1e-9)
+
+
+# --- the batched pipeline ------------------------------------------------
+
+def _assert_rows_match(batch, snaps):
+    for i, s in enumerate(snaps):
+        row = batch[i]
+        assert row.point == s.point
+        for name in s._FIELDS:
+            want = getattr(s, name)
+            got = getattr(row, name)
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale, (name, i)
+        for name in ("det_bar", "det_til", "t_ratio"):
+            want, got = getattr(s, name), getattr(row, name)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert row.non_isoclinic == s.non_isoclinic
+
+
+def test_batch_matches_single_point_snapshots():
+    for entry in load_corpus():
+        points = np.array(entry.points, dtype=float)
+        batch = snapshot(entry.web, points)
+        assert len(batch) == len(points)
+        assert batch.finite.all() and not batch.degenerate.any()
+        _assert_rows_match(batch, [snapshot(entry.web, tuple(pt))
+                                   for pt in entry.points])
+
+
+@pytest.mark.parametrize("text,bad_point", [
+    # x1 = y1 makes fbar singular for example01's defining functions
+    (None, (1.0, 1.0, 1.0, 1.0)),
+    # ln of a negative value: outside the implicit domain of u1
+    ("u1 = ln(x1) + y1*x2\nu2 = x2*y2 + y1\n", (-1.0, 0.5, 1.0, 2.0)),
+    # exp(exp(9)) overflows
+    ("u1 = exp(exp(x1*y1)) + y2\nu2 = x2 + y1\n", (3.0, 0.5, 3.0, 2.0)),
+])
+def test_bad_row_mid_batch_is_masked_alone(text, bad_point):
+    web = load_example(1).web if text is None else parse_web(text)
+    good = np.array([[1.0, 1.0, 0.5, 1.0], [2.0, 1.0, -1.0, 3.0],
+                     [0.5, 2.0, 0.25, -1.5]])
+    mixed = np.insert(good, 1, bad_point, axis=0)
+    batch = snapshot(web, mixed, check_domain=False)
+    assert batch.degenerate[1] or not batch.finite[1]
+    assert batch.finite[[0, 2, 3]].all()
+    assert not batch.degenerate[[0, 2, 3]].any()
+    with pytest.raises((DegenerateWeb, EvalError)):
+        snapshot(web, bad_point, check_domain=False)
+    _assert_rows_match(batch[[0, 2, 3]],
+                       [snapshot(web, tuple(pt), check_domain=False)
+                        for pt in good])
