@@ -108,23 +108,35 @@ NDET_FLOOR = 0.05
 
 
 def _admissible_stream(web: Web, config: RunConfig, bound):
-    """The admissible rows of each 256-draw chunk, in draw order."""
+    """The admissible rows of each draw block, in draw order, at most 60
+    per wanted point in all.
+
+    Blocks of 256, 512, 1024, ... draws exhaust the draw budget in a few
+    blocks however restrictive the domain is.  They continue one generator
+    stream, so the draws are those of one big draw.
+    """
     rng = np.random.default_rng(config.seed)
     lo, hi = config.box
-    draws = 0
     budget = max(20000, 500 * config.points)
-    while draws < budget:
-        chunk = rng.uniform(lo, hi, size=(256, 4))[:budget - draws]
-        draws += len(chunk)
-        yield chunk[web.admissible(chunk, bound, config.margin)]
+    cap = 60 * config.points
+    draws = found = 0
+    size = 256
+    while draws < budget and found < cap:
+        block = rng.uniform(lo, hi, size=(min(size, budget - draws), 4))
+        draws += len(block)
+        size *= 2
+        rows = block[web.admissible(block, bound, config.margin)]
+        rows = rows[:cap - found]
+        found += len(rows)
+        yield rows
 
 
 def sample_points(web: Web, config: RunConfig, params=None):
     """Rejection-sample admissible points from the configured box."""
     bound = web.bind(params)
     points = []
-    for chunk in _admissible_stream(web, config, bound):
-        points.extend(map(tuple, chunk.tolist()))
+    for rows in _admissible_stream(web, config, bound):
+        points.extend(map(tuple, rows.tolist()))
         if len(points) >= config.points:
             return points[:config.points]
     raise SamplerExhausted(
@@ -145,41 +157,43 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
     """Snapshots at admissible, well-conditioned sample points, as one
     SnapshotBatch of `config.points` rows in draw order.
 
-    Each chunk's admissible points, up to a cap of 60 per wanted point,
-    go through `snapshot` in batches.  A row is rejected when it is
-    degenerate, not finite or ill-conditioned; a kept row whose structural
-    identities fail raises StructureViolation, since there the failure
-    means a bug.  Rows after the one that completes the sample are never
-    judged.
+    Admissible rows are pooled across draw blocks and go through
+    `snapshot` in batches of twice the rows still wanted, so a restrictive
+    domain costs about as many calls as an open one.  A row is rejected
+    when it is degenerate, not finite or ill-conditioned; a kept row whose
+    structural identities fail raises StructureViolation, since there the
+    failure means a bug.  Rows after the one that completes the sample are
+    never judged.
     """
     bound = web.bind(params)
-    cap = 60 * config.points
+    stream = _admissible_stream(web, config, bound)
+    pool = np.empty((0, 4))
     kept = []
-    found = tried = 0
-    for chunk in _admissible_stream(web, config, bound):
-        chunk = chunk[:cap - tried]
-        tried += len(chunk)
-        while len(chunk):
-            # twice the rows still wanted: one batch unless most are rejected
-            size = 2 * (config.points - found)
-            batch = snapshot(web, chunk[:size], bound, margin=config.margin,
-                             check_domain=False)
-            chunk = chunk[size:]
-            ok = batch.finite & ~batch.degenerate & _well_conditioned(batch)
-            rows = np.flatnonzero(ok)[:config.points - found]
-            broken = rows[(batch.torsion_residual[rows] > STRUCTURE_TOL)
-                          | (batch.trace_residual[rows] > STRUCTURE_TOL)]
-            if broken.size:
-                batch.check(broken[0])
-            kept.append(batch[rows])
-            found += len(rows)
-            if found == config.points:
-                return SnapshotBatch.concat(kept)
-        if tried == cap:
-            break
-    raise SamplerExhausted(
-        "only %d of %d well-conditioned admissible points found"
-        % (found, config.points))
+    found = 0
+    while found < config.points:
+        # twice the rows still wanted: one batch unless most are rejected
+        size = 2 * (config.points - found)
+        if len(pool) < size:
+            admissible = next(stream, None)
+            if admissible is not None:
+                pool = np.concatenate([pool, admissible])
+                continue
+            if not len(pool):
+                raise SamplerExhausted(
+                    "only %d of %d well-conditioned admissible points found"
+                    % (found, config.points))
+        batch = snapshot(web, pool[:size], bound, margin=config.margin,
+                         check_domain=False)
+        pool = pool[size:]
+        ok = batch.finite & ~batch.degenerate & _well_conditioned(batch)
+        rows = np.flatnonzero(ok)[:config.points - found]
+        broken = rows[(batch.torsion_residual[rows] > STRUCTURE_TOL)
+                      | (batch.trace_residual[rows] > STRUCTURE_TOL)]
+        if broken.size:
+            batch.check(broken[0])
+        kept.append(batch[rows])
+        found += len(rows)
+    return SnapshotBatch.concat(kept)
 
 
 def hexagonality_polynomials(snap, t):

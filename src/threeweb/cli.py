@@ -93,7 +93,7 @@ def _load_web(spec):
     raise OSError("file not found: %s" % spec)
 
 
-def _emit(doc, args):
+def _emit(doc):
     print(json.dumps(doc, indent=1, sort_keys=True))
 
 
@@ -162,7 +162,7 @@ def cmd_classify(args):
         code = max(code, _report_exit(report))
     if args.format == "json":
         docs = [{"schema": 1, **r.to_dict()} for r in reports]
-        _emit(docs[0] if len(docs) == 1 else docs, args)
+        _emit(docs[0] if len(docs) == 1 else docs)
     else:
         for i, report in enumerate(reports):
             if i:
@@ -217,7 +217,7 @@ def cmd_corpus(args):
                 for entry, report, counts, failures, match in rows
             ],
         }
-        _emit(doc, args)
+        _emit(doc)
     else:
         for entry, report, counts, failures, match in rows:
             print("%-10s %-18s expected %-18s %-8s golden: %d pass, "
@@ -281,7 +281,7 @@ def cmd_table(args):
                 for name, exp, got in diffs
             ],
         }
-        _emit(doc, args)
+        _emit(doc)
     else:
         print(" #  web        A      B  C    D     E    F    G")
         for entry, report in rows:
@@ -325,7 +325,7 @@ def cmd_snapshot(args):
     snap = snapshot(web, tuple(args.point), params=overrides or None,
                     margin=args.margin)
     if args.format == "json":
-        _emit({"schema": 1, "web": web.name, **snap.to_dict()}, args)
+        _emit({"schema": 1, "web": web.name, **snap.to_dict()})
         return EXIT_OK
     print("web: %s" % web.name)
     print("point: x1=%s x2=%s y1=%s y2=%s" % tuple(_fmt(c) for c in

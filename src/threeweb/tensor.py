@@ -45,8 +45,21 @@ import numpy as np
 from .expr import EvalError, Web
 from .jet import jet_lift
 
-# relative residual above which a structural identity counts as broken
+# Pointwise thresholds, each relative to the magnitude of what it tests:
+# STRUCTURE_TOL  a structural identity (torsion reconstruction, traceless
+#                a4) counts as broken above this residual;
+# SINGULAR_TOL   a 2x2 Jacobian block is singular when |det| is below this
+#                times its largest entry squared;
+# ISOCLINIC_TOL  a row is flagged non-isoclinic when p or q is asymmetric
+#                beyond this times max(1, |p|, |q|);
+# T_RATIO_FLOOR  t = a2/a1 is recorded only where |a1| exceeds this times
+#                max(1, |a2|).
+# Classification applies its own, coarser conditioning floor on top
+# (classify.NDET_FLOOR).
 STRUCTURE_TOL = 1e-8
+SINGULAR_TOL = 1e-10
+ISOCLINIC_TOL = 1e-7
+T_RATIO_FLOOR = 1e-9
 
 _EYE = np.eye(2)
 
@@ -217,7 +230,7 @@ def _invert2(m):
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     adj = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]], -1)
     scale = np.abs(m).max(axis=(1, 2))
-    singular = (det == 0.0) | (np.abs(det) < 1e-10 * scale * scale)
+    singular = (det == 0.0) | (np.abs(det) < SINGULAR_TOL * scale * scale)
     return det, adj.reshape(-1, 2, 2) / det[:, None, None], singular
 
 
@@ -310,14 +323,15 @@ def _invariants(points, bound, F):
     torsion_residual = (_row_max(torsion - recon)
                         / np.maximum(1.0, _row_max(torsion)))
     pq_scale = np.maximum(1.0, np.maximum(_row_max(p), _row_max(q)))
-    non_isoclinic = ((np.abs(p[:, 0, 1] - p[:, 1, 0]) > 1e-7 * pq_scale)
-                     | (np.abs(q[:, 0, 1] - q[:, 1, 0]) > 1e-7 * pq_scale))
+    non_isoclinic = (
+        (np.abs(p[:, 0, 1] - p[:, 1, 0]) > ISOCLINIC_TOL * pq_scale)
+        | (np.abs(q[:, 0, 1] - q[:, 1, 0]) > ISOCLINIC_TOL * pq_scale))
     trace_residual = np.where(
         non_isoclinic, 0.0,
         _row_max(a4[:, 0, 0] + a4[:, 1, 1]) / np.maximum(1.0, _row_max(a4)))
 
     a1, a2 = a_cov[:, 0], a_cov[:, 1]
-    usable = np.abs(a1) > 1e-9 * np.maximum(1.0, np.abs(a2))
+    usable = np.abs(a1) > T_RATIO_FLOOR * np.maximum(1.0, np.abs(a2))
     t_ratio = np.where(usable, a2 / np.where(usable, a1, 1.0), np.nan)
 
     fields = dict(fbar=fbar, ftilde=ftilde, gbar=gbar, gtilde=gtil,

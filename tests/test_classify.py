@@ -16,8 +16,8 @@ from threeweb.classify import (
     sample_points,
 )
 from threeweb.corpus import load_corpus, load_example
-from threeweb.expr import parse_web
-from threeweb.tensor import StructureViolation
+from threeweb.expr import Web, format_web, parse_web
+from threeweb.tensor import StructureViolation, snapshot
 
 EX9_MUTATED_BILINEAR = (
     "u1 = x1*y1 + x2*y2 + 0.1*x1*y1\n"
@@ -264,3 +264,85 @@ def test_only_kept_rows_are_judged_structurally(monkeypatch):
     monkeypatch.setattr(classify, "snapshot", planting(True))
     with pytest.raises(StructureViolation):
         collect_snapshots(web, config)
+
+
+# about 1 draw in 81 is admissible: each coordinate lies in one of two
+# width-1 windows, one in each half of the (-3, 3) box
+NARROW_WINDOWS = {"x1": (-2.6, 0.3), "x2": (-1.2, 1.9),
+                  "y1": (-2.9, 1.1), "y2": (-0.7, 0.4)}
+
+
+def narrow_window_web():
+    lines = [format_web(load_example(1).web)]
+    for var, (a, b) in NARROW_WINDOWS.items():
+        lines.append("domain -(%s - (%r)) * (%s - (%r)) * (%s - (%r))"
+                     " * (%s - (%r)) > 0\n"
+                     % (var, a, var, a + 1, var, b, var, b + 1))
+    return parse_web("".join(lines), name="narrow")
+
+
+def expected_sample(web, config):
+    """The sample built the plain way: one draw of the whole budget, then
+    every admissible row snapshotted on its own, in draw order."""
+    budget = max(20000, 500 * config.points)
+    draws = np.random.default_rng(config.seed).uniform(
+        *config.box, size=(budget, 4))
+    kept = []
+    for row in draws[web.admissible(draws, {}, config.margin)]:
+        s = snapshot(web, row[None, :], check_domain=False)
+        conditioned = all(
+            abs(det[0]) >= classify.NDET_FLOOR * np.prod(
+                np.linalg.norm(m[0], axis=1))
+            for m, det in ((s.fbar, s.det_bar), (s.ftilde, s.det_til)))
+        if s.finite[0] and not s.degenerate[0] and conditioned:
+            kept.append(row)
+            if len(kept) == config.points:
+                return np.array(kept)
+    raise AssertionError("oracle found too few points")
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+@pytest.mark.parametrize("make_web", [narrow_window_web,
+                                      lambda: load_example(7).web])
+def test_sample_matches_one_big_draw(seed, make_web, monkeypatch):
+    web = make_web()
+    config = RunConfig(points=32, seed=seed)
+    expected = expected_sample(web, config)
+    calls = []
+    real = classify.snapshot
+    monkeypatch.setattr(classify, "snapshot",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    got = classify.collect_snapshots(web, config).points
+    assert got.tobytes() == expected.tobytes()
+    if web.name == "narrow":
+        # admissible rows are pooled across draw blocks, not sent per block
+        assert len(calls) <= 3
+
+
+def test_draw_budget_is_spent_exactly(monkeypatch):
+    web = parse_web("u1 = x1 + y1\nu2 = x2 + y2\n"
+                    "domain -(x1^2) - 1 > 0\n", name="empty-domain")
+    rows = []
+    real = Web.admissible
+    monkeypatch.setattr(Web, "admissible",
+                        lambda self, pts, *a: rows.append(len(pts))
+                        or real(self, pts, *a))
+    for points in (8, 64):
+        rows.clear()
+        with pytest.raises(SamplerExhausted):
+            collect_snapshots(web, RunConfig(points=points))
+        assert sum(rows) == max(20000, 500 * points)
+
+
+def test_admissible_rows_tried_are_capped(monkeypatch):
+    # every point is degenerate: the Jacobian blocks have equal rows
+    web = parse_web("u1 = x1 + x2 + y1\nu2 = x1 + x2 + y2\n",
+                    name="degenerate")
+    rows = []
+    real = classify.snapshot
+    monkeypatch.setattr(classify, "snapshot",
+                        lambda w, pts, *a, **k: rows.append(len(pts))
+                        or real(w, pts, *a, **k))
+    with pytest.raises(SamplerExhausted):
+        collect_snapshots(web, RunConfig(points=8))
+    assert sum(rows) == 60 * 8
