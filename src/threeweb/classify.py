@@ -106,6 +106,12 @@ class IdentityVerdict:
 # the worst corpus web.
 NDET_FLOOR = 0.05
 
+# A failing zero test's witness is the last row whose residual is within
+# this relative distance of the worst.  Many rows of a failing predicate
+# often attain one exact ratio (1, 1/3, 3/4, ...), and roundoff alone would
+# otherwise pick which of them is the witness.
+WITNESS_RTOL = 1e-9
+
 
 def _admissible_stream(web: Web, config: RunConfig, bound):
     """The admissible rows of each draw block, in draw order, at most 60
@@ -247,8 +253,8 @@ class _Tester:
         # a NaN residual counts as infinite, so it fails and is the witness
         resid = self.residuals(values_fn, scale_fn)
         resid[np.isnan(resid)] = np.inf
-        last = len(resid) - 1 - int(np.argmax(resid[::-1]))
-        worst = float(resid[last])
+        worst = float(resid.max())
+        last = np.flatnonzero(resid >= worst * (1.0 - WITNESS_RTOL))[-1]
         holds = worst < self.tol
         if self.tol <= worst < 10.0 * self.tol:
             self.ambiguous.append(name)

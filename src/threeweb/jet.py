@@ -16,8 +16,17 @@ walk of an expression tree lifts it at N points into (N, 35) coefficients
 (vectorized Taylor arithmetic; Griewank & Walther, *Evaluating
 Derivatives*, ch. 13).  A batch row outside the domain of ln or of a
 division becomes NaN; a single jet there raises EvalError.  The tensor
-pipeline reads partials off a lifted jet with `derivatives`; `deriv`
-differentiates inside the algebra and is valid through degree 2.
+pipeline reads every partial off lifted coefficients with `partials`, one
+gather for all orders; `deriv` differentiates inside the algebra and is
+valid through degree 2.
+
+`jet_lift` folds constant and parameter subtrees to Python floats, and Jet
+arithmetic takes a float directly: adding one shifts the value column,
+multiplying by one scales the coefficients, and dividing by one multiplies
+by its reciprocal.  Where they are finite, the results equal those of the
+constant jets this replaces bit for bit, without building or convolving
+them.  A folded `ln` of a non-positive value or division by zero raises
+EvalError, at one point or a batch.
 """
 
 from __future__ import annotations
@@ -59,16 +68,26 @@ _MUL_K, _MUL_I, _MUL_J = (np.array(col) for col in zip(*_PAIRS))
 _MUL_START = np.searchsorted(_MUL_K, np.arange(NCOEFF))
 
 
-def _partials_table(order):
-    """Coefficient index and factorial of d^order / dx_a dx_b ... for every
-    tuple (a, b, ...) of variables, as arrays of shape (4,) * order."""
-    idx = np.empty((NVARS,) * order, dtype=int)
-    for vs in itertools.product(range(NVARS), repeat=order):
-        idx[vs] = INDEX[tuple(vs.count(v) for v in range(NVARS))]
-    return idx, _FACTORIAL[idx]
+# _UNIT[v] is the coefficient index of x_v; _GATHER lists the index of
+# d/dx_a, d^2/dx_a dx_b and d^3/dx_a dx_b dx_c for every tuple of variables
+# of orders 1, 2 and 3 in turn (4 + 16 + 64 columns)
+_VARS = np.arange(NVARS)
+_UNIT = np.array([INDEX[tuple(int(i == v) for i in range(NVARS))]
+                  for v in _VARS])
+_GATHER = np.array([INDEX[tuple(vs.count(v) for v in range(NVARS))]
+                    for order in range(1, DEGREE + 1)
+                    for vs in itertools.product(range(NVARS), repeat=order)])
+_GATHER_FACTORIAL = _FACTORIAL[_GATHER]
 
 
-_PARTIALS = [_partials_table(order) for order in range(DEGREE + 1)]
+def partials(c):
+    """Every partial of orders 1 to 3 from coefficients `c` (..., 35):
+    grad (..., 4), hess (..., 4, 4) and third (..., 4, 4, 4), symmetric in
+    their trailing axes, read with one gather."""
+    d = c[..., _GATHER] * _GATHER_FACTORIAL
+    lead = c.shape[:-1]
+    return (d[..., :NVARS], d[..., NVARS:20].reshape(lead + (NVARS,) * 2),
+            d[..., 20:].reshape(lead + (NVARS,) * 3))
 
 
 class Jet:
@@ -95,7 +114,7 @@ class Jet:
     def variable(v, value):
         """The coordinate function x_v expanded at x_v = value."""
         jet = Jet.constant(value)
-        jet.c[..., INDEX[tuple(int(i == v) for i in range(NVARS))]] = 1.0
+        jet.c[..., _UNIT[v]] = 1.0
         return jet
 
     # accessors ----------------------------------------------------------
@@ -108,12 +127,6 @@ class Jet:
         """The partial derivative d^alpha F at the expansion point."""
         i = INDEX[tuple(alpha)]  # KeyError for |alpha| > 3 is right
         return self.c[..., i] * _FACTORIAL[i]
-
-    def derivatives(self, order):
-        """All partials of one order: shape (..., 4, ..., 4), symmetric in
-        the `order` trailing axes."""
-        idx, fac = _PARTIALS[order]
-        return self.c[..., idx] * fac
 
     def deriv(self, v):
         """d/dx_v inside the algebra; degree-3 coefficients of the result
@@ -128,16 +141,23 @@ class Jet:
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_jet(other)
-        return Jet(self.c + other.c)
+        if isinstance(other, Jet):
+            return Jet(self.c + other.c)
+        c = self.c.copy()
+        c[..., 0] += other
+        return Jet(c)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Jet(self.c - _as_jet(other).c)
+        if isinstance(other, Jet):
+            return Jet(self.c - other.c)
+        return self + (-other)
 
     def __rsub__(self, other):
-        return Jet(_as_jet(other).c - self.c)
+        c = -self.c
+        c[..., 0] += other
+        return Jet(c)
 
     def __neg__(self):
         return Jet(-self.c)
@@ -152,14 +172,10 @@ class Jet:
         return self.__mul__(other)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise EvalError("division by zero")
-            return Jet(self.c / other)
-        return self * other.reciprocal()
+        return self * _reciprocal(other)
 
     def __rtruediv__(self, other):
-        return _as_jet(other) * self.reciprocal()
+        return self.reciprocal() * other
 
     def _value_where(self, ok, message):
         """The value column, NaN on the batch rows where `ok` fails, which
@@ -195,61 +211,95 @@ class Jet:
         return w
 
     def int_pow(self, k):
-        if not isinstance(k, int):
-            raise EvalError("jet powers must have integer exponents")
-        if k < 0:
-            return self.reciprocal().int_pow(-k)
-        out = Jet.constant(1.0)
-        for _ in range(k):
-            out = out * self
-        return out
+        out = _int_pow(self, k)
+        if isinstance(out, Jet):
+            return out
+        return Jet.constant(np.full(self.c.shape[:-1], out))
 
     def __repr__(self):
         return "Jet(value=%r)" % (self.value,)
 
 
-def _as_jet(v):
-    if isinstance(v, Jet):
-        return v
-    return Jet.constant(float(v))
+def _reciprocal(x):
+    if isinstance(x, Jet):
+        return x.reciprocal()
+    if x == 0.0:
+        raise EvalError("jet division by a jet with value %r" % float(x))
+    return 1.0 / x
+
+
+def _ln(x):
+    if isinstance(x, Jet):
+        return x.ln()
+    if not x > 0.0:
+        raise EvalError("ln of a jet with non-positive value %r" % float(x))
+    return float(np.log(x))
+
+
+def _exp(x):
+    return x.exp() if isinstance(x, Jet) else float(np.exp(x))
+
+
+def _int_pow(x, k):
+    """x^k for an int k, on a Jet or a float: 1.0 for k = 0, else |k| - 1
+    multiplies."""
+    if not isinstance(k, int):
+        raise EvalError("jet powers must have integer exponents")
+    if k == 0:
+        return 1.0
+    if k < 0:
+        x, k = _reciprocal(x), -k
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
 
 
 def jet_lift(e, point, params=None):
     """Expand an expression tree around `point` = (x1, x2, y1, y2), or
     around every row of an (N, 4) array of points at once."""
     point = np.asarray(point, dtype=float)
-    vars_ = {name: Jet.variable(i, point[..., i])
-             for i, name in enumerate(VARIABLES)}
+    lead = point.shape[:-1]
+    seeds = np.zeros(lead + (NVARS, NCOEFF))
+    seeds[..., 0] = point
+    seeds[..., _VARS, _UNIT] = 1.0
+    vars_ = {name: Jet(seeds[..., v, :]) for v, name in enumerate(VARIABLES)}
     with np.errstate(all="ignore"):
         jet = _lift(e, vars_, params or {})
+    if isinstance(jet, Jet):
+        return jet
     # a constant expression still gets one row per point
-    return Jet(np.broadcast_to(jet.c, point.shape[:-1] + (NCOEFF,)))
+    c = np.zeros(lead + (NCOEFF,))
+    c[..., 0] = jet
+    return Jet(c)
 
 
 def _lift(e, vars_, params):
-    if isinstance(e, Const):
-        return Jet.constant(e.value)
+    """The Jet of `e`, or a float where `e` holds no variable."""
     if isinstance(e, Var):
         return vars_[e.name]
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Mul):
+        return _lift(e.left, vars_, params) * _lift(e.right, vars_, params)
+    if isinstance(e, Add):
+        return _lift(e.left, vars_, params) + _lift(e.right, vars_, params)
+    if isinstance(e, Sub):
+        return _lift(e.left, vars_, params) - _lift(e.right, vars_, params)
+    if isinstance(e, Pow):
+        return _int_pow(_lift(e.base, vars_, params), e.exponent)
+    if isinstance(e, Div):
+        return (_lift(e.left, vars_, params)
+                * _reciprocal(_lift(e.right, vars_, params)))
     if isinstance(e, ParamRef):
         try:
-            return Jet.constant(params[e.name])
+            return float(params[e.name])
         except KeyError:
             raise EvalError("parameter %r is unbound" % e.name) from None
     if isinstance(e, Neg):
         return -_lift(e.arg, vars_, params)
     if isinstance(e, Exp):
-        return _lift(e.arg, vars_, params).exp()
+        return _exp(_lift(e.arg, vars_, params))
     if isinstance(e, Ln):
-        return _lift(e.arg, vars_, params).ln()
-    if isinstance(e, Add):
-        return _lift(e.left, vars_, params) + _lift(e.right, vars_, params)
-    if isinstance(e, Sub):
-        return _lift(e.left, vars_, params) - _lift(e.right, vars_, params)
-    if isinstance(e, Mul):
-        return _lift(e.left, vars_, params) * _lift(e.right, vars_, params)
-    if isinstance(e, Div):
-        return _lift(e.left, vars_, params) / _lift(e.right, vars_, params)
-    if isinstance(e, Pow):
-        return _lift(e.base, vars_, params).int_pow(e.exponent)
+        return _ln(_lift(e.arg, vars_, params))
     raise TypeError("not an expression node: %r" % (e,))

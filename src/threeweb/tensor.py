@@ -21,12 +21,23 @@ at the point, so the only numeric error anywhere is float roundoff:
 where D1_j = gbar[m][j] d/dx^m and D2_j = gtilde[m][j] d/dy^m are the frame
 directional derivatives dual to the base forms of the first two foliations;
 D gamma follows from the partials of f by the closed form
-d(gbar) = -gbar d(fbar) gbar (likewise for gtilde).  Then:
+d(gbar) = -gbar d(fbar) gbar (likewise for gtilde), which makes it the third
+partials of f in the frame plus gamma times the Hessian of f in the frame.
+Then:
 
     h2 = 1/4 * sym3(b)^k_{kij} - 1/3 (p + q)      (sym3 = mean over the six
     f2 = p + h2,  g2 = q + h2,  s = f2 + g2 + h2   permutations of jkl)
     a4[i][j][k][l] = sym3(b)[i][j][k][l]
                      - 1/3 (s[j][k] d[i][l] + s[k][l] d[i][j] + s[l][j] d[i][k])
+
+Everything after gamma is linear in gamma and D gamma plus quadratic in
+gamma, with constant coefficients.  `_tail` writes those formulas out, and
+at import they are read off it once into a fixed map: LIN (40 x K) on
+[gamma, D gamma] and QUAD (64 x K) on gamma (x) gamma, whose K columns are
+torsion, a_cov, b, p, q, f2, g2, h2, a4 and the residuals of the structural
+identities.  A snapshot applies the map with one matrix product and slices
+the fields out of it as views, so its number of numpy calls does not depend
+on the formulas.
 
 All of it runs on N points at once as arrays with a leading axis of N (a
 SnapshotBatch); one point is a batch of one.  Each row records what makes
@@ -43,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import EvalError, Web
-from .jet import jet_lift
+from .jet import jet_lift, partials
 
 # Pointwise thresholds, each relative to the magnitude of what it tests:
 # STRUCTURE_TOL  a structural identity (torsion reconstruction, traceless
@@ -225,13 +236,18 @@ def _row_max(x):
     return np.abs(x).max(axis=tuple(range(1, x.ndim)))
 
 
+_ADJUGATE = [3, 1, 2, 0]
+_ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+
+
 def _invert2(m):
     """Determinants, inverses and singularity of a stack of 2x2 matrices."""
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    adj = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]], -1)
-    scale = np.abs(m).max(axis=(1, 2))
+    m = m.reshape(-1, 4)
+    det = m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]
+    scale = np.abs(m).max(axis=1)
     singular = (det == 0.0) | (np.abs(det) < SINGULAR_TOL * scale * scale)
-    return det, adj.reshape(-1, 2, 2) / det[:, None, None], singular
+    inv = m[:, _ADJUGATE] * _ADJUGATE_SIGN / det[:, None]
+    return det, inv.reshape(-1, 2, 2), singular
 
 
 def sym3_lower(b):
@@ -265,33 +281,11 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True):
     return batch[0]
 
 
-def _invariants(points, bound, F):
-    # partials of f^i: grad (N,2,4), hess (N,2,4,4), third (N,2,4,4,4);
-    # axes after i run over (x1, x2, y1, y2)
-    grad, hess, third = (np.stack([f.derivatives(order) for f in F], 1)
-                         for order in (1, 2, 3))
-    fbar, ftilde = grad[:, :, :2], grad[:, :, 2:]
-    det_bar, gbar, singular_bar = _invert2(fbar)
-    det_til, gtil, singular_til = _invert2(ftilde)
-
-    # gamma and its frame derivatives: axis r of a derivative is D1_0, D1_1,
-    # D2_0, D2_1, i.e. the coordinate partials contracted with the frame
-    frame = np.zeros((len(points), 4, 4))
-    frame[:, :2, :2] = gbar
-    frame[:, 2:, 2:] = gtil
-    hess_f = np.einsum("npqa,nar->npqr", hess, frame)
-    mixed = hess[:, :, :2, 2:]
-    d_mixed = np.einsum("nilma,nar->nilmr", third[:, :, :2, 2:], frame)
-    d_gbar = -np.einsum("npq,nqsr,nst->nptr", gbar,
-                        hess_f[:, :, :2], gbar)
-    d_gtil = -np.einsum("npq,nqsr,nst->nptr", gtil,
-                        hess_f[:, :, 2:], gtil)
-    gamma = -np.einsum("nilm,nlj,nmk->nijk", mixed, gbar, gtil)
-    d_gamma = -(np.einsum("nilmr,nlj,nmk->nijkr", d_mixed, gbar, gtil)
-                + np.einsum("nilm,nljr,nmk->nijkr", mixed, d_gbar,
-                            gtil)
-                + np.einsum("nilm,nlj,nmkr->nijkr", mixed, gbar,
-                            d_gtil))
+def _tail(gamma, d_gamma):
+    """Everything after gamma, by the formulas of the module docstring, for
+    a batch of gamma (N,2,2,2) and its frame derivatives d_gamma (N,2,2,2,4)
+    with axis r = D1_0, D1_1, D2_0, D2_1.  Only the import-time build of LIN
+    and QUAD runs it; snapshots apply the map."""
     torsion = 0.5 * (gamma - np.swapaxes(gamma, -1, -2))
     a_cov = np.einsum("nmjm->nj", gamma) - np.einsum("nmmj->nj", gamma)
     d_acov = (np.einsum("nmjmr->njr", d_gamma)
@@ -320,29 +314,102 @@ def _invariants(points, bound, F):
     # forced algebraic shape of the torsion: a^i_jk = (a_j d^i_k - a_k d^i_j)/2
     recon = 0.5 * (np.einsum("nj,ik->nijk", a_cov, _EYE)
                    - np.einsum("nk,ij->nijk", a_cov, _EYE))
-    torsion_residual = (_row_max(torsion - recon)
-                        / np.maximum(1.0, _row_max(torsion)))
-    pq_scale = np.maximum(1.0, np.maximum(_row_max(p), _row_max(q)))
-    non_isoclinic = (
-        (np.abs(p[:, 0, 1] - p[:, 1, 0]) > ISOCLINIC_TOL * pq_scale)
-        | (np.abs(q[:, 0, 1] - q[:, 1, 0]) > ISOCLINIC_TOL * pq_scale))
-    trace_residual = np.where(
-        non_isoclinic, 0.0,
-        _row_max(a4[:, 0, 0] + a4[:, 1, 1]) / np.maximum(1.0, _row_max(a4)))
+    return dict(torsion=torsion, a_cov=a_cov, b=b, p=p, q=q, f2=f2, g2=g2,
+                h2=h2, a4=a4, recon_error=torsion - recon,
+                a4_trace=a4[:, 0, 0] + a4[:, 1, 1],
+                p_asym=p[:, 0, 1] - p[:, 1, 0], q_asym=q[:, 0, 1] - q[:, 1, 0])
 
-    a1, a2 = a_cov[:, 0], a_cov[:, 1]
+
+def _compile_tail():
+    """LIN (40, K) and QUAD (64, K) such that `_tail`, flattened to K
+    columns, is [gamma, d_gamma] @ LIN + (gamma (x) gamma) @ QUAD, read off
+    `_tail` at basis inputs in one batch; QUAD is symmetric in its two gamma
+    factors.  Also each output's columns and shape."""
+    e = np.eye(8).reshape(8, 2, 2, 2)
+    gamma = np.concatenate([e, -e, np.zeros((32, 2, 2, 2)),
+                            (e[:, None] + e[None]).reshape(64, 2, 2, 2)])
+    d_gamma = np.zeros(gamma.shape + (4,))
+    d_gamma[16:48] = np.eye(32).reshape(32, 2, 2, 2, 4)
+    out = _tail(gamma, d_gamma)
+    flat = np.concatenate([v.reshape(len(gamma), -1) for v in out.values()],
+                          1)
+    plus, minus, d_lin, pairs = np.split(flat, [8, 16, 48])
+    lin = np.concatenate([(plus - minus) / 2.0, d_lin])
+    # f(e_a + e_b) - f(e_a) - f(e_b) = Q[a, b] + Q[b, a], also for a = b
+    quad = (pairs.reshape(8, 8, -1) - plus[:, None] - plus[None]) / 2.0
+    # every coefficient of the formulas is a multiple of 1/12: rounding to
+    # it removes the roundoff of the read-off (tests hold the map to _tail)
+    lin, quad = (np.round(m * 12.0) / 12.0
+                 for m in (lin, quad.reshape(64, -1)))
+
+    segments, start = {}, 0
+    for name, v in out.items():
+        segments[name] = (slice(start, start + v[0].size), v.shape[1:])
+        start += v[0].size
+    return lin, quad, segments
+
+
+LIN, QUAD, _SEGMENTS = _compile_tail()
+_MAP = np.concatenate([LIN, QUAD])
+_STARTS = np.array([columns.start for columns, _ in _SEGMENTS.values()])
+
+
+def _invariants(points, bound, F):
+    n = len(points)
+    coeffs = np.stack([f.c for f in F], 1)
+    # partials of f^i: grad (N,2,4), hess (N,2,4,4), third (N,2,4,4,4);
+    # axes after i run over (x1, x2, y1, y2)
+    grad, hess, third = partials(coeffs)
+    # fbar and ftilde of each row, interleaved: one stack of 2N blocks
+    blocks = grad.reshape(n, 2, 2, 2).swapaxes(1, 2).reshape(2 * n, 2, 2)
+    det, inv, singular = _invert2(blocks)
+    blocks, inv = blocks.reshape(n, 2, 2, 2), inv.reshape(n, 2, 2, 2)
+    det, singular = det.reshape(n, 2), singular.reshape(n, 2)
+    gbar, gtil = inv[:, 0], inv[:, 1]
+
+    # frame derivatives D1_0, D1_1, D2_0, D2_1 are the coordinate partials
+    # contracted with the block-diagonal frame; gamma is minus the mixed
+    # block of the Hessian in the frame, and by d(gbar) = -gbar d(fbar) gbar
+    # its derivatives are the third partials in the frame plus gamma times
+    # the frame Hessian
+    frame = np.zeros((n, 4, 4))
+    frame[:, :2, :2] = gbar
+    frame[:, 2:, 2:] = gtil
+    hess_frame = np.swapaxes(frame, 1, 2)[:, None] @ hess @ frame[:, None]
+    gamma = -hess_frame[:, :, :2, 2:]
+    third_mixed = third[:, :, :2, 2:] @ frame[:, None, None]
+    d_gamma = -(np.einsum("nilmr,nlj,nmk->nijkr", third_mixed, gbar, gtil)
+                + np.einsum("nipk,npjr->nijkr", gamma, hess_frame[:, :, :2])
+                + np.einsum("nijp,npkr->nijkr", gamma, hess_frame[:, :, 2:]))
+
+    g = gamma.reshape(n, 8)
+    x = np.concatenate([g, d_gamma.reshape(n, 32),
+                        (g[:, :, None] * g[:, None, :]).reshape(n, 64)], 1)
+    out = x @ _MAP
+    fields = {name: out[:, columns].reshape((n,) + shape)
+              for name, (columns, shape) in _SEGMENTS.items()
+              if name in TensorSnapshot._FIELDS}
+    top = dict(zip(_SEGMENTS,
+                   np.maximum.reduceat(np.abs(out), _STARTS, axis=1).T))
+
+    torsion_residual = top["recon_error"] / np.maximum(1.0, top["torsion"])
+    pq_scale = np.maximum(1.0, np.maximum(top["p"], top["q"]))
+    non_isoclinic = (np.maximum(top["p_asym"], top["q_asym"])
+                     > ISOCLINIC_TOL * pq_scale)
+    trace_residual = np.where(non_isoclinic, 0.0,
+                              top["a4_trace"] / np.maximum(1.0, top["a4"]))
+
+    a1, a2 = fields["a_cov"][:, 0], fields["a_cov"][:, 1]
     usable = np.abs(a1) > T_RATIO_FLOOR * np.maximum(1.0, np.abs(a2))
     t_ratio = np.where(usable, a2 / np.where(usable, a1, 1.0), np.nan)
 
-    fields = dict(fbar=fbar, ftilde=ftilde, gbar=gbar, gtilde=gtil,
-                  gamma=gamma, torsion=torsion, a_cov=a_cov, b=b, p=p, q=q,
-                  f2=f2, g2=g2, h2=h2, a4=a4)
-    finite = np.logical_and.reduce(
-        [np.isfinite(v).all(axis=tuple(range(1, v.ndim)))
-         for v in [f.c for f in F] + list(fields.values())])
+    # one row per point of everything computed, intermediates included
+    finite = np.isfinite(np.concatenate(
+        [coeffs.reshape(n, 2 * coeffs.shape[-1]), inv.reshape(n, 8), x, out],
+        1)).all(axis=1)
     return SnapshotBatch(points, bound, dict(
-        fields, det_bar=det_bar, det_til=det_til, t_ratio=t_ratio,
-        non_isoclinic=non_isoclinic,
-        degenerate=singular_bar | singular_til,
-        finite=finite, torsion_residual=torsion_residual,
-        trace_residual=trace_residual))
+        fields, fbar=blocks[:, 0], ftilde=blocks[:, 1], gbar=gbar,
+        gtilde=gtil, gamma=gamma, det_bar=det[:, 0], det_til=det[:, 1],
+        t_ratio=t_ratio, non_isoclinic=non_isoclinic,
+        degenerate=singular.any(axis=1), finite=finite,
+        torsion_residual=torsion_residual, trace_residual=trace_residual))

@@ -244,6 +244,19 @@ def test_zero_test_witness_is_the_last_worst_row():
     assert verdict.witness == tuple(snaps.points[5])
 
 
+def test_zero_test_witness_survives_last_bit_changes():
+    # rows 2 and 5 tie; moving either by one ulp must not move the witness
+    snaps = collect_snapshots(load_example(9).web, RunConfig(points=8))
+    for row in (2, 5):
+        for toward in (0.0, 2.0):
+            values = np.zeros(len(snaps))
+            values[[2, 5]] = 1.0
+            values[row] = np.nextafter(1.0, toward)
+            verdict = _Tester(snaps, 1e-7).zero(
+                "planted", lambda s: [values], lambda s: 1.0)
+            assert verdict.witness == tuple(snaps.points[5]), (row, toward)
+
+
 def test_only_kept_rows_are_judged_structurally(monkeypatch):
     web = load_example(9).web
     config = RunConfig(points=8)

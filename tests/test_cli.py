@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import threeweb
 from threeweb.classify import RunConfig, classify_web
 from threeweb.cli import main
 from threeweb.corpus import load_example
@@ -208,3 +213,17 @@ def test_config_flags_are_wired_through(capsys):
     doc = json.loads(out)
     assert doc["config"] == RunConfig(points=16, seed=7,
                                       box=(-2.0, 2.0)).to_dict()
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(threeweb.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "threeweb", "classify", "example09",
+         "--format", "json"], capture_output=True, text=True, env=env,
+        timeout=120)
+    _, out, _ = run(capsys, "classify", "example09", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out

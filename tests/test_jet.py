@@ -142,3 +142,45 @@ def test_exp_jet_against_closed_form():
         else:
             want = base * 2.0 ** alpha[3]
             assert j.partial(alpha) == pytest.approx(want, rel=1e-12)
+
+
+# Constant and parameter subtrees fold to floats inside jet_lift.
+_FOLDED = parse_web("param k = 1.5\n"
+                    "u1 = exp(1)*x1 + x2/4 + 2^3*y1^2 + k*y2\n"
+                    "u2 = -(x2 - 3)*y2/(1 + 1) + ln(2)*x1*y1^2 - k^-2*y1\n")
+
+
+@pytest.mark.parametrize("point", [(0.5, -1.0, 2.0, 0.25),
+                                   (-2.0, 1.5, -0.5, 3.0)])
+def test_folded_constants_match_finite_differences(point):
+    bound = _FOLDED.bind(None)
+    for expr in (_FOLDED.u1, _FOLDED.u2):
+        j = jet_lift(expr, point, bound)
+        batch = jet_lift(expr, np.array([point, point]), bound)
+        assert np.array_equal(batch.c, np.stack([j.c, j.c]))
+
+        def f(pt, _e=expr):
+            return evaluate(_e, pt, bound)
+
+        assert j.value == pytest.approx(f(point), rel=1e-14)
+        for alpha in MULTI[1:]:
+            want = partial_fd(f, point, alpha)
+            assert rel_err(j.partial(alpha), want) < 1e-5, (alpha, want)
+
+
+@pytest.mark.parametrize("text", ["u1 = x1 + ln(0 - 1)\nu2 = x2\n",
+                                  "u1 = x1 / (2 - 2)\nu2 = x2\n",
+                                  "u1 = x1 * (2 - 2)^-1\nu2 = x2\n"])
+def test_folded_constant_outside_its_domain_raises(text):
+    web = parse_web(text)
+    with pytest.raises(EvalError):
+        jet_lift(web.u1, (1.0, 2.0, 3.0, 4.0))
+    with pytest.raises(EvalError):
+        jet_lift(web.u1, RNG.uniform(-1.0, 1.0, (5, 4)))
+
+
+def test_constant_expression_lifts_to_one_row_per_point():
+    web = parse_web("u1 = 2*3 + exp(0)\nu2 = x2\n")
+    j = jet_lift(web.u1, np.zeros((3, 4)))
+    assert j.c.shape == (3, NCOEFF)
+    assert np.all(j.c[:, 0] == 7.0) and not j.c[:, 1:].any()

@@ -7,8 +7,11 @@ from threeweb.classify import RunConfig, collect_snapshots
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import EvalError, parse_web
 from threeweb.tensor import (
+    LIN,
+    QUAD,
     DegenerateWeb,
     InadmissiblePoint,
+    _tail,
     snapshot,
     sym3_lower,
 )
@@ -162,6 +165,27 @@ def test_sym3_lower_symmetrizes():
     assert sym == pytest.approx(want)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_compiled_tail_matches_its_formulas(scale):
+    rng = np.random.default_rng(11)
+    n = 50
+    gamma = rng.normal(size=(n, 2, 2, 2)) * scale
+    d_gamma = rng.normal(size=(n, 2, 2, 2, 4)) * scale
+    g = gamma.reshape(n, 8)
+    linear = np.concatenate([g, d_gamma.reshape(n, 32)], 1)
+    quadratic = (g[:, :, None] * g[:, None, :]).reshape(n, 64)
+    got = linear @ LIN + quadratic @ QUAD
+    want = np.concatenate([v.reshape(n, -1)
+                           for v in _tail(gamma, d_gamma).values()], 1)
+    assert LIN.shape == (40, want.shape[1])
+    assert QUAD.shape == (64, want.shape[1])
+    # relative to the largest term the map combines in each row
+    terms = np.maximum(np.abs(linear).max(1), np.abs(quadratic).max(1))
+    assert np.all(np.abs(got - want).max(1) <= 1e-13 * terms)
+    pairs = QUAD.reshape(8, 8, -1)
+    assert np.array_equal(pairs, pairs.transpose(1, 0, 2))
+
+
 def test_omega_coefficients_mirror_gamma():
     for name, s in _stored_snapshots():
         assert s.omega_coeffs[1] == pytest.approx(s.gamma)
@@ -235,6 +259,8 @@ def test_batch_matches_single_point_snapshots():
         assert batch.finite.all() and not batch.degenerate.any()
         _assert_rows_match(batch, [snapshot(entry.web, tuple(pt))
                                    for pt in entry.points])
+    empty = snapshot(load_example(7).web, np.zeros((0, 4)))
+    assert len(empty) == 0 and empty.b.shape == (0, 2, 2, 2, 2)
 
 
 @pytest.mark.parametrize("text,bad_point", [
