@@ -15,7 +15,9 @@ defining functions or the invariants are not finite, which count as
 outside an implicit domain; only running out of draws is an error.
 
 The sample is one SnapshotBatch, and each zero test reduces its residual
-over all rows at once.  A residual that is not finite fails the test.
+over all rows at once.  A residual that is not finite fails the test.  The
+tests linear in the snapshot fields are data (LINEAR_TESTS) and run as one
+matrix product; E1..E8 are sets of their verdicts (E_PATTERNS).
 
 Residuals are always measured against the larger of 1 and the magnitude of
 the tensors entering the tested identity, so roundoff noise from large
@@ -43,12 +45,20 @@ The label lattice, with the defining predicate of each label:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .expr import Web
-from .tensor import STRUCTURE_TOL, SnapshotBatch, snapshot, sym3_lower
+from .tensor import (
+    STRUCTURE_TOL,
+    SnapshotBatch,
+    TensorSnapshot,
+    snapshot,
+    sym3_lower,
+)
 
 
 class SamplerExhausted(RuntimeError):
@@ -164,7 +174,8 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
     SnapshotBatch of `config.points` rows in draw order.
 
     Admissible rows are pooled across draw blocks and go through
-    `snapshot` in batches of twice the rows still wanted, so a restrictive
+    `snapshot` in batches of the rows still wanted over the accept rate
+    seen so far in this call (1 at first), plus 1/8, so a restrictive
     domain costs about as many calls as an open one.  A row is rejected
     when it is degenerate, not finite or ill-conditioned; a kept row whose
     structural identities fail raises StructureViolation, since there the
@@ -175,10 +186,11 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
     stream = _admissible_stream(web, config, bound)
     pool = np.empty((0, 4))
     kept = []
-    found = 0
+    found = judged = 0
     while found < config.points:
-        # twice the rows still wanted: one batch unless most are rejected
-        size = 2 * (config.points - found)
+        # no row accepted yet reads as a rate below 1/judged
+        need = (config.points - found) * max(judged, 1) / max(found, 1)
+        size = math.ceil(need * 9 / 8)
         if len(pool) < size:
             admissible = next(stream, None)
             if admissible is not None:
@@ -191,6 +203,7 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
         batch = snapshot(web, pool[:size], bound, margin=config.margin,
                          check_domain=False)
         pool = pool[size:]
+        judged += len(batch)
         ok = batch.finite & ~batch.degenerate & _well_conditioned(batch)
         rows = np.flatnonzero(ok)[:config.points - found]
         broken = rows[(batch.torsion_residual[rows] > STRUCTURE_TOL)
@@ -230,17 +243,137 @@ def hexagonality_polynomials(snap, t):
     return quartic, cubic1, cubic2
 
 
+# The zero tests that are linear in the snapshot fields, as data: each name
+# maps to its residual components, written over the fields of a batch, and
+# to the fields whose largest component (floored at 1) sets its scale.  At
+# import the components are read off into one residual matrix, so one
+# matrix product runs them all.  In report order: the lattice, the
+# torsion-direction branch, the p/q vanishing patterns.
+LATTICE = {
+    "isoclinic": (lambda s: [s.p[:, 0, 1] - s.p[:, 1, 0],
+                             s.q[:, 0, 1] - s.q[:, 1, 0]], "p q"),
+    "isoclinicly_geodesic": (lambda s: [s.a_cov], "a_cov gamma"),
+    "transversally_geodesic": (lambda s: [s.a4], "a4 b f2 g2 h2"),
+    "almost_algebraizable": (lambda s: [s.f2 + s.g2 + s.h2], "f2 g2 h2"),
+    "almost_Bol": (lambda s: [s.f2 + s.g2, s.h2], "f2 g2 h2"),
+    "almost_parallelizable": (lambda s: [s.f2, s.g2, s.h2],
+                              "b p q f2 g2 h2"),
+}
+
+
+def _balance(s):
+    # A1121's balanced connection forms: gamma summed over its upper index
+    # is the same in either lower index
+    g = s.gamma[:, 0] + s.gamma[:, 1]
+    return [g[:, :, 0] - g[:, :, 1], g[:, 0] - g[:, 1]]
+
+
+BRANCH = {
+    "a1_zero": (lambda s: [s.a_cov[:, 0]], "a_cov"),
+    "a2_zero": (lambda s: [s.a_cov[:, 1]], "a_cov"),
+    "a1_eq_a2": (lambda s: [s.a_cov[:, 0] - s.a_cov[:, 1]], "a_cov"),
+    "omega21_zero": (lambda s: [s.gamma[:, 0, 0, 1], s.gamma[:, 0, 1]],
+                     "gamma"),
+    "omega12_zero": (lambda s: [s.gamma[:, 1, 0], s.gamma[:, 1, 1, 0]],
+                     "gamma"),
+    "p22_q22_zero": (lambda s: [s.p[:, 1, 1], s.q[:, 1, 1]], "p q"),
+    "p11_q11_zero": (lambda s: [s.p[:, 0, 0], s.q[:, 0, 0]], "p q"),
+    "pq_quadsum_zero": (lambda s: [m[:, 0, 0] - m[:, 0, 1] - m[:, 1, 0]
+                                   + m[:, 1, 1] for m in (s.p, s.q)], "p q"),
+    "b_222_zero": (lambda s: [s.b[:, :, 1, 1, 1]], "b"),
+    "b_111_zero": (lambda s: [s.b[:, :, 0, 0, 0]], "b"),
+    "omega_balance": (_balance, "gamma"),
+    "hex_at_1": (lambda s: hexagonality_polynomials(s, 1.0)[1:], "b"),
+}
+
+E_TESTS = {
+    "e_p_zero": (lambda s: [s.p], "p q"),
+    "e_q_zero": (lambda s: [s.q], "p q"),
+    "e_p11": (lambda s: [s.p[:, 0, 0]], "p q"),
+    "e_p12": (lambda s: [s.p[:, 0, 1], s.p[:, 1, 0]], "p q"),
+    "e_p22": (lambda s: [s.p[:, 1, 1]], "p q"),
+    "e_q11": (lambda s: [s.q[:, 0, 0]], "p q"),
+    "e_q12": (lambda s: [s.q[:, 0, 1], s.q[:, 1, 0]], "p q"),
+    "e_q22": (lambda s: [s.q[:, 1, 1]], "p q"),
+    "e_pq_sum": (lambda s: [s.p + s.q], "p q"),
+    "e_p22_plus_q22": (lambda s: [s.p[:, 1, 1] + s.q[:, 1, 1]], "p q"),
+    "e_p11_plus_q11": (lambda s: [s.p[:, 0, 0] + s.q[:, 0, 0]], "p q"),
+}
+
+# (label, tests that must vanish, tests that must not), most specific first
+E_PATTERNS = (
+    ("E1", "e_p_zero e_q_zero", ""),
+    ("E2", "e_p11 e_p12 e_q_zero", "e_p22"),
+    ("E3", "e_p_zero e_q11 e_q12", "e_q22"),
+    ("E41", "e_p11 e_p12 e_q11 e_q12 e_p22_plus_q22", "e_p22 e_q22"),
+    ("E4", "e_p11 e_p12 e_q11 e_q12", "e_p22 e_q22"),
+    ("E5", "e_p22 e_p12 e_q_zero", "e_p11"),
+    ("E6", "e_p_zero e_q22 e_q12", "e_q11"),
+    ("E71", "e_p22 e_p12 e_q22 e_q12 e_p11_plus_q11", "e_p11 e_q11"),
+    ("E7", "e_p22 e_p12 e_q22 e_q12", "e_p11 e_q11"),
+    ("E8", "e_pq_sum", ""),
+)
+
+# the fields the linear tests read, in the row order of their matrix
+_INPUTS = ("gamma", "a_cov", "b", "p", "q", "f2", "g2", "h2", "a4")
+_RANKS = [TensorSnapshot._FIELDS[name] for name in _INPUTS]
+_INPUT_STARTS = np.cumsum([0] + [2 ** r for r in _RANKS])
+
+
+def _compile_tests(tests):
+    """The residual matrix (K, C) taking the K input components of a row
+    to the C residual components of `tests`, each test's first column, and
+    the (inputs, tests) mask of the fields that set each test's scale.  The
+    matrix is read off the formulas at the unit basis of the inputs."""
+    eye = np.eye(_INPUT_STARTS[-1])
+    fields = SimpleNamespace(**{
+        name: eye[:, a:b].reshape((-1,) + (2,) * r) for name, a, b, r
+        in zip(_INPUTS, _INPUT_STARTS, _INPUT_STARTS[1:], _RANKS)})
+    columns, widths = [], [0]
+    for components, _ in tests.values():
+        block = [c.reshape(len(eye), -1) for c in components(fields)]
+        columns += block
+        widths.append(sum(c.shape[1] for c in block))
+    # every coefficient is a multiple of 1/12: rounding to it removes the
+    # roundoff of the read-off (tests hold the matrix to the formulas)
+    matrix = np.round(np.concatenate(columns, 1) * 12.0) / 12.0
+    scales = [scale.split() for _, scale in tests.values()]
+    mask = np.fromiter((name in scale for name in _INPUTS for scale in scales),
+                       bool, len(_INPUTS) * len(scales))
+    return matrix, np.cumsum(widths[:-1]), mask.reshape(len(_INPUTS), -1)
+
+
+LINEAR_TESTS = {**LATTICE, **BRANCH, **E_TESTS}
+_RESIDUALS, _TEST_STARTS, _SCALES = _compile_tests(LINEAR_TESTS)
+# every zero test, in the order the report lists inconclusive ones
+_ORDER = (*LATTICE, "integrability", *BRANCH, "hex_at_t", *E_TESTS)
+
+
 class _Tester:
     """Runs zero-identity tests over a fixed snapshot sample, a batch.
 
-    `values_fn(batch)` returns a list of arrays with one row per point,
-    and `scale_fn(batch)` the per-row scale of the identity.
+    `linear()` runs every test of LINEAR_TESTS at once.  `zero` runs one
+    more: `values_fn(batch)` returns a list of arrays with one row per
+    point, and `scale_fn(batch)` the per-row scale of the identity.  The
+    names of tests landing in the ambiguity band collect in `ambiguous`.
     """
 
     def __init__(self, snaps, tol):
         self.snaps = snaps
         self.tol = tol
         self.ambiguous = []
+
+    def linear(self):
+        """The verdict of each test of LINEAR_TESTS, by name."""
+        n = len(self.snaps)
+        x = np.concatenate([getattr(self.snaps, name).reshape(n, -1)
+                            for name in _INPUTS], 1)
+        top = np.maximum.reduceat(np.abs(x), _INPUT_STARTS[:-1], axis=1)
+        scale = np.maximum(1.0, (top[:, :, None] * _SCALES).max(axis=1))
+        worst = np.maximum.reduceat(np.abs(x @ _RESIDUALS), _TEST_STARTS,
+                                    axis=1)
+        return dict(zip(LINEAR_TESTS,
+                        self._verdicts(LINEAR_TESTS, worst / scale)))
 
     def residuals(self, values_fn, scale_fn):
         """Per row, the largest |value| over max(1, scale)."""
@@ -250,26 +383,32 @@ class _Tester:
         return worst / np.maximum(1.0, scale_fn(self.snaps))
 
     def zero(self, name, values_fn, scale_fn):
-        # a NaN residual counts as infinite, so it fails and is the witness
         resid = self.residuals(values_fn, scale_fn)
-        resid[np.isnan(resid)] = np.inf
-        worst = float(resid.max())
-        last = np.flatnonzero(resid >= worst * (1.0 - WITNESS_RTOL))[-1]
-        holds = worst < self.tol
-        if self.tol <= worst < 10.0 * self.tol:
-            self.ambiguous.append(name)
-        witness = tuple(self.snaps.points[last].tolist())
-        return IdentityVerdict(holds, worst, len(self.snaps),
-                               None if holds else witness)
+        return self._verdicts([name], resid[:, None])[0]
+
+    def _verdicts(self, names, resid):
+        """A verdict per column of the (rows, tests) residuals.  A NaN
+        residual counts as infinite, so it fails and is the witness."""
+        resid = np.where(np.isnan(resid), np.inf, resid)
+        worst = resid.max(axis=0)
+        near = resid >= worst * (1.0 - WITNESS_RTOL)
+        last = len(resid) - 1 - np.argmax(near[::-1], axis=0)
+        verdicts = []
+        for name, w, point in zip(names, worst.tolist(),
+                                  self.snaps.points[last].tolist()):
+            holds = w < self.tol
+            if self.tol <= w < 10.0 * self.tol:
+                self.ambiguous.append(name)
+            verdicts.append(IdentityVerdict(holds, w, len(resid),
+                                            None if holds else tuple(point)))
+        return verdicts
 
     def both(self, va, vb):
         """Conjunction of two verdicts, reported as one."""
-        holds = va.holds and vb.holds
-        worst = max(va.max_residual, vb.max_residual)
-        witness = None
-        if not holds:
-            witness = va.witness if not va.holds else vb.witness
-        return IdentityVerdict(holds, worst, va.points_tested, witness)
+        # a verdict has a witness exactly when it fails
+        return IdentityVerdict(va.holds and vb.holds,
+                               max(va.max_residual, vb.max_residual),
+                               va.points_tested, va.witness or vb.witness)
 
 
 @dataclass
@@ -292,12 +431,8 @@ class ClassificationReport:
 
     def to_dict(self):
         preds = {k: v.to_dict() for k, v in self.predicates.items()}
-        branch = {}
-        for k, v in self.branch_a.items():
-            if isinstance(v, IdentityVerdict):
-                branch[k] = v.to_dict()
-            else:
-                branch[k] = v
+        branch = {k: v.to_dict() if isinstance(v, IdentityVerdict) else v
+                  for k, v in self.branch_a.items()}
         out = {
             "web": self.web_name,
             "config": self.config.to_dict(),
@@ -325,41 +460,20 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
     bound = web.bind(params)
     snaps = collect_snapshots(web, config, bound)
     T = _Tester(snaps, config.tol)
+    tests = T.linear()
 
-    preds = {}
-    preds["isoclinic"] = T.zero(
-        "isoclinic",
-        lambda s: [s.p[:, 0, 1] - s.p[:, 1, 0], s.q[:, 0, 1] - s.q[:, 1, 0]],
-        mag_of("p", "q"))
-    preds["isoclinicly_geodesic"] = T.zero(
-        "isoclinicly_geodesic", lambda s: [s.a_cov], mag_of("a_cov", "gamma"))
-    preds["transversally_geodesic"] = T.zero(
-        "transversally_geodesic", lambda s: [s.a4],
-        mag_of("a4", "b", "f2", "g2", "h2"))
-    preds["almost_algebraizable"] = T.zero(
-        "almost_algebraizable", lambda s: [s.f2 + s.g2 + s.h2],
-        mag_of("f2", "g2", "h2"))
-    preds["almost_Bol"] = T.zero(
-        "almost_Bol",
-        lambda s: [s.f2 + s.g2, s.h2],
-        mag_of("f2", "g2", "h2"))
-    preds["almost_parallelizable"] = T.zero(
-        "almost_parallelizable",
-        lambda s: [s.f2, s.g2, s.h2],
-        mag_of("b", "p", "q", "f2", "g2", "h2"))
-    preds["hexagonal"] = T.both(preds["transversally_geodesic"],
-                                preds["almost_algebraizable"])
-    preds["Bol"] = T.both(preds["transversally_geodesic"],
-                          preds["almost_Bol"])
-    preds["group"] = T.both(preds["transversally_geodesic"],
-                            preds["almost_parallelizable"])
+    preds = {name: tests[name] for name in LATTICE}
+    geodesic = preds["transversally_geodesic"]
+    preds["hexagonal"] = T.both(geodesic, preds["almost_algebraizable"])
+    preds["Bol"] = T.both(geodesic, preds["almost_Bol"])
+    preds["group"] = T.both(geodesic, preds["almost_parallelizable"])
     preds["parallelizable"] = T.both(preds["isoclinicly_geodesic"],
                                      preds["group"])
 
-    branch, class_a = _branch_a(T, snaps, preds, config.tol)
+    branch, class_a = _branch_a(T, tests)
     class_b = "B" if preds["isoclinicly_geodesic"].holds else ""
     class_c, class_d = _branch_cd(preds)
-    class_e = _e_pattern(T)
+    class_e = e_label({name for name in E_TESTS if tests[name].holds})
 
     labels = tuple(l for l in (class_a, class_b, class_c, class_d, class_e)
                    if l)
@@ -369,7 +483,7 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
         class_a=class_a, class_b=class_b, class_c=class_c,
         class_d=class_d, class_e=class_e,
         predicates=preds, branch_a=branch,
-        inconclusive=tuple(T.ambiguous),
+        inconclusive=tuple(sorted(T.ambiguous, key=_ORDER.index)),
         fg_metadata=tuple(metadata),
         config=config, params=bound,
     )
@@ -377,135 +491,56 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
     return report
 
 
-def _branch_a(T, snaps, preds, tol):
+def _branch_a(T, tests):
     """The torsion-direction branch: verdicts plus the final A label."""
-    branch = {}
-    a_nonzero = not preds["isoclinicly_geodesic"].holds
-
     def quad_values(s):
         a1, a2 = s.a_cov.T
-        p12 = 0.5 * (s.p[:, 0, 1] + s.p[:, 1, 0])
-        q12 = 0.5 * (s.q[:, 0, 1] + s.q[:, 1, 0])
-        return [a2 * a2 * s.p[:, 0, 0] - 2.0 * a1 * a2 * p12
-                + a1 * a1 * s.p[:, 1, 1],
-                a2 * a2 * s.q[:, 0, 0] - 2.0 * a1 * a2 * q12
-                + a1 * a1 * s.q[:, 1, 1]]
+        return [a2 * a2 * m[:, 0, 0] - a1 * a2 * (m[:, 0, 1] + m[:, 1, 0])
+                + a1 * a1 * m[:, 1, 1] for m in (s.p, s.q)]
 
     def quad_scale(s):
         a1, a2 = np.abs(s.a_cov.T)
         return (a1 + a2) ** 2 * mag_of("p", "q")(s)
 
-    branch["integrability"] = T.zero("integrability", quad_values, quad_scale)
-    branch["a1_zero"] = T.zero("a1_zero", lambda s: [s.a_cov[:, 0]],
-                               mag_of("a_cov"))
-    branch["a2_zero"] = T.zero("a2_zero", lambda s: [s.a_cov[:, 1]],
-                               mag_of("a_cov"))
-    branch["a1_eq_a2"] = T.zero("a1_eq_a2",
-                                lambda s: [s.a_cov[:, 0] - s.a_cov[:, 1]],
-                                mag_of("a_cov"))
-    branch["omega21_zero"] = T.zero(
-        "omega21_zero",
-        lambda s: [s.gamma[:, 0, 0, 1], s.gamma[:, 0, 1, 1],
-                   s.gamma[:, 0, 1, 0]],
-        mag_of("gamma"))
-    branch["omega12_zero"] = T.zero(
-        "omega12_zero",
-        lambda s: [s.gamma[:, 1, 0, 0], s.gamma[:, 1, 1, 0],
-                   s.gamma[:, 1, 0, 1]],
-        mag_of("gamma"))
+    branch = {"integrability": T.zero("integrability", quad_values,
+                                      quad_scale)}
+    branch.update((name, tests[name]) for name in BRANCH)
+    branch.update(t_constant=None, t_value=None,
+                  frame_alignment_residual=None, hex_at_t=None)
 
     # t = a2/a1 where a1 is usable; None when a1 vanishes identically
-    t_vals = snaps.t_ratio[~np.isnan(snaps.t_ratio)]
+    t_vals = T.snaps.t_ratio[~np.isnan(T.snaps.t_ratio)]
     if t_vals.size and not branch["a1_zero"].holds:
         t_mean = float(np.mean(t_vals))
         spread = float(np.max(np.abs(t_vals - t_mean)))
-        t_holds = spread < tol * (1.0 + abs(t_mean))
+        t_holds = spread < T.tol * (1.0 + abs(t_mean))
         branch["t_constant"] = IdentityVerdict(t_holds, spread, len(t_vals),
                                                None)
         branch["t_value"] = t_mean if t_holds else None
-    else:
-        branch["t_constant"] = None
-        branch["t_value"] = None
 
-    # frame-alignment identity at constant t, informational only: the
-    # connection form omega_2^1 should equal t^2 omega_1^2 + t(omega_1^1 -
-    # omega_2^2) coefficientwise when t is constant
-    if branch["t_value"] is not None:
-        t0 = branch["t_value"]
-
+    t0 = branch["t_value"]
+    if t0 is not None:
+        # frame-alignment identity at constant t, informational only: the
+        # connection form omega_2^1 should equal t^2 omega_1^2 +
+        # t(omega_1^1 - omega_2^2) coefficientwise when t is constant
         def frame_vals(s):
             g = s.gamma
-            out = []
-            for k in range(2):
-                out.append(g[:, 0, k, 1] - t0 ** 2 * g[:, 1, k, 0]
-                           - t0 * (g[:, 0, k, 0] - g[:, 1, k, 1]))
-                out.append(g[:, 0, 1, k] - t0 ** 2 * g[:, 1, 0, k]
-                           - t0 * (g[:, 0, 0, k] - g[:, 1, 1, k]))
-            return out
+            return [g[:, 0, :, 1] - t0 ** 2 * g[:, 1, :, 0]
+                    - t0 * (g[:, 0, :, 0] - g[:, 1, :, 1]),
+                    g[:, 0, 1] - t0 ** 2 * g[:, 1, 0]
+                    - t0 * (g[:, 0, 0] - g[:, 1, 1])]
 
         def frame_scale(s):
             return s.magnitude("gamma") * max(1.0, abs(t0)) ** 2
 
         branch["frame_alignment_residual"] = float(
             np.max(T.residuals(frame_vals, frame_scale)))
-    else:
-        branch["frame_alignment_residual"] = None
-
-    def hex_pair_at(t0):
-        def values(s):
-            quartic, c1, c2 = hexagonality_polynomials(s, t0)
-            return [c1, c2]
-
-        def scale(s):
-            return s.magnitude("b") * max(1.0, abs(t0)) ** 3
-
-        return values, scale
-
-    # leaf conditions, computed unconditionally so reports are comparable
-    branch["p22_q22_zero"] = T.zero(
-        "p22_q22_zero", lambda s: [s.p[:, 1, 1], s.q[:, 1, 1]],
-        mag_of("p", "q"))
-    branch["p11_q11_zero"] = T.zero(
-        "p11_q11_zero", lambda s: [s.p[:, 0, 0], s.q[:, 0, 0]],
-        mag_of("p", "q"))
-
-    def quadsum_values(s):
-        p12 = 0.5 * (s.p[:, 0, 1] + s.p[:, 1, 0])
-        q12 = 0.5 * (s.q[:, 0, 1] + s.q[:, 1, 0])
-        return [s.p[:, 0, 0] - 2.0 * p12 + s.p[:, 1, 1],
-                s.q[:, 0, 0] - 2.0 * q12 + s.q[:, 1, 1]]
-
-    branch["pq_quadsum_zero"] = T.zero("pq_quadsum_zero", quadsum_values,
-                                       mag_of("p", "q"))
-    branch["b_222_zero"] = T.zero(
-        "b_222_zero", lambda s: [s.b[:, 0, 1, 1, 1], s.b[:, 1, 1, 1, 1]],
-        mag_of("b"))
-    branch["b_111_zero"] = T.zero(
-        "b_111_zero", lambda s: [s.b[:, 0, 0, 0, 0], s.b[:, 1, 0, 0, 0]],
-        mag_of("b"))
-
-    def balance_values(s):
-        g = s.gamma
-        out = []
-        for k in range(2):
-            out.append(g[:, 0, k, 0] + g[:, 1, k, 0]
-                       - g[:, 0, k, 1] - g[:, 1, k, 1])
-            out.append(g[:, 0, 0, k] + g[:, 1, 0, k]
-                       - g[:, 0, 1, k] - g[:, 1, 1, k])
-        return out
-
-    branch["omega_balance"] = T.zero("omega_balance", balance_values,
-                                     mag_of("gamma"))
-    vals1, scale1 = hex_pair_at(1.0)
-    branch["hex_at_1"] = T.zero("hex_at_1", vals1, scale1)
-    if branch["t_value"] is not None:
-        vals_t, scale_t = hex_pair_at(branch["t_value"])
-        branch["hex_at_t"] = T.zero("hex_at_t", vals_t, scale_t)
-    else:
-        branch["hex_at_t"] = None
+        branch["hex_at_t"] = T.zero(
+            "hex_at_t", lambda s: hexagonality_polynomials(s, t0)[1:],
+            lambda s: s.magnitude("b") * max(1.0, abs(t0)) ** 3)
 
     # label walk
-    if not a_nonzero:
+    if tests["isoclinicly_geodesic"].holds:
         return branch, ""
     if not branch["integrability"].holds:
         return branch, "A2"
@@ -561,52 +596,13 @@ def _branch_cd(preds):
     return "", "D1"
 
 
-def _e_pattern(T):
-    """Most-specific-first matching of the p/q vanishing patterns."""
-    z = {}
-    z["p"] = T.zero("e_p_zero", lambda s: [s.p], mag_of("p", "q"))
-    z["q"] = T.zero("e_q_zero", lambda s: [s.q], mag_of("p", "q"))
-    z["p11"] = T.zero("e_p11", lambda s: [s.p[:, 0, 0]], mag_of("p", "q"))
-    z["p12"] = T.zero("e_p12", lambda s: [s.p[:, 0, 1], s.p[:, 1, 0]],
-                      mag_of("p", "q"))
-    z["p22"] = T.zero("e_p22", lambda s: [s.p[:, 1, 1]], mag_of("p", "q"))
-    z["q11"] = T.zero("e_q11", lambda s: [s.q[:, 0, 0]], mag_of("p", "q"))
-    z["q12"] = T.zero("e_q12", lambda s: [s.q[:, 0, 1], s.q[:, 1, 0]],
-                      mag_of("p", "q"))
-    z["q22"] = T.zero("e_q22", lambda s: [s.q[:, 1, 1]], mag_of("p", "q"))
-    z["pq_sum"] = T.zero("e_pq_sum", lambda s: [s.p + s.q],
-                         mag_of("p", "q"))
-    z["p22_q22"] = T.zero("e_p22_plus_q22",
-                          lambda s: [s.p[:, 1, 1] + s.q[:, 1, 1]],
-                          mag_of("p", "q"))
-    z["p11_q11"] = T.zero("e_p11_plus_q11",
-                          lambda s: [s.p[:, 0, 0] + s.q[:, 0, 0]],
-                          mag_of("p", "q"))
-
-    if z["p"].holds and z["q"].holds:
-        return "E1"
-    if z["p11"].holds and z["p12"].holds and z["q"].holds \
-            and not z["p22"].holds:
-        return "E2"
-    if z["p"].holds and z["q11"].holds and z["q12"].holds \
-            and not z["q22"].holds:
-        return "E3"
-    if z["p11"].holds and z["p12"].holds and z["q11"].holds \
-            and z["q12"].holds and not z["p22"].holds \
-            and not z["q22"].holds:
-        return "E41" if z["p22_q22"].holds else "E4"
-    if z["p22"].holds and z["p12"].holds and z["q"].holds \
-            and not z["p11"].holds:
-        return "E5"
-    if z["p"].holds and z["q22"].holds and z["q12"].holds \
-            and not z["q11"].holds:
-        return "E6"
-    if z["p22"].holds and z["p12"].holds and z["q22"].holds \
-            and z["q12"].holds and not z["p11"].holds \
-            and not z["q11"].holds:
-        return "E71" if z["p11_q11"].holds else "E7"
-    if z["pq_sum"].holds:
-        return "E8"
+def e_label(vanishing):
+    """The first of E_PATTERNS whose must-vanish tests are all in the set
+    `vanishing` and whose must-not-vanish tests are all outside it."""
+    for label, zero, nonzero in E_PATTERNS:
+        if (vanishing.issuperset(zero.split())
+                and vanishing.isdisjoint(nonzero.split())):
+            return label
     return ""
 
 

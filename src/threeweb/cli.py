@@ -171,25 +171,27 @@ def cmd_classify(args):
     return code
 
 
+def _classify_entries(entries, config):
+    """Each corpus entry with its report, and the exit code the reports
+    call for when nothing else failed."""
+    rows = [(entry, classify_web(entry.web, config,
+                                 metadata=(entry.fg,) if entry.fg else ()))
+            for entry in entries]
+    return rows, max(_report_exit(report) for _, report in rows)
+
+
 def cmd_corpus(args):
     config = _config_from_args(args)
     entries = ([load_example(args.index)] if args.index is not None
                else list(load_corpus()))
+    reports, code = _classify_entries(entries, config)
     rows = []
-    any_fail = False
-    any_open = False
-    for entry in entries:
-        metadata = (entry.fg,) if entry.fg else ()
-        report = classify_web(entry.web, config, metadata=metadata)
+    for entry, report in reports:
         results = golden_check(entry)
         counts = Counter(r.status for r in results)
         failures = [r for r in results if r.status == "fail"]
-        match = report.labels == entry.expected_labels
-        if failures or not match:
-            any_fail = True
-        if report.inconclusive:
-            any_open = True
-        rows.append((entry, report, counts, failures, match))
+        rows.append((entry, report, counts, failures,
+                     report.labels == entry.expected_labels))
 
     if args.format == "json":
         doc = {
@@ -234,24 +236,17 @@ def cmd_corpus(args):
         mismatches = sum(1 for _, _, _, _, m in rows if not m)
         print("%d webs checked: %d label mismatches, %d golden failures"
               % (len(rows), mismatches, total_fail))
-    if any_fail:
+    if any(failures or not match for _, _, _, failures, match in rows):
         return EXIT_ERROR
-    return EXIT_INCONCLUSIVE if any_open else EXIT_OK
+    return code
 
 
 def cmd_table(args):
     config = _config_from_args(args)
-    rows = []
-    diffs = []
-    any_open = False
-    for entry in load_corpus():
-        metadata = (entry.fg,) if entry.fg else ()
-        report = classify_web(entry.web, config, metadata=metadata)
-        if report.labels != entry.expected_labels:
-            diffs.append((entry.name, entry.expected_labels, report.labels))
-        if report.inconclusive:
-            any_open = True
-        rows.append((entry, report))
+    rows, code = _classify_entries(load_corpus(), config)
+    diffs = [(entry.name, entry.expected_labels, report.labels)
+             for entry, report in rows
+             if report.labels != entry.expected_labels]
 
     if args.format == "json":
         doc = {
@@ -300,9 +295,7 @@ def cmd_table(args):
                       % (name, " ".join(exp), " ".join(got)))
         else:
             print("diffs: none")
-    if diffs:
-        return EXIT_ERROR
-    return EXIT_INCONCLUSIVE if any_open else EXIT_OK
+    return EXIT_ERROR if diffs else code
 
 
 def _dump_components(name, arr):

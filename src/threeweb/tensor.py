@@ -41,9 +41,13 @@ on the formulas.
 
 All of it runs on N points at once as arrays with a leading axis of N (a
 SnapshotBatch); one point is a batch of one.  Each row records what makes
-it unusable: a singular Jacobian block, non-finite values, or a failed
-identity that holds by construction (the torsion reconstruction and, for
-isoclinic rows, the vanishing trace of a4).
+it unusable: a singular Jacobian block or non-finite values.  It also
+records the residuals of two structural identities, the torsion
+reconstruction and (for isoclinic rows) the vanishing trace of a4.  In two
+dimensions both hold for every gamma and D gamma, not only for those of a
+web, so their columns of the map are exactly zero and the residuals read 0
+on every finite row: a failure there (StructureViolation) means the map
+itself is broken, never that a web or a point is.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
+import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from threeweb.classify import (
     classify_generic,
     classify_web,
     collect_snapshots,
+    e_label,
     _Tester,
     hexagonality_polynomials,
     mag_of,
@@ -17,7 +20,7 @@ from threeweb.classify import (
 )
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import Web, format_web, parse_web
-from threeweb.tensor import StructureViolation, snapshot
+from threeweb.tensor import StructureViolation, TensorSnapshot, snapshot
 
 EX9_MUTATED_BILINEAR = (
     "u1 = x1*y1 + x2*y2 + 0.1*x1*y1\n"
@@ -199,6 +202,79 @@ def test_ambiguity_band_is_reported():
     assert not again.predicates["transversally_geodesic"].holds
 
 
+# --- the linear zero tests as one residual matrix ----------------------
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_compiled_tests_match_their_formulas(scale):
+    rng = np.random.default_rng(12)
+    n = 50
+    fields = {name: rng.normal(size=(n,) + (2,) * TensorSnapshot._FIELDS[name])
+              * scale for name in classify._INPUTS}
+    x = np.concatenate([v.reshape(n, -1) for v in fields.values()], 1)
+    got = np.split(x @ classify._RESIDUALS, classify._TEST_STARTS[1:], 1)
+    assert len(got) == len(classify.LINEAR_TESTS)
+    # relative to the largest input of each row
+    bound = 1e-13 * np.abs(x).max(1, keepdims=True)
+    for block, (name, (components, _)) in zip(
+            got, classify.LINEAR_TESTS.items()):
+        want = np.concatenate([np.reshape(c, (n, -1))
+                               for c in components(SimpleNamespace(**fields))],
+                              1)
+        assert block.shape == want.shape, name
+        assert np.all(np.abs(block - want) <= bound), name
+
+
+@pytest.mark.parametrize("index", [1, 6, 9])
+def test_linear_verdicts_match_one_test_at_a_time(index):
+    snaps = collect_snapshots(load_example(index).web, RunConfig(points=16))
+    got = _Tester(snaps, 1e-7).linear()
+    for name, (components, fields) in classify.LINEAR_TESTS.items():
+        want = _Tester(snaps, 1e-7).zero(name, components,
+                                         mag_of(*fields.split()))
+        assert got[name].holds == want.holds, name
+        assert got[name].witness == want.witness, name
+        assert got[name].max_residual == pytest.approx(
+            want.max_residual, rel=1e-12, abs=1e-15), name
+
+
+def if_chain_e_label(z):
+    """The E label as the hand-written if-chain that E_PATTERNS replaced."""
+    if z["p"] and z["q"]:
+        return "E1"
+    if z["p11"] and z["p12"] and z["q"] and not z["p22"]:
+        return "E2"
+    if z["p"] and z["q11"] and z["q12"] and not z["q22"]:
+        return "E3"
+    if z["p11"] and z["p12"] and z["q11"] and z["q12"] and not z["p22"] \
+            and not z["q22"]:
+        return "E41" if z["p22_q22"] else "E4"
+    if z["p22"] and z["p12"] and z["q"] and not z["p11"]:
+        return "E5"
+    if z["p"] and z["q22"] and z["q12"] and not z["q11"]:
+        return "E6"
+    if z["p22"] and z["p12"] and z["q22"] and z["q12"] and not z["p11"] \
+            and not z["q11"]:
+        return "E71" if z["p11_q11"] else "E7"
+    if z["pq_sum"]:
+        return "E8"
+    return ""
+
+
+def test_e_patterns_match_the_if_chain():
+    keys = {"p": "e_p_zero", "q": "e_q_zero", "pq_sum": "e_pq_sum",
+            "p22_q22": "e_p22_plus_q22", "p11_q11": "e_p11_plus_q11"}
+    for short in ("p11", "p12", "p22", "q11", "q12", "q22"):
+        keys[short] = "e_" + short
+    assert sorted(keys.values()) == sorted(classify.E_TESTS)
+    labels = set()
+    for pattern in itertools.product((False, True), repeat=len(keys)):
+        z = dict(zip(keys, pattern))
+        vanishing = {keys[k] for k, holds in z.items() if holds}
+        assert e_label(vanishing) == if_chain_e_label(z), vanishing
+        labels.add(e_label(vanishing))
+    assert len(labels) == len(classify.E_PATTERNS) + 1    # and ""
+
+
 # --- rejected sample rows -----------------------------------------------
 
 def test_structural_check_skips_ill_conditioned_points():
@@ -345,6 +421,20 @@ def test_draw_budget_is_spent_exactly(monkeypatch):
         with pytest.raises(SamplerExhausted):
             collect_snapshots(web, RunConfig(points=points))
         assert sum(rows) == max(20000, 500 * points)
+
+
+def test_snapshot_rows_stay_near_the_rows_kept(monkeypatch):
+    # batches are sized by the acceptance seen so far, with 1/8 slack
+    rows = []
+    real = classify.snapshot
+    monkeypatch.setattr(classify, "snapshot",
+                        lambda w, pts, *a, **k: rows.append(len(pts))
+                        or real(w, pts, *a, **k))
+    config = RunConfig(seed=42)
+    corpus = list(load_corpus())
+    for entry in corpus:
+        collect_snapshots(entry.web, config)
+    assert sum(rows) <= 1.3 * len(corpus) * config.points
 
 
 def test_admissible_rows_tried_are_capped(monkeypatch):

@@ -11,6 +11,7 @@ from threeweb.tensor import (
     QUAD,
     DegenerateWeb,
     InadmissiblePoint,
+    _SEGMENTS,
     _tail,
     snapshot,
     sym3_lower,
@@ -184,6 +185,16 @@ def test_compiled_tail_matches_its_formulas(scale):
     assert np.all(np.abs(got - want).max(1) <= 1e-13 * terms)
     pairs = QUAD.reshape(8, 8, -1)
     assert np.array_equal(pairs, pairs.transpose(1, 0, 2))
+
+
+def test_structural_columns_of_the_map_are_zero():
+    # in two dimensions every torsion has the rank-1 shape, and h2 cancels
+    # the trace of a4, for any gamma and d_gamma: the structural checks can
+    # fire only when the map itself is broken
+    for name in ("recon_error", "a4_trace"):
+        columns, _ = _SEGMENTS[name]
+        assert not LIN[:, columns].any(), name
+        assert not QUAD[:, columns].any(), name
 
 
 def test_omega_coefficients_mirror_gamma():
