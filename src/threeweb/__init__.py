@@ -14,7 +14,6 @@ from .jet import Jet, jet_lift
 from .tensor import (
     TensorSnapshot,
     DegenerateWeb,
-    StructureViolation,
     InadmissiblePoint,
     snapshot,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "jet_lift",
     "TensorSnapshot",
     "DegenerateWeb",
-    "StructureViolation",
     "InadmissiblePoint",
     "snapshot",
     "RunConfig",

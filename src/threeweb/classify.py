@@ -52,13 +52,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .expr import Web
-from .tensor import (
-    STRUCTURE_TOL,
-    SnapshotBatch,
-    TensorSnapshot,
-    snapshot,
-    sym3_lower,
-)
+from .tensor import SnapshotBatch, TensorSnapshot, snapshot, sym3_lower
 
 
 class SamplerExhausted(RuntimeError):
@@ -177,10 +171,8 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
     `snapshot` in batches of the rows still wanted over the accept rate
     seen so far in this call (1 at first), plus 1/8, so a restrictive
     domain costs about as many calls as an open one.  A row is rejected
-    when it is degenerate, not finite or ill-conditioned; a kept row whose
-    structural identities fail raises StructureViolation, since there the
-    failure means a bug.  Rows after the one that completes the sample are
-    never judged.
+    when it is degenerate, not finite or ill-conditioned.  Rows after the
+    one that completes the sample are never judged.
     """
     bound = web.bind(params)
     stream = _admissible_stream(web, config, bound)
@@ -206,10 +198,6 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
         judged += len(batch)
         ok = batch.finite & ~batch.degenerate & _well_conditioned(batch)
         rows = np.flatnonzero(ok)[:config.points - found]
-        broken = rows[(batch.torsion_residual[rows] > STRUCTURE_TOL)
-                      | (batch.trace_residual[rows] > STRUCTURE_TOL)]
-        if broken.size:
-            batch.check(broken[0])
         kept.append(batch[rows])
         found += len(rows)
     return SnapshotBatch.concat(kept)

@@ -33,7 +33,6 @@ from .expr import EvalError, ParseError, parse_web
 from .tensor import (
     DegenerateWeb,
     InadmissiblePoint,
-    StructureViolation,
     snapshot,
 )
 
@@ -406,8 +405,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ParseError, EvalError, DegenerateWeb, InadmissiblePoint,
-            SamplerExhausted, StructureViolation, OSError,
-            ValueError) as err:
+            SamplerExhausted, OSError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_ERROR
 

@@ -1,38 +1,36 @@
 """Truncated Taylor arithmetic in four variables up to total degree 3.
 
-A Jet stores the 35 Taylor coefficients of a function at a point:
+A Jet stores the 35 Taylor coefficients of a function at a point,
 
     coeff[idx(alpha)] = (d^alpha F)(P) / alpha!
 
-for every multi-index alpha = (a1, a2, a3, a4) with |alpha| <= 3, in the
-order produced by `_multi_indices` (by total degree, then lexicographic).
-Arithmetic is exact truncated power-series arithmetic, so after lifting the
-defining functions of a web through `jet_lift`, every coefficient is the
-exact partial derivative (up to float roundoff), with no finite-difference
-truncation error anywhere.
+for every multi-index |alpha| <= 3, in the order of MULTI.  The arithmetic
+is exact truncated power-series arithmetic, so the coefficients of a lifted
+function are its partials up to float roundoff, with no truncation error.
+Leading axes of the coefficient array are a batch of points (vectorized
+Taylor arithmetic; Griewank & Walther, *Evaluating Derivatives*, ch. 13),
+and `jet_lift` lifts a sequence of expressions, such as a web's two
+defining functions, into one (N, k, 35) array in one call.  A batch row
+outside the domain of ln or of a division becomes NaN; a single jet there
+raises EvalError.  `deriv` differentiates inside the algebra and is valid
+through degree 2.
 
-Any leading axes of the coefficient array are a batch of points, so one
-walk of an expression tree lifts it at N points into (N, 35) coefficients
-(vectorized Taylor arithmetic; Griewank & Walther, *Evaluating
-Derivatives*, ch. 13).  A batch row outside the domain of ln or of a
-division becomes NaN; a single jet there raises EvalError.  The tensor
-pipeline reads every partial off lifted coefficients with `partials`, one
-gather for all orders; `deriv` differentiates inside the algebra and is
-valid through degree 2.
+The reciprocal, exp and ln of a jet with value c0 are the series
+f0 + f1 u + f2 u^2 + f3 u^3 in the value-0 jet u left after taking c0 out,
+with f_k the Taylor coefficients of the function at c0: two jet products
+(u^2 and u^3) where Horner's rule takes three.
 
-`jet_lift` folds constant and parameter subtrees to Python floats, and Jet
-arithmetic takes a float directly: adding one shifts the value column,
-multiplying by one scales the coefficients, and dividing by one multiplies
-by its reciprocal.  Where they are finite, the results equal those of the
-constant jets this replaces bit for bit, without building or convolving
-them.  A folded `ln` of a non-positive value or division by zero raises
-EvalError, at one point or a batch.
+`jet_lift` folds constant and parameter subtrees to Python floats, which
+Jet arithmetic takes directly: where finite, the results equal those of the
+constant jets they replace bit for bit.  A folded `ln` of a non-positive
+value or division by zero raises EvalError, at one point or a batch.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -43,16 +41,10 @@ DEGREE = 3
 NVARS = 4
 
 
-def _multi_indices():
-    out = []
-    for total in range(DEGREE + 1):
-        for alpha in itertools.product(range(total + 1), repeat=NVARS):
-            if sum(alpha) == total:
-                out.append(alpha)
-    return out
-
-
-MULTI = _multi_indices()
+# by total degree, then lexicographic
+MULTI = [alpha for total in range(DEGREE + 1)
+         for alpha in itertools.product(range(total + 1), repeat=NVARS)
+         if sum(alpha) == total]
 NCOEFF = len(MULTI)  # 35
 INDEX = {alpha: i for i, alpha in enumerate(MULTI)}
 
@@ -68,26 +60,32 @@ _MUL_K, _MUL_I, _MUL_J = (np.array(col) for col in zip(*_PAIRS))
 _MUL_START = np.searchsorted(_MUL_K, np.arange(NCOEFF))
 
 
-# _UNIT[v] is the coefficient index of x_v; _GATHER lists the index of
-# d/dx_a, d^2/dx_a dx_b and d^3/dx_a dx_b dx_c for every tuple of variables
-# of orders 1, 2 and 3 in turn (4 + 16 + 64 columns)
+# _UNIT[v] is the coefficient index of x_v
 _VARS = np.arange(NVARS)
 _UNIT = np.array([INDEX[tuple(int(i == v) for i in range(NVARS))]
                   for v in _VARS])
-_GATHER = np.array([INDEX[tuple(vs.count(v) for v in range(NVARS))]
-                    for order in range(1, DEGREE + 1)
-                    for vs in itertools.product(range(NVARS), repeat=order)])
-_GATHER_FACTORIAL = _FACTORIAL[_GATHER]
 
 
-def partials(c):
-    """Every partial of orders 1 to 3 from coefficients `c` (..., 35):
-    grad (..., 4), hess (..., 4, 4) and third (..., 4, 4, 4), symmetric in
-    their trailing axes, read with one gather."""
-    d = c[..., _GATHER] * _GATHER_FACTORIAL
-    lead = c.shape[:-1]
-    return (d[..., :NVARS], d[..., NVARS:20].reshape(lead + (NVARS,) * 2),
-            d[..., 20:].reshape(lead + (NVARS,) * 3))
+def partial_index(tuples):
+    """For each partial d/dx_a dx_b ... named by a tuple of variable numbers
+    (0-3, at most three of them): the index of its coefficient, and the
+    factorial that turns the coefficient into the partial, as two arrays."""
+    index = np.array([INDEX[tuple(vs.count(v) for v in range(NVARS))]
+                      for vs in tuples])
+    return index, _FACTORIAL[index]
+
+
+def _gather(c, index):
+    """c[..., index]; a 1-D c (one jet) is indexed without the ellipsis,
+    which costs more than the gather itself."""
+    return c[index] if c.ndim == 1 else c[..., index]
+
+
+def _jet(c):
+    """A Jet on coefficients computed here: no conversion or check."""
+    jet = object.__new__(Jet)
+    jet.c = c
+    return jet
 
 
 class Jet:
@@ -108,7 +106,7 @@ class Jet:
         value = np.asarray(value, dtype=float)
         c = np.zeros(value.shape + (NCOEFF,))
         c[..., 0] = value
-        return Jet(c)
+        return _jet(c)
 
     @staticmethod
     def variable(v, value):
@@ -136,37 +134,35 @@ class Jet:
             if sum(alpha) < DEGREE:
                 up = alpha[:v] + (alpha[v] + 1,) + alpha[v + 1:]
                 c[..., i] = self.c[..., INDEX[up]] * (alpha[v] + 1)
-        return Jet(c)
+        return _jet(c)
 
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.c + other.c)
+            return _jet(self.c + other.c)
         c = self.c.copy()
         c[..., 0] += other
-        return Jet(c)
+        return _jet(c)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.c - other.c)
+            return _jet(self.c - other.c)
         return self + (-other)
 
     def __rsub__(self, other):
-        c = -self.c
-        c[..., 0] += other
-        return Jet(c)
+        return -self + other
 
     def __neg__(self):
-        return Jet(-self.c)
+        return _jet(-self.c)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Jet(self.c * other)
-        prod = self.c[..., _MUL_I] * other.c[..., _MUL_J]
-        return Jet(np.add.reduceat(prod, _MUL_START, axis=-1))
+            return _jet(self.c * other)
+        prod = _gather(self.c, _MUL_I) * _gather(other.c, _MUL_J)
+        return _jet(np.add.reduceat(prod, _MUL_START, axis=-1))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -178,43 +174,52 @@ class Jet:
         return self.reciprocal() * other
 
     def _value_where(self, ok, message):
-        """The value column, NaN on the batch rows where `ok` fails, which
-        poisons those rows of everything computed from it; a single jet
-        outside the domain raises EvalError instead."""
+        """The value column, NaN on the batch rows where `ok` fails (which
+        poisons them); a single jet there raises EvalError instead."""
         c0 = self.c[..., :1]
-        if self.c.ndim == 1 and not ok[0]:
+        if self.c.ndim > 1:
+            return np.where(ok, c0, np.nan)
+        if not ok[0]:
             raise EvalError("%s %r" % (message, float(c0[0])))
-        return np.where(ok, c0, np.nan)
+        return c0
+
+    @staticmethod
+    def _powers(u):
+        """u, u^2 and u^3 of coefficients `u`, their value zeroed here."""
+        u[..., 0] = 0.0
+        u = _jet(u)
+        u2 = u * u
+        return u.c, u2.c, (u2 * u).c
 
     def reciprocal(self):
         c0 = self._value_where(self.c[..., :1] != 0.0,
                                "jet division by a jet with value")
-        u = Jet(self.c / c0)
-        u.c[..., 0] = 0.0
-        # (1+u)^-1 = 1 - u + u^2 - u^3, exact at degree 3
-        w = 1.0 - u * (1.0 - u * (1.0 - u))
-        return Jet(w.c / c0)
+        # 1/(c0 (1 + u)) = (1 - u + u^2 - u^3) / c0
+        u, u2, u3 = self._powers(self.c / c0)
+        w = u2 - u - u3
+        w[..., 0] = 1.0
+        return _jet(w / c0)
 
     def exp(self):
-        u = Jet(self.c.copy())
-        u.c[..., 0] = 0.0
-        w = 1.0 + u * (1.0 + u * (0.5 + u * (1.0 / 6.0)))
-        return Jet(w.c * np.exp(self.c[..., :1]))
+        # exp(c0 + u) = exp(c0) (1 + u + u^2/2 + u^3/6)
+        u, u2, u3 = self._powers(self.c.copy())
+        w = u + u2 * 0.5 + u3 * (1.0 / 6.0)
+        w[..., 0] = 1.0
+        return _jet(w * np.exp(self.c[..., :1]))
 
     def ln(self):
         c0 = self._value_where(self.c[..., :1] > 0.0,
                                "ln of a jet with non-positive value")
-        u = Jet(self.c / c0)
-        u.c[..., 0] = 0.0
-        w = u * (1.0 - u * (0.5 - u * (1.0 / 3.0)))
-        w.c[..., :1] = np.log(c0)
-        return w
+        # ln(c0 (1 + u)) = ln(c0) + u - u^2/2 + u^3/3
+        u, u2, u3 = self._powers(self.c / c0)
+        w = u - u2 * 0.5 + u3 * (1.0 / 3.0)
+        w[..., :1] = np.log(c0)
+        return _jet(w)
 
     def int_pow(self, k):
         out = _int_pow(self, k)
-        if isinstance(out, Jet):
-            return out
-        return Jet.constant(np.full(self.c.shape[:-1], out))
+        return (out if isinstance(out, Jet)
+                else Jet.constant(np.full(self.c.shape[:-1], out)))
 
     def __repr__(self):
         return "Jet(value=%r)" % (self.value,)
@@ -257,49 +262,53 @@ def _int_pow(x, k):
 
 def jet_lift(e, point, params=None):
     """Expand an expression tree around `point` = (x1, x2, y1, y2), or
-    around every row of an (N, 4) array of points at once."""
+    around every row of an (N, 4) array of points at once.
+
+    Given a sequence of k expressions instead, lift them all with one set
+    of seeds into one Jet with an axis of k before the coefficients:
+    (k, 35) at a point, (N, k, 35) at N points."""
     point = np.asarray(point, dtype=float)
     lead = point.shape[:-1]
     seeds = np.zeros(lead + (NVARS, NCOEFF))
     seeds[..., 0] = point
     seeds[..., _VARS, _UNIT] = 1.0
-    vars_ = {name: Jet(seeds[..., v, :]) for v, name in enumerate(VARIABLES)}
+    vars_ = {name: _jet(seeds[..., v, :]) for v, name in enumerate(VARIABLES)}
+    many = isinstance(e, (list, tuple))
+    exprs = e if many else (e,)
+    out = np.zeros(lead + (len(exprs), NCOEFF))
     with np.errstate(all="ignore"):
-        jet = _lift(e, vars_, params or {})
-    if isinstance(jet, Jet):
-        return jet
-    # a constant expression still gets one row per point
-    c = np.zeros(lead + (NCOEFF,))
-    c[..., 0] = jet
-    return Jet(c)
+        for i, expr in enumerate(exprs):
+            jet = _lift(expr, vars_, params or {})
+            if isinstance(jet, Jet):
+                out[..., i, :] = jet.c
+            else:  # a constant expression still gets one row per point
+                out[..., i, 0] = jet
+    return _jet(out if many else out[..., 0, :])
+
+
+# node type -> how the lifts of its operands combine
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+           Div: lambda a, b: a * _reciprocal(b)}
+_UNARY = {Neg: operator.neg, Exp: _exp, Ln: _ln}
 
 
 def _lift(e, vars_, params):
     """The Jet of `e`, or a float where `e` holds no variable."""
-    if isinstance(e, Var):
+    kind = type(e)
+    if kind in _BINARY:
+        return _BINARY[kind](_lift(e.left, vars_, params),
+                             _lift(e.right, vars_, params))
+    if kind in _UNARY:
+        return _UNARY[kind](_lift(e.arg, vars_, params))
+    if kind is Var:
         return vars_[e.name]
-    if isinstance(e, Const):
+    if kind is Const:
         return float(e.value)
-    if isinstance(e, Mul):
-        return _lift(e.left, vars_, params) * _lift(e.right, vars_, params)
-    if isinstance(e, Add):
-        return _lift(e.left, vars_, params) + _lift(e.right, vars_, params)
-    if isinstance(e, Sub):
-        return _lift(e.left, vars_, params) - _lift(e.right, vars_, params)
-    if isinstance(e, Pow):
+    if kind is Pow:
         return _int_pow(_lift(e.base, vars_, params), e.exponent)
-    if isinstance(e, Div):
-        return (_lift(e.left, vars_, params)
-                * _reciprocal(_lift(e.right, vars_, params)))
-    if isinstance(e, ParamRef):
+    if kind is ParamRef:
         try:
             return float(params[e.name])
         except KeyError:
             raise EvalError("parameter %r is unbound" % e.name) from None
-    if isinstance(e, Neg):
-        return -_lift(e.arg, vars_, params)
-    if isinstance(e, Exp):
-        return _exp(_lift(e.arg, vars_, params))
-    if isinstance(e, Ln):
-        return _ln(_lift(e.arg, vars_, params))
     raise TypeError("not an expression node: %r" % (e,))

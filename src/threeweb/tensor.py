@@ -32,22 +32,19 @@ Then:
 
 Everything after gamma is linear in gamma and D gamma plus quadratic in
 gamma, with constant coefficients.  `_tail` writes those formulas out, and
-at import they are read off it once into a fixed map: LIN (40 x K) on
+at import they are read off it into a fixed map: LIN (40 x K) on
 [gamma, D gamma] and QUAD (64 x K) on gamma (x) gamma, whose K columns are
-torsion, a_cov, b, p, q, f2, g2, h2, a4 and the residuals of the structural
-identities.  A snapshot applies the map with one matrix product and slices
-the fields out of it as views, so its number of numpy calls does not depend
-on the formulas.
+the fields and the asymmetries of p and q.  A snapshot applies the map
+with one matrix product and slices the fields out of it as views.  The
+torsion's shape a^i_jk = (a_j d^i_k - a_k d^i_j)/2 and the vanishing trace
+of a4 hold for any gamma and D gamma; the tests hold `_tail` and the map to
+both, and snapshots do not check them.
 
 All of it runs on N points at once as arrays with a leading axis of N (a
-SnapshotBatch); one point is a batch of one.  Each row records what makes
-it unusable: a singular Jacobian block or non-finite values.  It also
-records the residuals of two structural identities, the torsion
-reconstruction and (for isoclinic rows) the vanishing trace of a4.  In two
-dimensions both hold for every gamma and D gamma, not only for those of a
-web, so their columns of the map are exactly zero and the residuals read 0
-on every finite row: a failure there (StructureViolation) means the map
-itself is broken, never that a web or a point is.
+SnapshotBatch); one point is a batch of one.  Both defining functions are
+lifted in one `jet_lift` call, the partials are read off with one gather,
+and gamma and D gamma come from batched matrix products.  Each row records
+what makes it unusable: a singular Jacobian block or non-finite values.
 """
 
 from __future__ import annotations
@@ -58,12 +55,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import EvalError, Web
-from .jet import jet_lift, partials
+from .jet import NCOEFF, jet_lift, partial_index
 
 # Pointwise thresholds, each relative to the magnitude of what it tests:
-# STRUCTURE_TOL  a structural identity (torsion reconstruction, traceless
-#                a4) counts as broken above this residual;
-# SINGULAR_TOL   a 2x2 Jacobian block is singular when |det| is below this
+# SINGULAR_TOL   a 2x2 Jacobian block is singular when |det| is at most this
 #                times its largest entry squared;
 # ISOCLINIC_TOL  a row is flagged non-isoclinic when p or q is asymmetric
 #                beyond this times max(1, |p|, |q|);
@@ -71,20 +66,17 @@ from .jet import jet_lift, partials
 #                max(1, |a2|).
 # Classification applies its own, coarser conditioning floor on top
 # (classify.NDET_FLOOR).
-STRUCTURE_TOL = 1e-8
 SINGULAR_TOL = 1e-10
 ISOCLINIC_TOL = 1e-7
 T_RATIO_FLOOR = 1e-9
 
 _EYE = np.eye(2)
+_BASIS = np.eye(8).reshape(8, 2, 2, 2)  # the unit gammas
+_COFACTOR_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 class DegenerateWeb(ValueError):
     """A Jacobian block is singular at the point: no web structure there."""
-
-
-class StructureViolation(AssertionError):
-    """The torsion failed its forced algebraic shape; implementation bug."""
 
 
 class InadmissiblePoint(ValueError):
@@ -175,8 +167,8 @@ class TensorSnapshot:
 class SnapshotBatch:
     """The invariants at N points: each TensorSnapshot field with a leading
     axis of N (`t_ratio` NaN for None), `points` (N, 4), and the rows'
-    `degenerate`, `finite`, `torsion_residual` and `trace_residual`.  An
-    int index gives one TensorSnapshot, a slice or index array a batch.
+    `degenerate` and `finite` flags.  An int index gives one
+    TensorSnapshot, a slice or index array a batch.
     """
 
     def __init__(self, points, params, fields):
@@ -197,78 +189,52 @@ class SnapshotBatch:
         return len(self.points)
 
     def __getitem__(self, index):
-        if not isinstance(index, (int, np.integer)):
-            return SnapshotBatch(self.points[index], self.params,
-                                 {name: v[index]
-                                  for name, v in self.fields.items()})
-        t = float(self.t_ratio[index])
+        if isinstance(index, (int, np.integer)):
+            return self._row(index, copy=True)
+        return SnapshotBatch(self.points[index], self.params,
+                             {name: v[index]
+                              for name, v in self.fields.items()})
+
+    def _row(self, i, copy):
+        """Row i as a TensorSnapshot whose arrays are copies, or views into
+        this batch."""
+        t = float(self.t_ratio[i])
         return TensorSnapshot(
-            point=tuple(self.points[index].tolist()), params=self.params,
-            det_bar=float(self.det_bar[index]),
-            det_til=float(self.det_til[index]),
-            t_ratio=None if np.isnan(t) else t,
-            non_isoclinic=bool(self.non_isoclinic[index]),
-            **{name: self.fields[name][index].copy()
-               for name in TensorSnapshot._FIELDS})
+            point=tuple(self.points[i].tolist()), params=self.params,
+            det_bar=float(self.det_bar[i]), det_til=float(self.det_til[i]),
+            t_ratio=None if t != t else t,
+            non_isoclinic=bool(self.non_isoclinic[i]),
+            **{name: self.fields[name][i].copy() if copy
+               else self.fields[name][i] for name in TensorSnapshot._FIELDS})
 
     def magnitude(self, name):
         """Per row, the largest absolute component of one field; computed
         once per batch."""
         if name not in self._magnitudes:
-            self._magnitudes[name] = _row_max(getattr(self, name))
+            x = np.abs(getattr(self, name))
+            self._magnitudes[name] = x.max(axis=tuple(range(1, x.ndim)))
         return self._magnitudes[name]
-
-    def check(self, i):
-        """Raise the error that row i's values show, if any."""
-        point = tuple(self.points[i].tolist())
-        if self.degenerate[i]:
-            raise DegenerateWeb(
-                "det fbar = %g, det ftilde = %g at %s: defining functions are "
-                "degenerate here" % (self.det_bar[i], self.det_til[i], point))
-        if not self.finite[i]:
-            raise EvalError("the defining functions or their invariants are "
-                            "not finite at %s" % (point,))
-        if self.torsion_residual[i] > STRUCTURE_TOL:
-            raise StructureViolation("torsion reconstruction residual %g"
-                                     % self.torsion_residual[i])
-        if self.trace_residual[i] > STRUCTURE_TOL:
-            raise StructureViolation("a4 trace residual %g"
-                                     % self.trace_residual[i])
-
-
-def _row_max(x):
-    return np.abs(x).max(axis=tuple(range(1, x.ndim)))
-
-
-_ADJUGATE = [3, 1, 2, 0]
-_ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
-
-
-def _invert2(m):
-    """Determinants, inverses and singularity of a stack of 2x2 matrices."""
-    m = m.reshape(-1, 4)
-    det = m[:, 0] * m[:, 3] - m[:, 1] * m[:, 2]
-    scale = np.abs(m).max(axis=1)
-    singular = (det == 0.0) | (np.abs(det) < SINGULAR_TOL * scale * scale)
-    inv = m[:, _ADJUGATE] * _ADJUGATE_SIGN / det[:, None]
-    return det, inv.reshape(-1, 2, 2), singular
 
 
 def sym3_lower(b):
-    """Mean over the six permutations of the three lower indices."""
-    return sum(np.einsum("...i%s->...ijkl" % "".join(perm), b)
-               for perm in itertools.permutations("jkl")) / 6.0
+    """Mean over the six permutations of the three lower indices: views of
+    b transposed, summed in the order of `itertools.permutations`."""
+    n = b.ndim - 3  # the axis of the first lower index
+    return sum(b.transpose(tuple(range(n))
+                           + tuple(n + perm.index(a) for a in range(3)))
+               for perm in itertools.permutations(range(3))) / 6.0
 
 
 def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True):
     """Compute every invariant of the web at one admissible point.
 
     Given an (N, 4) array of points instead, return their SnapshotBatch
-    with no row judged: the caller decides from the batch's per-row record
-    which rows to keep, and `check(i)` raises what row i shows.
+    with no row judged: the caller decides from the batch's per-row
+    `degenerate` and `finite` flags which rows to keep.
     """
     bound = web.bind(params)
-    points = np.atleast_2d(np.asarray(point, dtype=float))
+    point = np.asarray(point, dtype=float)
+    points = np.atleast_2d(point)
     if check_domain:
         for row in points:
             broken = web.violated_constraint(tuple(row), bound, margin)
@@ -276,13 +242,23 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True):
                 raise InadmissiblePoint(
                     "inadmissible point %s: constraint %s fails"
                     % (tuple(row.tolist()), broken))
-    F = [jet_lift(web.u1, points, bound), jet_lift(web.u2, points, bound)]
+    # one point lifts as a single jet, which raises EvalError outside the
+    # domain of ln or of a division
+    coeffs = jet_lift((web.u1, web.u2), point, bound).c
     with np.errstate(all="ignore"):
-        batch = _invariants(points, bound, F)
-    if np.ndim(point) == 2:
+        batch = _invariants(points, bound, coeffs)
+    if point.ndim == 2:
         return batch
-    batch.check(0)
-    return batch[0]
+    if batch.degenerate[0]:
+        raise DegenerateWeb(
+            "det fbar = %g, det ftilde = %g at %s: defining functions are "
+            "degenerate here" % (batch.det_bar[0], batch.det_til[0],
+                                 tuple(point.tolist())))
+    if not batch.finite[0]:
+        raise EvalError("the defining functions or their invariants are "
+                        "not finite at %s" % (tuple(point.tolist()),))
+    # the batch is not kept, so its row can be taken without copies
+    return batch._row(0, copy=False)
 
 
 def _tail(gamma, d_gamma):
@@ -314,13 +290,8 @@ def _tail(gamma, d_gamma):
     a4 = sym - (np.einsum("njk,il->nijkl", s2, _EYE)
                 + np.einsum("nkl,ij->nijkl", s2, _EYE)
                 + np.einsum("nlj,ik->nijkl", s2, _EYE)) / 3.0
-
-    # forced algebraic shape of the torsion: a^i_jk = (a_j d^i_k - a_k d^i_j)/2
-    recon = 0.5 * (np.einsum("nj,ik->nijk", a_cov, _EYE)
-                   - np.einsum("nk,ij->nijk", a_cov, _EYE))
-    return dict(torsion=torsion, a_cov=a_cov, b=b, p=p, q=q, f2=f2, g2=g2,
-                h2=h2, a4=a4, recon_error=torsion - recon,
-                a4_trace=a4[:, 0, 0] + a4[:, 1, 1],
+    return dict(torsion=torsion, b=b, f2=f2, g2=g2, h2=h2, a4=a4,
+                a_cov=a_cov, p=p, q=q,
                 p_asym=p[:, 0, 1] - p[:, 1, 0], q_asym=q[:, 0, 1] - q[:, 1, 0])
 
 
@@ -329,7 +300,7 @@ def _compile_tail():
     columns, is [gamma, d_gamma] @ LIN + (gamma (x) gamma) @ QUAD, read off
     `_tail` at basis inputs in one batch; QUAD is symmetric in its two gamma
     factors.  Also each output's columns and shape."""
-    e = np.eye(8).reshape(8, 2, 2, 2)
+    e = _BASIS
     gamma = np.concatenate([e, -e, np.zeros((32, 2, 2, 2)),
                             (e[:, None] + e[None]).reshape(64, 2, 2, 2)])
     d_gamma = np.zeros(gamma.shape + (4,))
@@ -346,74 +317,92 @@ def _compile_tail():
     lin, quad = (np.round(m * 12.0) / 12.0
                  for m in (lin, quad.reshape(64, -1)))
 
-    segments, start = {}, 0
-    for name, v in out.items():
-        segments[name] = (slice(start, start + v[0].size), v.shape[1:])
-        start += v[0].size
-    return lin, quad, segments
+    ends = np.cumsum([v[0].size for v in out.values()])
+    return lin, quad, {name: (slice(end - v[0].size, end), v.shape[1:])
+                       for (name, v), end in zip(out.items(), ends)}
 
 
 LIN, QUAD, _SEGMENTS = _compile_tail()
-_MAP = np.concatenate([LIN, QUAD])
-_STARTS = np.array([columns.start for columns, _ in _SEGMENTS.values()])
+# the map as a snapshot applies it: to [gamma, -D gamma, gamma (x) gamma],
+# since -D gamma is what the matrix products below give (negating a
+# coefficient is exact)
+_MAP = np.concatenate([LIN[:8], -LIN[8:], QUAD])
+_FIELD_COLUMNS = [(name, columns, (-1,) + shape)
+                  for name, (columns, shape) in _SEGMENTS.items()
+                  if name in TensorSnapshot._FIELDS]
+# a_cov, p, q and the asymmetries of p and q: the last 12 columns
+_SMALL = slice(_SEGMENTS["a_cov"][0].start, None)
+# the 36 partials a snapshot reads of each function, in a row of the lifted
+# coefficients of both (2 x 35), and the factorials that turn coefficients
+# into partials: per function the gradient, the Hessian, and the third
+# partials d3 f / dz^s dx^l dy^m, with z = (x1, x2, y1, y2)
+_INDEX, _FACTOR = partial_index(
+    [(v,) for v in range(4)] + list(itertools.product(range(4), repeat=2))
+    + [(z, l, 2 + m) for z in range(4) for l in range(2) for m in range(2)])
+_READ = np.add.outer([0, NCOEFF], _INDEX).ravel()
+_READ_FACTORIAL = np.tile(_FACTOR, 2)
+# lays gamma (8) out as the matrix A (8 x 8) with A[i, j, k; p, a] H[p, a, r]
+# = gamma[i, p, k] H[p, j, r] + gamma[i, j, p] H[p, k + 2, r] for any H
+_GAMMA_HESS = (np.einsum("gipk,ja->gijkpa", _BASIS, np.eye(4)[:2])
+               + np.einsum("gijp,ka->gijkpa", _BASIS, np.eye(4)[2:])
+               ).reshape(8, 64)
 
 
-def _invariants(points, bound, F):
+def _invariants(points, bound, coeffs):
     n = len(points)
-    coeffs = np.stack([f.c for f in F], 1)
-    # partials of f^i: grad (N,2,4), hess (N,2,4,4), third (N,2,4,4,4);
-    # axes after i run over (x1, x2, y1, y2)
-    grad, hess, third = partials(coeffs)
-    # fbar and ftilde of each row, interleaved: one stack of 2N blocks
-    blocks = grad.reshape(n, 2, 2, 2).swapaxes(1, 2).reshape(2 * n, 2, 2)
-    det, inv, singular = _invert2(blocks)
-    blocks, inv = blocks.reshape(n, 2, 2, 2), inv.reshape(n, 2, 2, 2)
-    det, singular = det.reshape(n, 2), singular.reshape(n, 2)
+    d = (coeffs.reshape(n, 2 * NCOEFF)[:, _READ]
+         * _READ_FACTORIAL).reshape(n, 2, 36)
+    # blocks[:, 0] is fbar and blocks[:, 1] ftilde; hess (N,2,4,4); third
+    # (N,2,4,2,2), axes (i, s, l, m) as in _READ
+    blocks = d[:, :, :4].reshape(n, 2, 2, 2).swapaxes(1, 2)
+    hess = d[:, :, 4:20].reshape(n, 2, 4, 4)
+    third = d[:, :, 20:].reshape(n, 2, 4, 2, 2)
+    det = (blocks[..., 0, 0] * blocks[..., 1, 1]
+           - blocks[..., 0, 1] * blocks[..., 1, 0])
+    scale = np.abs(blocks).max(axis=(2, 3))
+    singular = np.abs(det) <= SINGULAR_TOL * scale * scale
+    # the inverse is the adjugate over det: the block reversed on both axes,
+    # transposed, with signs
+    inv = (blocks[..., ::-1, ::-1].swapaxes(2, 3) * _COFACTOR_SIGN
+           / det[..., None, None])
     gbar, gtil = inv[:, 0], inv[:, 1]
 
     # frame derivatives D1_0, D1_1, D2_0, D2_1 are the coordinate partials
     # contracted with the block-diagonal frame; gamma is minus the mixed
-    # block of the Hessian in the frame, and by d(gbar) = -gbar d(fbar) gbar
-    # its derivatives are the third partials in the frame plus gamma times
-    # the frame Hessian
+    # block of the Hessian in the frame
     frame = np.zeros((n, 4, 4))
     frame[:, :2, :2] = gbar
     frame[:, 2:, 2:] = gtil
     hess_frame = np.swapaxes(frame, 1, 2)[:, None] @ hess @ frame[:, None]
     gamma = -hess_frame[:, :, :2, 2:]
-    third_mixed = third[:, :, :2, 2:] @ frame[:, None, None]
-    d_gamma = -(np.einsum("nilmr,nlj,nmk->nijkr", third_mixed, gbar, gtil)
-                + np.einsum("nipk,npjr->nijkr", gamma, hess_frame[:, :, :2])
-                + np.einsum("nijp,npkr->nijkr", gamma, hess_frame[:, :, 2:]))
-
     g = gamma.reshape(n, 8)
-    x = np.concatenate([g, d_gamma.reshape(n, 32),
+    # by d(gbar) = -gbar d(fbar) gbar, -D gamma (axes i, j, k, r) is the
+    # third partials in the frame plus, through _GAMMA_HESS, gamma times the
+    # frame Hessian
+    third_frame = (np.swapaxes(gbar, 1, 2)[:, None, None] @ third
+                   @ gtil[:, None, None]).transpose(0, 1, 3, 4, 2)
+    minus_d_gamma = ((third_frame @ frame[:, None, None]).reshape(n, 32)
+                     + ((g @ _GAMMA_HESS).reshape(n, 8, 8)
+                        @ hess_frame.reshape(n, 8, 4)).reshape(n, 32))
+    x = np.concatenate([g, minus_d_gamma,
                         (g[:, :, None] * g[:, None, :]).reshape(n, 64)], 1)
     out = x @ _MAP
-    fields = {name: out[:, columns].reshape((n,) + shape)
-              for name, (columns, shape) in _SEGMENTS.items()
-              if name in TensorSnapshot._FIELDS}
-    top = dict(zip(_SEGMENTS,
-                   np.maximum.reduceat(np.abs(out), _STARTS, axis=1).T))
+    fields = {name: out[:, columns].reshape(shape)
+              for name, columns, shape in _FIELD_COLUMNS}
 
-    torsion_residual = top["recon_error"] / np.maximum(1.0, top["torsion"])
-    pq_scale = np.maximum(1.0, np.maximum(top["p"], top["q"]))
-    non_isoclinic = (np.maximum(top["p_asym"], top["q_asym"])
-                     > ISOCLINIC_TOL * pq_scale)
-    trace_residual = np.where(non_isoclinic, 0.0,
-                              top["a4_trace"] / np.maximum(1.0, top["a4"]))
-
-    a1, a2 = fields["a_cov"][:, 0], fields["a_cov"][:, 1]
-    usable = np.abs(a1) > T_RATIO_FLOOR * np.maximum(1.0, np.abs(a2))
-    t_ratio = np.where(usable, a2 / np.where(usable, a1, 1.0), np.nan)
+    small = np.abs(out[:, _SMALL])
+    pq_scale = np.maximum(1.0, small[:, 2:10].max(axis=1))
+    non_isoclinic = small[:, 10:].max(axis=1) > ISOCLINIC_TOL * pq_scale
+    usable = small[:, 0] > T_RATIO_FLOOR * np.maximum(1.0, small[:, 1])
+    a_cov = fields["a_cov"]
+    t_ratio = np.where(usable, a_cov[:, 1] / a_cov[:, 0], np.nan)
 
     # one row per point of everything computed, intermediates included
     finite = np.isfinite(np.concatenate(
-        [coeffs.reshape(n, 2 * coeffs.shape[-1]), inv.reshape(n, 8), x, out],
+        [coeffs.reshape(n, 2 * NCOEFF), inv.reshape(n, 8), x, out],
         1)).all(axis=1)
     return SnapshotBatch(points, bound, dict(
         fields, fbar=blocks[:, 0], ftilde=blocks[:, 1], gbar=gbar,
         gtilde=gtil, gamma=gamma, det_bar=det[:, 0], det_til=det[:, 1],
         t_ratio=t_ratio, non_isoclinic=non_isoclinic,
-        degenerate=singular.any(axis=1), finite=finite,
-        torsion_residual=torsion_residual, trace_residual=trace_residual))
+        degenerate=singular.any(axis=1), finite=finite))

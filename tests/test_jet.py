@@ -184,3 +184,45 @@ def test_constant_expression_lifts_to_one_row_per_point():
     j = jet_lift(web.u1, np.zeros((3, 4)))
     assert j.c.shape == (3, NCOEFF)
     assert np.all(j.c[:, 0] == 7.0) and not j.c[:, 1:].any()
+
+
+# No corpus web takes ln of a jet; these two, outside the corpus, put every
+# series (reciprocal, exp, ln) and negative integer powers through the lift.
+_SERIES_WEBS = [
+    "u1 = ln(1 + x1^2) * exp(y1) / (2 + x2*y2)\nu2 = (x2 + y1 + 4)^-2 + y2\n",
+    "u1 = exp(x1 - y2) / ln(3 + x2^2 + y1^2)\n"
+    "u2 = ln(5 + x1*y1 + x2) * (1 + y2^2)^-1\n",
+]
+
+
+@pytest.mark.parametrize("text", _SERIES_WEBS)
+def test_series_match_finite_differences(text):
+    web = parse_web(text)
+    points = np.random.default_rng(7).uniform(-1.0, 1.0, (5, 4))
+    batch = jet_lift((web.u1, web.u2), points)
+    assert batch.c.shape == (5, 2, NCOEFF)
+    for row, point in enumerate(map(tuple, points)):
+        j = jet_lift((web.u1, web.u2), point)
+        np.testing.assert_allclose(batch.c[row], j.c, rtol=1e-14, atol=0.0)
+        for i, expr in enumerate((web.u1, web.u2)):
+
+            def f(pt, _e=expr):
+                return evaluate(_e, pt)
+
+            assert j.value[i] == pytest.approx(f(point), rel=1e-14)
+            for alpha in MULTI[1:]:
+                want = partial_fd(f, point, alpha)
+                got = j.partial(alpha)[i]
+                assert rel_err(got, want) < 1e-5, (i, alpha, got, want)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("u1 = x1 + ln(0 - 1)\nu2 = x2\n", "ln of a jet with non-positive value"),
+    ("u1 = x1 / (2 - 2)\nu2 = x2\n", "jet division by a jet with value"),
+    ("u1 = x1 * (2 - 2)^-1\nu2 = x2\n", "jet division by a jet with value"),
+])
+def test_folded_constant_errors_name_the_operation(text, message):
+    web = parse_web(text)
+    for point in ((1.0, 2.0, 3.0, 4.0), RNG.uniform(-1.0, 1.0, (5, 4))):
+        with pytest.raises(EvalError, match=message):
+            jet_lift((web.u1, web.u2), point)

@@ -187,14 +187,46 @@ def test_compiled_tail_matches_its_formulas(scale):
     assert np.array_equal(pairs, pairs.transpose(1, 0, 2))
 
 
-def test_structural_columns_of_the_map_are_zero():
-    # in two dimensions every torsion has the rank-1 shape, and h2 cancels
-    # the trace of a4, for any gamma and d_gamma: the structural checks can
-    # fire only when the map itself is broken
-    for name in ("recon_error", "a4_trace"):
-        columns, _ = _SEGMENTS[name]
-        assert not LIN[:, columns].any(), name
-        assert not QUAD[:, columns].any(), name
+def _torsion_from_covector(a_cov):
+    eye = np.eye(2)
+    return 0.5 * (np.einsum("nj,ik->nijk", a_cov, eye)
+                  - np.einsum("nk,ij->nijk", a_cov, eye))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_tail_satisfies_the_structural_identities(scale):
+    # in two dimensions every torsion has the shape
+    # a^i_jk = (a_j d^i_k - a_k d^i_j)/2, and h2 cancels the trace of a4,
+    # for any gamma and d_gamma, not only for those of a web
+    rng = np.random.default_rng(13)
+    n = 50
+    gamma = rng.normal(size=(n, 2, 2, 2)) * scale
+    d_gamma = rng.normal(size=(n, 2, 2, 2, 4)) * scale
+    out = _tail(gamma, d_gamma)
+    g = gamma.reshape(n, 8)
+    terms = np.maximum(np.abs(np.concatenate([g, d_gamma.reshape(n, 32)],
+                                             1)).max(1),
+                       (g * g).max(1))
+    recon = _torsion_from_covector(out["a_cov"])
+    assert np.all(np.abs(out["torsion"] - recon).max((1, 2, 3))
+                  <= 1e-13 * terms)
+    trace = out["a4"][:, 0, 0] + out["a4"][:, 1, 1]
+    assert np.all(np.abs(trace).max((1, 2)) <= 1e-13 * terms)
+
+
+def test_map_satisfies_the_structural_identities_exactly():
+    # the same identities on the coefficients of the compiled map, which
+    # are exact multiples of 1/12: each holds with no roundoff at all
+    rows = np.concatenate([LIN, QUAD])
+
+    def field(name):
+        columns, shape = _SEGMENTS[name]
+        return rows[:, columns].reshape((len(rows),) + shape)
+
+    assert np.array_equal(field("torsion"),
+                          _torsion_from_covector(field("a_cov")))
+    a4 = field("a4")
+    assert not (a4[:, 0, 0] + a4[:, 1, 1]).any()
 
 
 def test_omega_coefficients_mirror_gamma():

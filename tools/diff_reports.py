@@ -16,6 +16,15 @@ classify reports into buckets:
              above 1e-3, and the largest absolute change below it
   other      anything else (`t_value`, `frame_alignment_residual`, ...)
 
+It also runs `threeweb snapshot --format json` in both trees, at each
+bundled web's stored points and at 20 seeded admissible points per web
+(drawn once, by the first tree, and given to both).  For each field it
+prints the largest change relative to the larger of 1 and that field's
+largest component in the same snapshot, the scale the zero tests use (a
+field that vanishes identically holds only roundoff), and where that
+change is.  Snapshot changes are reported only; they do not set the exit
+status.
+
 Exit status 1 when a table differs or the labels bucket is not empty.
 Wall time is not measured; this compares outputs only.
 """
@@ -27,6 +36,8 @@ import os
 import subprocess
 import sys
 from collections import defaultdict
+
+import numpy as np
 
 SEEDS = tuple(range(10)) + (42,)
 LABEL_KEYS = {"labels", "classes", "holds", "inconclusive", "generic",
@@ -57,14 +68,78 @@ for seed in sys.argv[1:]:
 json.dump(doc, sys.stdout)
 """
 
+SNAPSHOT_POINTS = 20
+# runs in the child: the snapshot JSON of every bundled web at the points
+# given on stdin (web name -> list of points), or, given null, at its
+# stored points and SNAPSHOT_POINTS seeded admissible ones; null where
+# `threeweb snapshot` fails
+SNAPSHOT_CHILD = """
+import contextlib, io, json, sys
+import numpy as np
+from threeweb import cli
+from threeweb.corpus import load_corpus
 
-def outputs(src):
+given = json.load(sys.stdin)
+doc = {}
+for index, entry in enumerate(load_corpus()):
+    if given is None:
+        rng = np.random.default_rng(index)
+        points = [list(map(float, p)) for p in entry.points]
+        wanted = len(points) + int(sys.argv[1])
+        while len(points) < wanted:
+            p = rng.uniform(-3.0, 3.0, 4)
+            if entry.web.admissible(p):
+                points.append(p.tolist())
+    else:
+        points = given[entry.name]
+    snaps = []
+    for p in points:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["snapshot", entry.name, "--format", "json",
+                             "--point", *map(repr, p)])
+        snaps.append(json.loads(out.getvalue()) if code == 0 else None)
+    doc[entry.name] = {"points": points, "snapshots": snaps}
+json.dump(doc, sys.stdout)
+"""
+# snapshot keys that are not invariants
+SNAPSHOT_SKIP = {"schema", "web", "point", "params"}
+
+
+def run_child(src, script, args, stdin=None):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    done = subprocess.run([sys.executable, "-c", CHILD, *map(str, SEEDS)],
-                          env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, input=stdin, capture_output=True,
+                          text=True)
     if done.returncode:
         sys.exit("%s failed:\n%s" % (src, done.stderr))
     return json.loads(done.stdout)
+
+
+def snapshot_changes(old, new):
+    """Per snapshot field, the largest change relative to max(1, the
+    field's largest component), with where it happened; and the points at
+    which one tree's snapshot failed and the other's did not."""
+    worst, failed = {}, []
+    for web, runs in old.items():
+        pairs = zip(runs["points"], runs["snapshots"],
+                    new[web]["snapshots"])
+        for point, a, b in pairs:
+            if a is None or b is None:
+                if (a is None) != (b is None):
+                    failed.append((web, point))
+                continue
+            for key in a.keys() - SNAPSHOT_SKIP:
+                if (isinstance(a[key], bool) or a[key] is None
+                        or b[key] is None):
+                    change = float(a[key] != b[key])
+                else:
+                    moved = np.abs(np.subtract(b[key], a[key]))
+                    change = np.max(moved) / max(1.0, np.max(np.abs(a[key])))
+                if change > worst.get(key, (-1.0,))[0]:
+                    worst[key] = (change, web, point)
+    return worst, failed
 
 
 def compare(old, new, where, buckets):
@@ -93,7 +168,11 @@ def show_largest(diffs, kind, size):
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
-    old, new = (outputs(src) for src in argv)
+    old, new = (run_child(src, CHILD, SEEDS) for src in argv)
+    old_snaps = run_child(argv[0], SNAPSHOT_CHILD, [SNAPSHOT_POINTS], "null")
+    given = {web: runs["points"] for web, runs in old_snaps.items()}
+    new_snaps = run_child(argv[1], SNAPSHOT_CHILD, [SNAPSHOT_POINTS],
+                          json.dumps(given))
     buckets = defaultdict(list)
     same_tables = 0
     reports = changed = 0
@@ -127,6 +206,17 @@ def main(argv):
         else:
             for where, a, b in diffs[:EXAMPLES]:
                 print("    %s: %r -> %r" % (" / ".join(map(str, where)), a, b))
+
+    worst, failed = snapshot_changes(old_snaps, new_snaps)
+    print("snapshot --format json: %d points, largest change per field "
+          "relative to max(1, its largest component):"
+          % sum(len(points) for points in given.values()))
+    for key in sorted(worst):
+        change, web, point = worst[key]
+        print("  %-13s %.3g%s" % (key, change, "  (%s at %s)" % (web, point)
+                                  if change else ""))
+    print("  failing in one tree only: %d%s" % (
+        len(failed), "".join("\n    %s at %s" % f for f in failed[:EXAMPLES])))
     return int(same_tables < len(SEEDS) or bool(buckets["labels"]))
 
 
