@@ -141,19 +141,6 @@ def _admissible_stream(web: Web, config: RunConfig, bound):
         yield rows
 
 
-def sample_points(web: Web, config: RunConfig, params=None):
-    """Rejection-sample admissible points from the configured box."""
-    bound = web.bind(params)
-    points = []
-    for rows in _admissible_stream(web, config, bound):
-        points.extend(map(tuple, rows.tolist()))
-        if len(points) >= config.points:
-            return points[:config.points]
-    raise SamplerExhausted(
-        "only %d of %d admissible points found in the draw budget"
-        % (len(points), config.points))
-
-
 def _well_conditioned(s):
     ok = np.ones(len(s), dtype=bool)
     for m, det in ((s.fbar, s.det_bar), (s.ftilde, s.det_til)):

@@ -15,13 +15,15 @@ ln(...).  Parameters must be declared before they are used; their declared
 value is the default binding and can be overridden at evaluation time.
 
 AST nodes are frozen dataclasses, so structural equality works and trees
-can be shared freely.  `format_expr` prints with minimal parentheses and
-`parse_expr(format_expr(e))` returns a tree equal to `e`.
+can be shared freely.  `format_expr` prints with minimal parentheses, and
+`parse_web` reads a printed expression back as a tree equal to it, so
+`parse_web(format_web(web))` equals `web`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -277,12 +279,6 @@ class _ExprParser:
                          col if kind is not None else self._end_col())
 
 
-def parse_expr(text, params=(), line_no=1):
-    """Parse a single expression string (mostly useful in tests)."""
-    tokens = _tokenize(text, line_no)
-    return _ExprParser(tokens, line_no, frozenset(params)).parse()
-
-
 # ---------------------------------------------------------------------------
 # printing
 
@@ -359,104 +355,80 @@ def _fmt_child(e, min_prec):
 # evaluation
 
 def evaluate(e, point, params=None):
-    """Evaluate at point = (x1, x2, y1, y2); params maps names to floats."""
-    env = dict(zip(VARIABLES, point))
-    return _eval(e, env, params or {})
+    """Evaluate at point = (x1, x2, y1, y2); params maps names to floats.
+
+    Raises EvalError where `_eval_rows` gives NaN: outside the domain of ln
+    or of a division, where exp or a power overflows, or at inf - inf.
+    """
+    cols = dict(zip(VARIABLES, np.asarray(point, dtype=float)))
+    with np.errstate(all="ignore"):
+        v = _eval_rows(e, cols, params or {})
+    if v != v:
+        raise EvalError("%s is undefined at %s" % (format_expr(e),
+                                                   tuple(point)))
+    return float(v)
 
 
-def _eval(e, env, params):
-    if isinstance(e, Const):
+def _nan_where(bad, v):
+    """v, NaN where bad holds: np.where for arrays, a branch for one
+    point's scalars, on which np.where costs microseconds."""
+    if isinstance(bad, np.ndarray):
+        return np.where(bad, np.nan, v)
+    return np.nan if bad else v
+
+
+def _overflow_to_nan(r, arg):
+    """r, NaN where it is infinite although arg is finite.  An array is
+    scanned once and rebuilt only if it holds an infinity; for a scalar,
+    |r| - |arg| is inf exactly there."""
+    if isinstance(r, np.ndarray):
+        inf = np.isinf(r)
+        return np.where(inf & np.isfinite(arg), np.nan, r) if inf.any() else r
+    return np.nan if abs(r) - abs(arg) == np.inf else r
+
+
+# node type -> how the values of its operands combine
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+           Div: lambda a, b: a / _nan_where(b == 0.0, b)}
+_UNARY = {Neg: operator.neg,
+          Exp: lambda v: _overflow_to_nan(np.exp(v), v),
+          Ln: lambda v: np.log(_nan_where(v <= 0.0, v))}
+
+
+def _eval_rows(e, cols, params):
+    """The value of e, given each variable as a numpy array of values (or
+    one point's np.float64 scalars), under the caller's np.errstate.
+
+    The value is NaN wherever it is undefined: outside the domain of ln or
+    of a division, where exp or an integer power overflows from a finite
+    argument (Python's math.exp and float ** int raise there, while numpy
+    returns inf), and wherever an undefined operand feeds in.  A caller
+    rejects a row by testing for finiteness.
+    """
+    kind = type(e)
+    if kind in _BINARY:
+        return _BINARY[kind](_eval_rows(e.left, cols, params),
+                             _eval_rows(e.right, cols, params))
+    if kind is Var:
+        return cols[e.name]
+    if kind is Pow:
+        base = _eval_rows(e.base, cols, params)
+        if e.exponent == 0:
+            # numpy's NaN ** 0 is 1, which would hide an undefined base
+            return _nan_where(base != base, 1.0)
+        if type(base) is float:  # a constant, whose ** raises on overflow
+            base = np.float64(base)
+        return _overflow_to_nan(base ** e.exponent, base)
+    if kind is Const:
         return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, ParamRef):
+    if kind in _UNARY:
+        return _UNARY[kind](_eval_rows(e.arg, cols, params))
+    if kind is ParamRef:
         try:
             return params[e.name]
         except KeyError:
             raise EvalError("parameter %r is unbound" % e.name) from None
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env, params)
-    if isinstance(e, Exp):
-        return math.exp(_eval(e.arg, env, params))
-    if isinstance(e, Ln):
-        v = _eval(e.arg, env, params)
-        if v <= 0.0:
-            raise EvalError("ln of non-positive value %r" % v)
-        return math.log(v)
-    if isinstance(e, Add):
-        return _eval(e.left, env, params) + _eval(e.right, env, params)
-    if isinstance(e, Sub):
-        return _eval(e.left, env, params) - _eval(e.right, env, params)
-    if isinstance(e, Mul):
-        return _eval(e.left, env, params) * _eval(e.right, env, params)
-    if isinstance(e, Div):
-        denom = _eval(e.right, env, params)
-        if denom == 0.0:
-            raise EvalError("division by zero")
-        return _eval(e.left, env, params) / denom
-    if isinstance(e, Pow):
-        base = _eval(e.base, env, params)
-        if e.exponent < 0 and base == 0.0:
-            raise EvalError("zero raised to a negative power")
-        return base ** e.exponent
     raise TypeError("not an expression node: %r" % (e,))
-
-
-def _eval_rows(e, cols, params):
-    """`_eval` over columns of values at once (numpy arrays, under the
-    caller's np.errstate); the result is NaN on rows where `_eval` would
-    raise EvalError, so a caller rejects a row by testing for finiteness."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return cols[e.name]
-    if isinstance(e, ParamRef):
-        return _eval(e, cols, params)
-    if isinstance(e, Neg):
-        return -_eval_rows(e.arg, cols, params)
-    if isinstance(e, Exp):
-        return np.exp(_eval_rows(e.arg, cols, params))
-    if isinstance(e, Ln):
-        v = _eval_rows(e.arg, cols, params)
-        return np.log(np.where(v > 0.0, v, np.nan))
-    if isinstance(e, Add):
-        return _eval_rows(e.left, cols, params) + _eval_rows(e.right, cols,
-                                                             params)
-    if isinstance(e, Sub):
-        return _eval_rows(e.left, cols, params) - _eval_rows(e.right, cols,
-                                                             params)
-    if isinstance(e, Mul):
-        return _eval_rows(e.left, cols, params) * _eval_rows(e.right, cols,
-                                                             params)
-    if isinstance(e, Div):
-        denom = _eval_rows(e.right, cols, params)
-        return (_eval_rows(e.left, cols, params)
-                / np.where(denom != 0.0, denom, np.nan))
-    if isinstance(e, Pow):
-        base = _eval_rows(e.base, cols, params)
-        if e.exponent < 0:
-            base = np.where(base != 0.0, base, np.nan)
-        return base ** e.exponent
-    raise TypeError("not an expression node: %r" % (e,))
-
-
-def free_params(e):
-    """Set of parameter names appearing in the expression."""
-    out = set()
-    _walk_params(e, out)
-    return out
-
-
-def _walk_params(e, out):
-    if isinstance(e, ParamRef):
-        out.add(e.name)
-    elif isinstance(e, (Neg, Exp, Ln)):
-        _walk_params(e.arg, out)
-    elif isinstance(e, (Add, Sub, Mul, Div)):
-        _walk_params(e.left, out)
-        _walk_params(e.right, out)
-    elif isinstance(e, Pow):
-        _walk_params(e.base, out)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +452,6 @@ class Web:
     params: tuple = ()  # ((name, default), ...) in declaration order
     name: str = ""
 
-    def param_defaults(self):
-        return dict(self.params)
-
     def bind(self, overrides=None):
         """Full parameter binding: declared defaults updated by overrides."""
         bound = dict(self.params)
@@ -493,49 +462,54 @@ class Web:
                 bound[k] = float(v)
         return bound
 
-    def values(self, point, params=None):
-        """(u1, u2) at point, with the given parameter overrides."""
-        bound = self.bind(params)
-        return (evaluate(self.u1, point, bound),
-                evaluate(self.u2, point, bound))
+    def _checks(self, point, params, margin):
+        """(constraint, value, holds) for each domain constraint at a point,
+        or at each row of an (N, 4) array of points, given as float64.
 
-    def admissible(self, point, params=None, margin=1e-3):
-        """True if every domain constraint holds with the given margin.
-
-        `expr != 0` requires |expr| > margin and `expr > 0` requires
-        expr > margin, so points hugging the singular set are rejected; so
-        are points where a constraint does not evaluate to a finite number.
-        Given an (N, 4) array of points, returns the (N,) boolean mask.
+        The one domain rule: a constraint holds where its value is finite
+        and exceeds margin, in magnitude for `expr != 0` and as it is for
+        `expr > 0`.  So points hugging the singular set are rejected, and
+        so are points where a constraint is undefined or infinite.
         """
         bound = self.bind(params)
-        rows = np.atleast_2d(np.asarray(point, dtype=float))
-        cols = dict(zip(VARIABLES, rows.T))
-        ok = np.ones(len(rows), dtype=bool)
+        cols = dict(zip(VARIABLES, point.T if point.ndim == 2 else point))
+        out = []
         with np.errstate(all="ignore"):
             for c in self.constraints:
                 v = _eval_rows(c.expr, cols, bound)
-                ok &= np.isfinite(v) & ((np.abs(v) if c.kind == "nonzero"
-                                         else v) > margin)
-        return ok if np.ndim(point) == 2 else bool(ok[0])
+                a = abs(v) if c.kind == "nonzero" else v
+                out.append((c, v, (a > margin) & (a < np.inf)))
+        return out
+
+    def admissible(self, point, params=None, margin=1e-3):
+        """True if every domain constraint holds with the given margin.
+        Given an (N, 4) array of points, returns the (N,) boolean mask."""
+        point = np.asarray(point, dtype=float)
+        ok = np.ones(len(point), dtype=bool) if point.ndim == 2 else True
+        for _, _, holds in self._checks(point, params, margin):
+            ok = ok & holds
+        return ok if point.ndim == 2 else bool(ok)
 
     def violated_constraint(self, point, params=None, margin=1e-3):
-        """The first failing domain constraint as text, or None if all hold."""
-        bound = self.bind(params)
-        for c in self.constraints:
-            op = "!=" if c.kind == "nonzero" else ">"
-            try:
-                v = evaluate(c.expr, point, bound)
-            except EvalError as err:
-                return "%s %s 0 (not evaluable: %s)" % (
-                    format_expr(c.expr), op, err)
-            if c.kind == "nonzero":
-                if abs(v) <= margin:
-                    return "%s != 0 (value %g, margin %g)" % (
-                        format_expr(c.expr), v, margin)
-            else:
-                if v <= margin:
-                    return "%s > 0 (value %g, margin %g)" % (
-                        format_expr(c.expr), v, margin)
+        """The first failing domain constraint as text, or None if all hold.
+
+        Given an (N, 4) array of points, the text names the first failing
+        row, then its first failing constraint.
+        """
+        point = np.asarray(point, dtype=float)
+        if point.ndim == 2:
+            bad = np.flatnonzero(~self.admissible(point, params, margin))
+            if not len(bad):
+                return None
+            row = point[bad[0]]
+            return "row %d %s: %s" % (
+                bad[0], tuple(row.tolist()),
+                self.violated_constraint(row, params, margin))
+        for c, v, holds in self._checks(point, params, margin):
+            if not holds:
+                return "%s %s 0 (value %g, margin %g)" % (
+                    format_expr(c.expr), "!=" if c.kind == "nonzero"
+                    else ">", v, margin)
         return None
 
 

@@ -12,8 +12,7 @@ Taylor arithmetic; Griewank & Walther, *Evaluating Derivatives*, ch. 13),
 and `jet_lift` lifts a sequence of expressions, such as a web's two
 defining functions, into one (N, k, 35) array in one call.  A batch row
 outside the domain of ln or of a division becomes NaN; a single jet there
-raises EvalError.  `deriv` differentiates inside the algebra and is valid
-through degree 2.
+raises EvalError.
 
 The reciprocal, exp and ln of a jet with value c0 are the series
 f0 + f1 u + f2 u^2 + f3 u^3 in the value-0 jet u left after taking c0 out,
@@ -108,13 +107,6 @@ class Jet:
         c[..., 0] = value
         return _jet(c)
 
-    @staticmethod
-    def variable(v, value):
-        """The coordinate function x_v expanded at x_v = value."""
-        jet = Jet.constant(value)
-        jet.c[..., _UNIT[v]] = 1.0
-        return jet
-
     # accessors ----------------------------------------------------------
 
     @property
@@ -125,16 +117,6 @@ class Jet:
         """The partial derivative d^alpha F at the expansion point."""
         i = INDEX[tuple(alpha)]  # KeyError for |alpha| > 3 is right
         return self.c[..., i] * _FACTORIAL[i]
-
-    def deriv(self, v):
-        """d/dx_v inside the algebra; degree-3 coefficients of the result
-        are zeroed, so treat the result as valid through degree 2 only."""
-        c = np.zeros_like(self.c)
-        for i, alpha in enumerate(MULTI):
-            if sum(alpha) < DEGREE:
-                up = alpha[:v] + (alpha[v] + 1,) + alpha[v + 1:]
-                c[..., i] = self.c[..., INDEX[up]] * (alpha[v] + 1)
-        return _jet(c)
 
     # arithmetic -----------------------------------------------------------
 
@@ -215,11 +197,6 @@ class Jet:
         w = u - u2 * 0.5 + u3 * (1.0 / 3.0)
         w[..., :1] = np.log(c0)
         return _jet(w)
-
-    def int_pow(self, k):
-        out = _int_pow(self, k)
-        return (out if isinstance(out, Jet)
-                else Jet.constant(np.full(self.c.shape[:-1], out)))
 
     def __repr__(self):
         return "Jet(value=%r)" % (self.value,)

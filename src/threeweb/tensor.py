@@ -228,20 +228,19 @@ def sym3_lower(b):
 def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True):
     """Compute every invariant of the web at one admissible point.
 
-    Given an (N, 4) array of points instead, return their SnapshotBatch
-    with no row judged: the caller decides from the batch's per-row
-    `degenerate` and `finite` flags which rows to keep.
+    Given an (N, 4) array of points instead, return their SnapshotBatch.
+    The domain gate names the first inadmissible row; past it no row is
+    judged: the caller decides from the batch's per-row `degenerate` and
+    `finite` flags which rows to keep.
     """
     bound = web.bind(params)
     point = np.asarray(point, dtype=float)
     points = np.atleast_2d(point)
     if check_domain:
-        for row in points:
-            broken = web.violated_constraint(tuple(row), bound, margin)
-            if broken is not None:
-                raise InadmissiblePoint(
-                    "inadmissible point %s: constraint %s fails"
-                    % (tuple(row.tolist()), broken))
+        broken = web.violated_constraint(point, bound, margin)
+        if broken is not None:
+            raise InadmissiblePoint("inadmissible point %s: %s" % (
+                "at" if point.ndim == 2 else tuple(point.tolist()), broken))
     # one point lifts as a single jet, which raises EvalError outside the
     # domain of ln or of a division
     coeffs = jet_lift((web.u1, web.u2), point, bound).c

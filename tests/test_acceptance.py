@@ -21,7 +21,7 @@ from threeweb.classify import (
     classify_web,
     collect_snapshots,
     hexagonality_polynomials,
-    sample_points,
+    _admissible_stream,
 )
 from threeweb.cli import main as cli_main
 from threeweb.corpus import golden_check, load_corpus, load_example
@@ -129,7 +129,9 @@ def test_jets_match_finite_difference_oracle():
     config = RunConfig(points=8, seed=271, box=(-2.5, 2.5), margin=1.0)
     for entry in load_corpus():
         bound = entry.web.bind()
-        points = sample_points(entry.web, config, bound)
+        rows = np.concatenate(list(_admissible_stream(entry.web, config,
+                                                      bound)))
+        points = list(map(tuple, rows[:config.points].tolist()))
         for expr in (entry.web.u1, entry.web.u2):
 
             def f(pt, _e=expr, _b=bound):

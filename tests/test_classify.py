@@ -16,7 +16,7 @@ from threeweb.classify import (
     _Tester,
     hexagonality_polynomials,
     mag_of,
-    sample_points,
+    _admissible_stream,
 )
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import Web, format_web, parse_web
@@ -53,16 +53,17 @@ def test_run_config_validation():
 def test_sampler_respects_domain():
     web = load_example(1).web          # needs x1 - y1 != 0
     cfg = RunConfig(points=32, seed=5)
-    for pt in sample_points(web, cfg, web.bind()):
-        assert abs(pt[0] - pt[2]) > cfg.margin
-        assert all(cfg.box[0] <= c <= cfg.box[1] for c in pt)
+    rows = np.concatenate(list(_admissible_stream(web, cfg, web.bind())))
+    assert len(rows) >= cfg.points
+    assert np.all(np.abs(rows[:, 0] - rows[:, 2]) > cfg.margin)
+    assert np.all((cfg.box[0] <= rows) & (rows <= cfg.box[1]))
 
 
 def test_sampler_exhaustion():
     web = parse_web("u1 = x1 + y1\nu2 = x2 + y2\n"
                     "domain x1 > 0\ndomain -x1 > 0\n", name="empty-domain")
     with pytest.raises(SamplerExhausted):
-        sample_points(web, RunConfig(points=8), {})
+        classify_web(web, RunConfig(points=8))
 
 
 def test_predicate_implication_chain():

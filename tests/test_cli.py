@@ -199,6 +199,15 @@ def test_snapshot_rejects_inadmissible_point(capsys):
     assert "x1 - y1 != 0" in err
 
 
+def test_snapshot_overflowing_constraint_is_an_error(capsys, tmp_path):
+    path = tmp_path / "overflow.web"
+    path.write_text("u1 = x1 + y1\nu2 = x2 * y2\ndomain exp(exp(x1)) > 0\n")
+    code, _, err = run(capsys, "snapshot", str(path),
+                       "--point", "7", "1", "2", "3")
+    assert code == 1
+    assert err.startswith("error: ") and "exp(exp(x1)) > 0" in err
+
+
 def test_snapshot_with_params(capsys):
     code, out, _ = run(capsys, "snapshot", "example08",
                        "--point", "1", "2", "1", "3", "--param", "a=0.5")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -78,8 +79,8 @@ def test_corpus_files_round_trip():
 
 
 def _naive(e, env):
-    # A second evaluator, written independently of expr._eval, used purely
-    # as a differential-testing oracle.
+    # A second evaluator, written independently of expr._eval_rows, used
+    # purely as a differential-testing oracle.
     if isinstance(e, Const):
         return e.value
     if isinstance(e, (Var, ParamRef)):
@@ -159,8 +160,7 @@ def test_param_defaults_and_overrides():
     assert web.bind({"k": 5}) == {"k": 5.0}
     with pytest.raises(EvalError):
         web.bind({"nope": 1.0})
-    u1, _ = web.values((3.0, 0.0, 0.0, 0.0), {"k": 5})
-    assert u1 == 15.0
+    assert evaluate(web.u1, (3.0, 0.0, 0.0, 0.0), web.bind({"k": 5})) == 15.0
 
 
 def test_unbound_parameter_fails_at_evaluation():
@@ -189,6 +189,28 @@ def test_admissibility_margin():
     broken = web.violated_constraint((0.0, 1.0, 0.0, 0.0))
     assert broken is not None and "x1 != 0" in broken
     assert web.violated_constraint((1.0, 1.0, 0.0, 0.0)) is None
+
+
+def _constraint_strategy():
+    return st.tuples(_expr_strategy(), st.sampled_from(["!=", ">"])).map(
+        lambda t: "domain %s %s 0\n" % (format_expr(t[0]), t[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_constraint_strategy(), min_size=1, max_size=3),
+       st.lists(st.tuples(*[st.floats(-2, 2, allow_nan=False)] * 4),
+                min_size=1, max_size=8))
+def test_mask_and_named_constraint_agree(constraints, rows):
+    web = parse_web("u1 = x1\nu2 = x2\n" + "".join(constraints))
+    rows = np.array(rows)
+    want = [web.violated_constraint(r) is None for r in rows]
+    assert web.admissible(rows).tolist() == want
+    first_bad = want.index(False) if False in want else None
+    named = web.violated_constraint(rows)
+    if first_bad is None:
+        assert named is None
+    else:
+        assert named.startswith("row %d " % first_bad)
 
 
 def test_parsed_webs_compare_structurally():

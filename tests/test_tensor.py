@@ -253,6 +253,25 @@ def test_inadmissible_point_names_the_constraint():
     assert s.det_bar != 0.0
 
 
+def test_overflowing_constraint_fails_the_gate():
+    # x1*1e308*10 is inf at x1 = 7: not finite, so the point is outside
+    web = parse_web("u1 = x1 + y1\nu2 = x2 * y2\ndomain x1*1e308*10 > 0\n")
+    pt = (7.0, 1.0, 2.0, 3.0)
+    assert not web.admissible(pt)
+    with pytest.raises(InadmissiblePoint, match="value inf"):
+        snapshot(web, pt)
+
+
+def test_batch_gate_names_the_first_bad_row():
+    web = load_example(1).web          # x1 - y1 != 0
+    points = np.tile(REFERENCE_POINT, (5, 1))
+    points[2:4, 2] = 1.0               # rows 2 and 3 sit on x1 = y1
+    with pytest.raises(InadmissiblePoint,
+                       match=r"row 2 \(1.0, 1.0, 1.0, 1.0\): x1 - y1 != 0"):
+        snapshot(web, points)
+    assert len(snapshot(web, points[:2])) == 2
+
+
 def test_margin_wider_than_default_rejects_more():
     web = load_example(1).web
     pt = (1.0, 1.0, 0.99, 1.0)         # x1 - y1 = 0.01

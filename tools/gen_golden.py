@@ -682,10 +682,9 @@ def build(index, spec):
     P = pipeline(u1, u2)
 
     points = spec["points"]
-    defaults = web.param_defaults()
     for pnt in points:
         fl = tuple(float(c) for c in pnt)
-        if not web.admissible(fl, defaults):
+        if not web.admissible(fl):
             raise SystemExit("%s: stored point %s is inadmissible"
                              % (name, fl))
 
