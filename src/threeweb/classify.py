@@ -16,12 +16,14 @@ outside an implicit domain; only running out of draws is an error.
 
 The sample is one SnapshotBatch, and each zero test reduces its residual
 over all rows at once.  A residual that is not finite fails the test.  The
-tests linear in the snapshot fields are data (LINEAR_TESTS) and run as one
-matrix product; E1..E8 are sets of their verdicts (E_PATTERNS).
+tests linear in the snapshot fields are data (LINEAR_TESTS), read off at
+import into one matrix on the snapshot map's input x; E1..E8 are sets of
+their verdicts (E_PATTERNS).
 
-Residuals are always measured against the larger of 1 and the magnitude of
-the tensors entering the tested identity, so roundoff noise from large
-intermediate values cannot flip a verdict.
+Every residual component is measured against the larger of 1 and its
+componentwise roundoff bound, the same arithmetic on magnitudes (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 3), so roundoff from
+large intermediate values cannot flip a verdict.
 
 The label lattice, with the defining predicate of each label:
 
@@ -47,12 +49,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 
 from .expr import Web
-from .tensor import SnapshotBatch, TensorSnapshot, snapshot, sym3_lower
+from .tensor import UNIT_FIELDS, SnapshotBatch, snapshot, sym3_lower
 
 
 class SamplerExhausted(RuntimeError):
@@ -106,8 +107,9 @@ class IdentityVerdict:
 # reciprocal normalized determinant (measured: ~5th power on the corpus
 # webs).  Points whose Jacobian rows are closer to parallel than this floor
 # are rejected during classification sampling; 0.05 keeps residuals of true
-# identities below ~1e-9 while discarding at most a third of the draws on
-# the worst corpus web.
+# identities below 4e-13 (the largest over the corpus at seeds 1000-1999 is
+# 3.2e-13) while discarding at most a third of the draws on the worst
+# corpus web.
 NDET_FLOOR = 0.05
 
 # A failing zero test's witness is the last row whose residual is within
@@ -187,7 +189,8 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
         rows = np.flatnonzero(ok)[:config.points - found]
         kept.append(batch[rows])
         found += len(rows)
-    return SnapshotBatch.concat(kept)
+    # one batch is already a copy of its kept rows
+    return kept[0] if len(kept) == 1 else SnapshotBatch.concat(kept)
 
 
 def hexagonality_polynomials(snap, t):
@@ -219,20 +222,17 @@ def hexagonality_polynomials(snap, t):
 
 
 # The zero tests that are linear in the snapshot fields, as data: each name
-# maps to its residual components, written over the fields of a batch, and
-# to the fields whose largest component (floored at 1) sets its scale.  At
-# import the components are read off into one residual matrix, so one
-# matrix product runs them all.  In report order: the lattice, the
-# torsion-direction branch, the p/q vanishing patterns.
+# maps to its residual components, written over the fields of a batch.  In
+# report order: the lattice, the torsion-direction branch, the p/q vanishing
+# patterns.
 LATTICE = {
-    "isoclinic": (lambda s: [s.p[:, 0, 1] - s.p[:, 1, 0],
-                             s.q[:, 0, 1] - s.q[:, 1, 0]], "p q"),
-    "isoclinicly_geodesic": (lambda s: [s.a_cov], "a_cov gamma"),
-    "transversally_geodesic": (lambda s: [s.a4], "a4 b f2 g2 h2"),
-    "almost_algebraizable": (lambda s: [s.f2 + s.g2 + s.h2], "f2 g2 h2"),
-    "almost_Bol": (lambda s: [s.f2 + s.g2, s.h2], "f2 g2 h2"),
-    "almost_parallelizable": (lambda s: [s.f2, s.g2, s.h2],
-                              "b p q f2 g2 h2"),
+    "isoclinic": lambda s: [s.p[:, 0, 1] - s.p[:, 1, 0],
+                            s.q[:, 0, 1] - s.q[:, 1, 0]],
+    "isoclinicly_geodesic": lambda s: [s.a_cov],
+    "transversally_geodesic": lambda s: [s.a4],
+    "almost_algebraizable": lambda s: [s.f2 + s.g2 + s.h2],
+    "almost_Bol": lambda s: [s.f2 + s.g2, s.h2],
+    "almost_parallelizable": lambda s: [s.f2, s.g2, s.h2],
 }
 
 
@@ -244,35 +244,33 @@ def _balance(s):
 
 
 BRANCH = {
-    "a1_zero": (lambda s: [s.a_cov[:, 0]], "a_cov"),
-    "a2_zero": (lambda s: [s.a_cov[:, 1]], "a_cov"),
-    "a1_eq_a2": (lambda s: [s.a_cov[:, 0] - s.a_cov[:, 1]], "a_cov"),
-    "omega21_zero": (lambda s: [s.gamma[:, 0, 0, 1], s.gamma[:, 0, 1]],
-                     "gamma"),
-    "omega12_zero": (lambda s: [s.gamma[:, 1, 0], s.gamma[:, 1, 1, 0]],
-                     "gamma"),
-    "p22_q22_zero": (lambda s: [s.p[:, 1, 1], s.q[:, 1, 1]], "p q"),
-    "p11_q11_zero": (lambda s: [s.p[:, 0, 0], s.q[:, 0, 0]], "p q"),
-    "pq_quadsum_zero": (lambda s: [m[:, 0, 0] - m[:, 0, 1] - m[:, 1, 0]
-                                   + m[:, 1, 1] for m in (s.p, s.q)], "p q"),
-    "b_222_zero": (lambda s: [s.b[:, :, 1, 1, 1]], "b"),
-    "b_111_zero": (lambda s: [s.b[:, :, 0, 0, 0]], "b"),
-    "omega_balance": (_balance, "gamma"),
-    "hex_at_1": (lambda s: hexagonality_polynomials(s, 1.0)[1:], "b"),
+    "a1_zero": lambda s: [s.a_cov[:, 0]],
+    "a2_zero": lambda s: [s.a_cov[:, 1]],
+    "a1_eq_a2": lambda s: [s.a_cov[:, 0] - s.a_cov[:, 1]],
+    "omega21_zero": lambda s: [s.gamma[:, 0, 0, 1], s.gamma[:, 0, 1]],
+    "omega12_zero": lambda s: [s.gamma[:, 1, 0], s.gamma[:, 1, 1, 0]],
+    "p22_q22_zero": lambda s: [s.p[:, 1, 1], s.q[:, 1, 1]],
+    "p11_q11_zero": lambda s: [s.p[:, 0, 0], s.q[:, 0, 0]],
+    "pq_quadsum_zero": lambda s: [m[:, 0, 0] - m[:, 0, 1] - m[:, 1, 0]
+                                  + m[:, 1, 1] for m in (s.p, s.q)],
+    "b_222_zero": lambda s: [s.b[:, :, 1, 1, 1]],
+    "b_111_zero": lambda s: [s.b[:, :, 0, 0, 0]],
+    "omega_balance": _balance,
+    "hex_at_1": lambda s: hexagonality_polynomials(s, 1.0)[1:],
 }
 
 E_TESTS = {
-    "e_p_zero": (lambda s: [s.p], "p q"),
-    "e_q_zero": (lambda s: [s.q], "p q"),
-    "e_p11": (lambda s: [s.p[:, 0, 0]], "p q"),
-    "e_p12": (lambda s: [s.p[:, 0, 1], s.p[:, 1, 0]], "p q"),
-    "e_p22": (lambda s: [s.p[:, 1, 1]], "p q"),
-    "e_q11": (lambda s: [s.q[:, 0, 0]], "p q"),
-    "e_q12": (lambda s: [s.q[:, 0, 1], s.q[:, 1, 0]], "p q"),
-    "e_q22": (lambda s: [s.q[:, 1, 1]], "p q"),
-    "e_pq_sum": (lambda s: [s.p + s.q], "p q"),
-    "e_p22_plus_q22": (lambda s: [s.p[:, 1, 1] + s.q[:, 1, 1]], "p q"),
-    "e_p11_plus_q11": (lambda s: [s.p[:, 0, 0] + s.q[:, 0, 0]], "p q"),
+    "e_p_zero": lambda s: [s.p],
+    "e_q_zero": lambda s: [s.q],
+    "e_p11": lambda s: [s.p[:, 0, 0]],
+    "e_p12": lambda s: [s.p[:, 0, 1], s.p[:, 1, 0]],
+    "e_p22": lambda s: [s.p[:, 1, 1]],
+    "e_q11": lambda s: [s.q[:, 0, 0]],
+    "e_q12": lambda s: [s.q[:, 0, 1], s.q[:, 1, 0]],
+    "e_q22": lambda s: [s.q[:, 1, 1]],
+    "e_pq_sum": lambda s: [s.p + s.q],
+    "e_p22_plus_q22": lambda s: [s.p[:, 1, 1] + s.q[:, 1, 1]],
+    "e_p11_plus_q11": lambda s: [s.p[:, 0, 0] + s.q[:, 0, 0]],
 }
 
 # (label, tests that must vanish, tests that must not), most specific first
@@ -289,37 +287,46 @@ E_PATTERNS = (
     ("E8", "e_pq_sum", ""),
 )
 
-# the fields the linear tests read, in the row order of their matrix
-_INPUTS = ("gamma", "a_cov", "b", "p", "q", "f2", "g2", "h2", "a4")
-_RANKS = [TensorSnapshot._FIELDS[name] for name in _INPUTS]
-_INPUT_STARTS = np.cumsum([0] + [2 ** r for r in _RANKS])
-
-
-def _compile_tests(tests):
-    """The residual matrix (K, C) taking the K input components of a row
-    to the C residual components of `tests`, each test's first column, and
-    the (inputs, tests) mask of the fields that set each test's scale.  The
-    matrix is read off the formulas at the unit basis of the inputs."""
-    eye = np.eye(_INPUT_STARTS[-1])
-    fields = SimpleNamespace(**{
-        name: eye[:, a:b].reshape((-1,) + (2,) * r) for name, a, b, r
-        in zip(_INPUTS, _INPUT_STARTS, _INPUT_STARTS[1:], _RANKS)})
-    columns, widths = [], [0]
-    for components, _ in tests.values():
-        block = [c.reshape(len(eye), -1) for c in components(fields)]
-        columns += block
-        widths.append(sum(c.shape[1] for c in block))
-    # every coefficient is a multiple of 1/12: rounding to it removes the
-    # roundoff of the read-off (tests hold the matrix to the formulas)
-    matrix = np.round(np.concatenate(columns, 1) * 12.0) / 12.0
-    scales = [scale.split() for _, scale in tests.values()]
-    mask = np.fromiter((name in scale for name in _INPUTS for scale in scales),
-                       bool, len(_INPUTS) * len(scales))
-    return matrix, np.cumsum(widths[:-1]), mask.reshape(len(_INPUTS), -1)
+def _read_off(tests):
+    """The matrix (104, C) taking a row's x to the C residual components of
+    `tests`, read off their formulas at the unit vectors of x, and each
+    test's first column."""
+    blocks = [np.concatenate([np.reshape(c, (len(c), -1))
+                              for c in components(UNIT_FIELDS)], 1)
+              for components in tests.values()]
+    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    return np.concatenate(blocks, 1), starts
 
 
 LINEAR_TESTS = {**LATTICE, **BRANCH, **E_TESTS}
-_RESIDUALS, _TEST_STARTS, _SCALES = _compile_tests(LINEAR_TESTS)
+_RESIDUALS, _TEST_STARTS = _read_off(LINEAR_TESTS)
+# the coefficients of the map and of the formulas are multiples of 1/12, so
+# every entry is one of 1/144: rounding to it removes the roundoff of the
+# read-off (tests hold the matrix to the formulas)
+_RESIDUALS = np.round(_RESIDUALS * 144.0) / 144.0
+
+
+def _tests_at(t):
+    """The tests at a constant t, both linear in x: the frame-alignment
+    identity, informational only (the connection form omega_2^1 should
+    equal t^2 omega_1^2 + t(omega_1^1 - omega_2^2) coefficientwise, on
+    either base form), and hexagonality at t."""
+    def frame_alignment(s):
+        return [w[:, 0, 1] - t * t * w[:, 1, 0] - t * (w[:, 0, 0] - w[:, 1, 1])
+                for w in (s.gamma.swapaxes(2, 3), s.gamma)]
+
+    return {"frame_alignment_residual": frame_alignment,
+            "hex_at_t": lambda s: hexagonality_polynomials(s, t)[1:]}
+
+
+# their matrix is a cubic in t: its coefficients, solved for from the
+# read-offs at t = 0, 1, 2, 3 and rounded like _RESIDUALS
+_AT_T_STARTS = _read_off(_tests_at(0.0))[1]
+_AT_T = np.linalg.solve(np.vander(np.arange(4.0), increasing=True), np.array(
+    [_read_off(_tests_at(t))[0] for t in range(4)]).reshape(4, -1))
+_AT_T = np.round(_AT_T.reshape(4, len(_RESIDUALS), -1) * 144.0) / 144.0
+# |p| and |q| as functions of x, for the bound of integrability
+_PQ_ABS = np.abs(_read_off({"pq": lambda s: [s.p, s.q]})[0])
 # every zero test, in the order the report lists inconclusive ones
 _ORDER = (*LATTICE, "integrability", *BRANCH, "hex_at_t", *E_TESTS)
 
@@ -327,9 +334,10 @@ _ORDER = (*LATTICE, "integrability", *BRANCH, "hex_at_t", *E_TESTS)
 class _Tester:
     """Runs zero-identity tests over a fixed snapshot sample, a batch.
 
-    `linear()` runs every test of LINEAR_TESTS at once.  `zero` runs one
-    more: `values_fn(batch)` returns a list of arrays with one row per
-    point, and `scale_fn(batch)` the per-row scale of the identity.  The
+    Each residual component is measured against the larger of 1 and the
+    componentwise roundoff bound of the arithmetic that produced it: for a
+    test linear in x, the residual is x @ M and its bound x_abs @ |M|.  A
+    test's residual is the largest over its components and the rows.  The
     names of tests landing in the ambiguity band collect in `ambiguous`.
     """
 
@@ -337,31 +345,29 @@ class _Tester:
         self.snaps = snaps
         self.tol = tol
         self.ambiguous = []
+        self.x_abs = snaps.x_abs()
 
-    def linear(self):
-        """The verdict of each test of LINEAR_TESTS, by name."""
-        n = len(self.snaps)
-        x = np.concatenate([getattr(self.snaps, name).reshape(n, -1)
-                            for name in _INPUTS], 1)
-        top = np.maximum.reduceat(np.abs(x), _INPUT_STARTS[:-1], axis=1)
-        scale = np.maximum(1.0, (top[:, :, None] * _SCALES).max(axis=1))
-        worst = np.maximum.reduceat(np.abs(x @ _RESIDUALS), _TEST_STARTS,
-                                    axis=1)
-        return dict(zip(LINEAR_TESTS,
-                        self._verdicts(LINEAR_TESTS, worst / scale)))
+    def worst(self, matrix, starts):
+        """(rows, tests): per row, each test's largest |x @ matrix| over
+        max(1, x_abs @ |matrix|), the tests starting at the columns
+        `starts`."""
+        ratio = (np.abs(self.snaps.x @ matrix)
+                 / np.maximum(1.0, self.x_abs @ np.abs(matrix)))
+        return np.maximum.reduceat(ratio, starts, axis=1)
 
-    def residuals(self, values_fn, scale_fn):
-        """Per row, the largest |value| over max(1, scale)."""
-        n = len(self.snaps)
-        worst = np.maximum.reduce([np.abs(v).reshape(n, -1).max(axis=1)
-                                   for v in values_fn(self.snaps)])
-        return worst / np.maximum(1.0, scale_fn(self.snaps))
+    def integrability(self):
+        """(rows, 1): the torsion-direction forms of p and q, w . m with the
+        weights w = (a2^2, -a1 a2, -a1 a2, a1^2) on m's components, over
+        the bound |w| . (their bounds), which takes a as exact."""
+        a1, a2 = self.snaps.a_cov.T[:, :, None]
+        w = np.stack([a2 * a2, -a1 * a2, -a1 * a2, a1 * a1], -1)
+        pq = np.stack([self.snaps.p, self.snaps.q], 1).reshape(-1, 2, 4)
+        bound = (self.x_abs @ _PQ_ABS).reshape(pq.shape)
+        ratio = (np.abs((w * pq).sum(-1))
+                 / np.maximum(1.0, (np.abs(w) * bound).sum(-1)))
+        return ratio.max(axis=1, keepdims=True)
 
-    def zero(self, name, values_fn, scale_fn):
-        resid = self.residuals(values_fn, scale_fn)
-        return self._verdicts([name], resid[:, None])[0]
-
-    def _verdicts(self, names, resid):
+    def verdicts(self, names, resid):
         """A verdict per column of the (rows, tests) residuals.  A NaN
         residual counts as infinite, so it fails and is the witness."""
         resid = np.where(np.isnan(resid), np.inf, resid)
@@ -435,7 +441,8 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
     bound = web.bind(params)
     snaps = collect_snapshots(web, config, bound)
     T = _Tester(snaps, config.tol)
-    tests = T.linear()
+    tests = dict(zip(LINEAR_TESTS, T.verdicts(
+        LINEAR_TESTS, T.worst(_RESIDUALS, _TEST_STARTS))))
 
     preds = {name: tests[name] for name in LATTICE}
     geodesic = preds["transversally_geodesic"]
@@ -468,17 +475,8 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
 
 def _branch_a(T, tests):
     """The torsion-direction branch: verdicts plus the final A label."""
-    def quad_values(s):
-        a1, a2 = s.a_cov.T
-        return [a2 * a2 * m[:, 0, 0] - a1 * a2 * (m[:, 0, 1] + m[:, 1, 0])
-                + a1 * a1 * m[:, 1, 1] for m in (s.p, s.q)]
-
-    def quad_scale(s):
-        a1, a2 = np.abs(s.a_cov.T)
-        return (a1 + a2) ** 2 * mag_of("p", "q")(s)
-
-    branch = {"integrability": T.zero("integrability", quad_values,
-                                      quad_scale)}
+    branch = {"integrability": T.verdicts(["integrability"],
+                                          T.integrability())[0]}
     branch.update((name, tests[name]) for name in BRANCH)
     branch.update(t_constant=None, t_value=None,
                   frame_alignment_residual=None, hex_at_t=None)
@@ -495,24 +493,10 @@ def _branch_a(T, tests):
 
     t0 = branch["t_value"]
     if t0 is not None:
-        # frame-alignment identity at constant t, informational only: the
-        # connection form omega_2^1 should equal t^2 omega_1^2 +
-        # t(omega_1^1 - omega_2^2) coefficientwise when t is constant
-        def frame_vals(s):
-            g = s.gamma
-            return [g[:, 0, :, 1] - t0 ** 2 * g[:, 1, :, 0]
-                    - t0 * (g[:, 0, :, 0] - g[:, 1, :, 1]),
-                    g[:, 0, 1] - t0 ** 2 * g[:, 1, 0]
-                    - t0 * (g[:, 0, 0] - g[:, 1, 1])]
-
-        def frame_scale(s):
-            return s.magnitude("gamma") * max(1.0, abs(t0)) ** 2
-
-        branch["frame_alignment_residual"] = float(
-            np.max(T.residuals(frame_vals, frame_scale)))
-        branch["hex_at_t"] = T.zero(
-            "hex_at_t", lambda s: hexagonality_polynomials(s, t0)[1:],
-            lambda s: s.magnitude("b") * max(1.0, abs(t0)) ** 3)
+        worst = T.worst(np.tensordot(t0 ** np.arange(4.0), _AT_T, 1),
+                        _AT_T_STARTS)
+        branch["frame_alignment_residual"] = float(np.max(worst[:, 0]))
+        branch["hex_at_t"] = T.verdicts(["hex_at_t"], worst[:, 1:])[0]
 
     # label walk
     if tests["isoclinicly_geodesic"].holds:
@@ -540,12 +524,6 @@ def _branch_a(T, tests):
         if branch["hex_at_t"] is not None and branch["hex_at_t"].holds:
             label = "A111"
     return branch, label
-
-
-def mag_of(*names):
-    def scale(s):
-        return np.maximum.reduce([s.magnitude(n) for n in names])
-    return scale
 
 
 def _branch_cd(preds):

@@ -223,12 +223,12 @@ def _exp(x):
 
 
 def _int_pow(x, k):
-    """x^k for an int k, on a Jet or a float: 1.0 for k = 0, else |k| - 1
-    multiplies."""
+    """x^k for an int k, on a Jet or a float: the constant 1 for k = 0,
+    NaN where x is not finite, else |k| - 1 multiplies."""
     if not isinstance(k, int):
         raise EvalError("jet powers must have integer exponents")
     if k == 0:
-        return 1.0
+        return x * 0.0 + 1.0
     if k < 0:
         x, k = _reciprocal(x), -k
     out = x

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -167,8 +168,10 @@ class TensorSnapshot:
 class SnapshotBatch:
     """The invariants at N points: each TensorSnapshot field with a leading
     axis of N (`t_ratio` NaN for None), `points` (N, 4), and the rows'
-    `degenerate` and `finite` flags.  An int index gives one
-    TensorSnapshot, a slice or index array a batch.
+    `degenerate` and `finite` flags.  Also the input `x` (N, 104) of the
+    map the fields came from, and the frame products `x` was formed from:
+    `frame` (N,4,4), `hess_frame` (N,2,4,4) and `third_frame` (N,2,4,2,2).
+    An int index gives one TensorSnapshot, a slice or index array a batch.
     """
 
     def __init__(self, points, params, fields):
@@ -176,7 +179,6 @@ class SnapshotBatch:
         self.params = params
         self.fields = fields
         self.__dict__.update(fields)
-        self._magnitudes = {}
 
     @classmethod
     def concat(cls, batches):
@@ -207,13 +209,14 @@ class SnapshotBatch:
             **{name: self.fields[name][i].copy() if copy
                else self.fields[name][i] for name in TensorSnapshot._FIELDS})
 
-    def magnitude(self, name):
-        """Per row, the largest absolute component of one field; computed
-        once per batch."""
-        if name not in self._magnitudes:
-            x = np.abs(getattr(self, name))
-            self._magnitudes[name] = x.max(axis=tuple(range(1, x.ndim)))
-        return self._magnitudes[name]
+    def x_abs(self):
+        """|x|, except that D gamma's part is its arithmetic redone on the
+        magnitudes of the frame products, which covers the cancellation
+        there: the magnitude of what formed x.  Computed on demand."""
+        out = np.abs(self.x)
+        out[:, 8:40] = _minus_d_gamma(out[:, :8], *map(np.abs, (
+            self.frame, self.hess_frame, self.third_frame)))
+        return out
 
 
 def sym3_lower(b):
@@ -329,6 +332,11 @@ _MAP = np.concatenate([LIN[:8], -LIN[8:], QUAD])
 _FIELD_COLUMNS = [(name, columns, (-1,) + shape)
                   for name, (columns, shape) in _SEGMENTS.items()
                   if name in TensorSnapshot._FIELDS]
+# the fields that are linear in x, at each of its 104 unit vectors: gamma
+# is x's first 8 components, the others are the map's rows
+UNIT_FIELDS = SimpleNamespace(gamma=np.eye(len(_MAP), 8).reshape(-1, 2, 2, 2),
+                              **{name: _MAP[:, columns].reshape(shape)
+                                 for name, columns, shape in _FIELD_COLUMNS})
 # a_cov, p, q and the asymmetries of p and q: the last 12 columns
 _SMALL = slice(_SEGMENTS["a_cov"][0].start, None)
 # the 36 partials a snapshot reads of each function, in a row of the lifted
@@ -345,6 +353,17 @@ _READ_FACTORIAL = np.tile(_FACTOR, 2)
 _GAMMA_HESS = (np.einsum("gipk,ja->gijkpa", _BASIS, np.eye(4)[:2])
                + np.einsum("gijp,ka->gijkpa", _BASIS, np.eye(4)[2:])
                ).reshape(8, 64)
+
+
+def _minus_d_gamma(g, frame, hess_frame, third_frame):
+    """-D gamma (N, 32), axes i, j, k, r: by d(gbar) = -gbar d(fbar) gbar,
+    the third partials in the frame plus, through _GAMMA_HESS, gamma times
+    the frame Hessian."""
+    n = len(g)
+    return ((third_frame.transpose(0, 1, 3, 4, 2) @ frame[:, None, None])
+            .reshape(n, 32)
+            + ((g @ _GAMMA_HESS).reshape(n, 8, 8)
+               @ hess_frame.reshape(n, 8, 4)).reshape(n, 32))
 
 
 def _invariants(points, bound, coeffs):
@@ -375,15 +394,10 @@ def _invariants(points, bound, coeffs):
     hess_frame = np.swapaxes(frame, 1, 2)[:, None] @ hess @ frame[:, None]
     gamma = -hess_frame[:, :, :2, 2:]
     g = gamma.reshape(n, 8)
-    # by d(gbar) = -gbar d(fbar) gbar, -D gamma (axes i, j, k, r) is the
-    # third partials in the frame plus, through _GAMMA_HESS, gamma times the
-    # frame Hessian
+    # the third partials in the frame, axes (i, s, j, k)
     third_frame = (np.swapaxes(gbar, 1, 2)[:, None, None] @ third
-                   @ gtil[:, None, None]).transpose(0, 1, 3, 4, 2)
-    minus_d_gamma = ((third_frame @ frame[:, None, None]).reshape(n, 32)
-                     + ((g @ _GAMMA_HESS).reshape(n, 8, 8)
-                        @ hess_frame.reshape(n, 8, 4)).reshape(n, 32))
-    x = np.concatenate([g, minus_d_gamma,
+                   @ gtil[:, None, None])
+    x = np.concatenate([g, _minus_d_gamma(g, frame, hess_frame, third_frame),
                         (g[:, :, None] * g[:, None, :]).reshape(n, 64)], 1)
     out = x @ _MAP
     fields = {name: out[:, columns].reshape(shape)
@@ -403,5 +417,6 @@ def _invariants(points, bound, coeffs):
     return SnapshotBatch(points, bound, dict(
         fields, fbar=blocks[:, 0], ftilde=blocks[:, 1], gbar=gbar,
         gtilde=gtil, gamma=gamma, det_bar=det[:, 0], det_til=det[:, 1],
-        t_ratio=t_ratio, non_isoclinic=non_isoclinic,
+        t_ratio=t_ratio, non_isoclinic=non_isoclinic, x=x, frame=frame,
+        hess_frame=hess_frame, third_frame=third_frame,
         degenerate=singular.any(axis=1), finite=finite))

@@ -15,12 +15,11 @@ from threeweb.classify import (
     e_label,
     _Tester,
     hexagonality_polynomials,
-    mag_of,
     _admissible_stream,
 )
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import Web, format_web, parse_web
-from threeweb.tensor import TensorSnapshot, snapshot
+from threeweb.tensor import UNIT_FIELDS, snapshot
 
 EX9_MUTATED_BILINEAR = (
     "u1 = x1*y1 + x2*y2 + 0.1*x1*y1\n"
@@ -205,37 +204,61 @@ def test_ambiguity_band_is_reported():
 
 # --- the linear zero tests as one residual matrix ----------------------
 
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-def test_compiled_tests_match_their_formulas(scale):
-    rng = np.random.default_rng(12)
-    n = 50
-    fields = {name: rng.normal(size=(n,) + (2,) * TensorSnapshot._FIELDS[name])
-              * scale for name in classify._INPUTS}
-    x = np.concatenate([v.reshape(n, -1) for v in fields.values()], 1)
+def assert_matrix_matches_formulas(x, fields):
+    """x @ _RESIDUALS, split per test, against LINEAR_TESTS evaluated on
+    `fields`, to within roundoff relative to the largest x of each row."""
     got = np.split(x @ classify._RESIDUALS, classify._TEST_STARTS[1:], 1)
     assert len(got) == len(classify.LINEAR_TESTS)
-    # relative to the largest input of each row
-    bound = 1e-13 * np.abs(x).max(1, keepdims=True)
-    for block, (name, (components, _)) in zip(
-            got, classify.LINEAR_TESTS.items()):
-        want = np.concatenate([np.reshape(c, (n, -1))
-                               for c in components(SimpleNamespace(**fields))],
-                              1)
+    bound = 1e-13 * np.maximum(1.0, np.abs(x).max(1, keepdims=True))
+    for block, (name, components) in zip(got, classify.LINEAR_TESTS.items()):
+        want = np.concatenate([np.reshape(c, (len(x), -1))
+                               for c in components(fields)], 1)
         assert block.shape == want.shape, name
         assert np.all(np.abs(block - want) <= bound), name
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_compiled_tests_match_their_formulas(scale):
+    x = np.random.default_rng(12).normal(size=(50, 104)) * scale
+    # the fields are linear in x
+    fields = {name: np.tensordot(x, unit, 1)
+              for name, unit in vars(UNIT_FIELDS).items()}
+    assert_matrix_matches_formulas(x, SimpleNamespace(**fields))
+
+
+@pytest.mark.parametrize("t", [-2.5, -0.3, 0.7, 1.0, 4.0])
+def test_tests_at_t_match_their_formulas(t):
+    want, starts = classify._read_off(classify._tests_at(t))
+    got = np.tensordot(t ** np.arange(4.0), classify._AT_T, 1)
+    assert np.array_equal(starts, classify._AT_T_STARTS)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13 * max(1.0, abs(t)) ** 3)
+
+
 @pytest.mark.parametrize("index", [1, 6, 9])
-def test_linear_verdicts_match_one_test_at_a_time(index):
+def test_residual_matrix_and_bound_on_real_batches(index):
     snaps = collect_snapshots(load_example(index).web, RunConfig(points=16))
-    got = _Tester(snaps, 1e-7).linear()
-    for name, (components, fields) in classify.LINEAR_TESTS.items():
-        want = _Tester(snaps, 1e-7).zero(name, components,
-                                         mag_of(*fields.split()))
-        assert got[name].holds == want.holds, name
-        assert got[name].witness == want.witness, name
-        assert got[name].max_residual == pytest.approx(
-            want.max_residual, rel=1e-12, abs=1e-15), name
+    assert_matrix_matches_formulas(snaps.x, snaps)
+    assert np.all(snaps.x_abs() >= np.abs(snaps.x))
+
+
+@pytest.mark.parametrize("index,seed", [(4, 60), (4, 100), (4, 140),
+                                        (4, 1020), (4, 1041), (3, 1190)])
+def test_labels_where_roundoff_was_under_scaled(index, seed):
+    # example04's p and q vanish identically, and example03's b does; at
+    # these seeds their roundoff, measured against scales that left gamma
+    # out, once failed integrability (A2) and almost_parallelizable (D22)
+    entry = load_example(index)
+    r = classify_web(entry.web, RunConfig(seed=seed))
+    assert r.labels == entry.expected_labels
+
+
+@pytest.mark.parametrize("seed", [1172, 1233])
+def test_bound_covers_the_cancellation_in_d_gamma(seed):
+    # a bound on |x| alone, without the products D gamma is summed from,
+    # labels example07 A2 C11 E8 at these seeds
+    r = classify_web(load_example(7).web, RunConfig(seed=seed))
+    assert r.labels == ("A2", "D21", "E8")
+    assert r.inconclusive == ()
 
 
 def if_chain_e_label(z):
@@ -299,13 +322,19 @@ def test_undefined_points_count_as_outside_the_domain():
     assert classify_web(web).labels == ("B", "D232", "E1")
 
 
+def zero_test(snaps, name, components):
+    T = _Tester(snaps, 1e-7)
+    return T.verdicts([name], T.worst(*classify._read_off(
+        {name: components})))[0]
+
+
 def test_zero_test_never_skips_a_nan_row():
     web = load_example(9).web
     snaps = collect_snapshots(web, RunConfig(points=8))
-    vanishing = (lambda s: [s.b - s.b], mag_of("b"))
-    assert _Tester(snaps, 1e-7).zero("b", *vanishing).holds
-    snaps.b[3, 1, 0, 0, 0] = np.nan
-    verdict = _Tester(snaps, 1e-7).zero("b", *vanishing)
+    vanishing = lambda s: [s.a4]  # noqa: E731
+    assert zero_test(snaps, "a4", vanishing).holds
+    snaps.x[3] = np.nan
+    verdict = zero_test(snaps, "a4", vanishing)
     assert not verdict.holds
     assert verdict.max_residual == np.inf
     assert verdict.witness == tuple(snaps.points[3])
@@ -315,8 +344,7 @@ def test_zero_test_witness_is_the_last_worst_row():
     snaps = collect_snapshots(load_example(9).web, RunConfig(points=8))
     values = np.zeros(len(snaps))
     values[[2, 5]] = 1.0
-    verdict = _Tester(snaps, 1e-7).zero("planted", lambda s: [values],
-                                         lambda s: 1.0)
+    verdict = _Tester(snaps, 1e-7).verdicts(["planted"], values[:, None])[0]
     assert verdict.max_residual == 1.0
     assert verdict.witness == tuple(snaps.points[5])
 
@@ -329,8 +357,8 @@ def test_zero_test_witness_survives_last_bit_changes():
             values = np.zeros(len(snaps))
             values[[2, 5]] = 1.0
             values[row] = np.nextafter(1.0, toward)
-            verdict = _Tester(snaps, 1e-7).zero(
-                "planted", lambda s: [values], lambda s: 1.0)
+            verdict = _Tester(snaps, 1e-7).verdicts(["planted"],
+                                                    values[:, None])[0]
             assert verdict.witness == tuple(snaps.points[5]), (row, toward)
 
 

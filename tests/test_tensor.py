@@ -332,6 +332,8 @@ def test_batch_matches_single_point_snapshots():
     ("u1 = ln(x1) + y1*x2\nu2 = x2*y2 + y1\n", (-1.0, 0.5, 1.0, 2.0)),
     # exp(exp(9)) overflows
     ("u1 = exp(exp(x1*y1)) + y2\nu2 = x2 + y1\n", (3.0, 0.5, 3.0, 2.0)),
+    # the zeroth power of an undefined base is undefined
+    ("u1 = ln(x1)^0 + x1 + y1*x2\nu2 = x2*y2 + y1\n", (-1.0, 0.5, 1.0, 2.0)),
 ])
 def test_bad_row_mid_batch_is_masked_alone(text, bad_point):
     web = load_example(1).web if text is None else parse_web(text)

@@ -20,9 +20,8 @@ It also runs `threeweb snapshot --format json` in both trees, at each
 bundled web's stored points and at 20 seeded admissible points per web
 (drawn once, by the first tree, and given to both).  For each field it
 prints the largest change relative to the larger of 1 and that field's
-largest component in the same snapshot, the scale the zero tests use (a
-field that vanishes identically holds only roundoff), and where that
-change is.  Snapshot changes are reported only; they do not set the exit
+largest component in the same snapshot (a field that vanishes identically
+holds only roundoff), and where that change is.  Snapshot changes are reported only; they do not set the exit
 status.
 
 Exit status 1 when a table differs or the labels bucket is not empty.
