@@ -189,8 +189,7 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
         rows = np.flatnonzero(ok)[:config.points - found]
         kept.append(batch[rows])
         found += len(rows)
-    # one batch is already a copy of its kept rows
-    return kept[0] if len(kept) == 1 else SnapshotBatch.concat(kept)
+    return SnapshotBatch.concat(kept)
 
 
 def hexagonality_polynomials(snap, t):
@@ -304,6 +303,7 @@ _RESIDUALS, _TEST_STARTS = _read_off(LINEAR_TESTS)
 # every entry is one of 1/144: rounding to it removes the roundoff of the
 # read-off (tests hold the matrix to the formulas)
 _RESIDUALS = np.round(_RESIDUALS * 144.0) / 144.0
+_RESIDUALS_ABS = np.abs(_RESIDUALS)
 
 
 def _tests_at(t):
@@ -319,14 +319,8 @@ def _tests_at(t):
             "hex_at_t": lambda s: hexagonality_polynomials(s, t)[1:]}
 
 
-# their matrix is a cubic in t: its coefficients, solved for from the
-# read-offs at t = 0, 1, 2, 3 and rounded like _RESIDUALS
-_AT_T_STARTS = _read_off(_tests_at(0.0))[1]
-_AT_T = np.linalg.solve(np.vander(np.arange(4.0), increasing=True), np.array(
-    [_read_off(_tests_at(t))[0] for t in range(4)]).reshape(4, -1))
-_AT_T = np.round(_AT_T.reshape(4, len(_RESIDUALS), -1) * 144.0) / 144.0
-# |p| and |q| as functions of x, for the bound of integrability
-_PQ_ABS = np.abs(_read_off({"pq": lambda s: [s.p, s.q]})[0])
+# |a|, |p| and |q| as functions of x, for the bound of integrability
+_APQ_ABS = np.abs(_read_off({"apq": lambda s: [s.a_cov, s.p, s.q]})[0])
 # every zero test, in the order the report lists inconclusive ones
 _ORDER = (*LATTICE, "integrability", *BRANCH, "hex_at_t", *E_TESTS)
 
@@ -347,24 +341,27 @@ class _Tester:
         self.ambiguous = []
         self.x_abs = snaps.x_abs()
 
-    def worst(self, matrix, starts):
+    def worst(self, matrix, abs_matrix, starts):
         """(rows, tests): per row, each test's largest |x @ matrix| over
-        max(1, x_abs @ |matrix|), the tests starting at the columns
-        `starts`."""
+        max(1, x_abs @ abs_matrix), abs_matrix being |matrix|, the tests
+        starting at the columns `starts`."""
         ratio = (np.abs(self.snaps.x @ matrix)
-                 / np.maximum(1.0, self.x_abs @ np.abs(matrix)))
+                 / np.maximum(1.0, self.x_abs @ abs_matrix))
         return np.maximum.reduceat(ratio, starts, axis=1)
 
     def integrability(self):
         """(rows, 1): the torsion-direction forms of p and q, w . m with the
         weights w = (a2^2, -a1 a2, -a1 a2, a1^2) on m's components, over
-        the bound |w| . (their bounds), which takes a as exact."""
-        a1, a2 = self.snaps.a_cov.T[:, :, None]
-        w = np.stack([a2 * a2, -a1 * a2, -a1 * a2, a1 * a1], -1)
+        the same arithmetic on the bounds of a, p and q."""
+        def weights(a):
+            a1, a2 = a.T[:, :, None]
+            return np.stack([a2 * a2, -a1 * a2, -a1 * a2, a1 * a1], -1)
+
         pq = np.stack([self.snaps.p, self.snaps.q], 1).reshape(-1, 2, 4)
-        bound = (self.x_abs @ _PQ_ABS).reshape(pq.shape)
-        ratio = (np.abs((w * pq).sum(-1))
-                 / np.maximum(1.0, (np.abs(w) * bound).sum(-1)))
+        bound = self.x_abs @ _APQ_ABS
+        ratio = (np.abs((weights(self.snaps.a_cov) * pq).sum(-1))
+                 / np.maximum(1.0, (np.abs(weights(bound[:, :2]))
+                                    * bound[:, 2:].reshape(pq.shape)).sum(-1)))
         return ratio.max(axis=1, keepdims=True)
 
     def verdicts(self, names, resid):
@@ -442,7 +439,7 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
     snaps = collect_snapshots(web, config, bound)
     T = _Tester(snaps, config.tol)
     tests = dict(zip(LINEAR_TESTS, T.verdicts(
-        LINEAR_TESTS, T.worst(_RESIDUALS, _TEST_STARTS))))
+        LINEAR_TESTS, T.worst(_RESIDUALS, _RESIDUALS_ABS, _TEST_STARTS))))
 
     preds = {name: tests[name] for name in LATTICE}
     geodesic = preds["transversally_geodesic"]
@@ -493,8 +490,8 @@ def _branch_a(T, tests):
 
     t0 = branch["t_value"]
     if t0 is not None:
-        worst = T.worst(np.tensordot(t0 ** np.arange(4.0), _AT_T, 1),
-                        _AT_T_STARTS)
+        at_t, starts = _read_off(_tests_at(t0))
+        worst = T.worst(at_t, np.abs(at_t), starts)
         branch["frame_alignment_residual"] = float(np.max(worst[:, 0]))
         branch["hex_at_t"] = T.verdicts(["hex_at_t"], worst[:, 1:])[0]
 

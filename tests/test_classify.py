@@ -204,34 +204,41 @@ def test_ambiguity_band_is_reported():
 
 # --- the linear zero tests as one residual matrix ----------------------
 
-def assert_matrix_matches_formulas(x, fields):
-    """x @ _RESIDUALS, split per test, against LINEAR_TESTS evaluated on
-    `fields`, to within roundoff relative to the largest x of each row."""
-    got = np.split(x @ classify._RESIDUALS, classify._TEST_STARTS[1:], 1)
-    assert len(got) == len(classify.LINEAR_TESTS)
-    bound = 1e-13 * np.maximum(1.0, np.abs(x).max(1, keepdims=True))
-    for block, (name, components) in zip(got, classify.LINEAR_TESTS.items()):
+def assert_matrix_matches_formulas(x, fields, tests=None):
+    """x times the matrix of `tests` (_RESIDUALS when None), split per
+    test, against the tests' formulas evaluated on `fields`, to within
+    roundoff relative to the largest x of each row."""
+    if tests is None:
+        tests = classify.LINEAR_TESTS
+        matrix, starts = classify._RESIDUALS, classify._TEST_STARTS
+    else:
+        matrix, starts = classify._read_off(tests)
+    got = np.split(x @ matrix, starts[1:], 1)
+    assert len(got) == len(tests)
+    bound = 1e-13 * np.abs(x).max(1, keepdims=True)
+    for block, (name, components) in zip(got, tests.items()):
         want = np.concatenate([np.reshape(c, (len(x), -1))
                                for c in components(fields)], 1)
         assert block.shape == want.shape, name
         assert np.all(np.abs(block - want) <= bound), name
 
 
+def fields_of(x):
+    # the fields are linear in x
+    return SimpleNamespace(**{name: np.tensordot(x, unit, 1)
+                              for name, unit in vars(UNIT_FIELDS).items()})
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_compiled_tests_match_their_formulas(scale):
     x = np.random.default_rng(12).normal(size=(50, 104)) * scale
-    # the fields are linear in x
-    fields = {name: np.tensordot(x, unit, 1)
-              for name, unit in vars(UNIT_FIELDS).items()}
-    assert_matrix_matches_formulas(x, SimpleNamespace(**fields))
+    assert_matrix_matches_formulas(x, fields_of(x))
 
 
 @pytest.mark.parametrize("t", [-2.5, -0.3, 0.7, 1.0, 4.0])
 def test_tests_at_t_match_their_formulas(t):
-    want, starts = classify._read_off(classify._tests_at(t))
-    got = np.tensordot(t ** np.arange(4.0), classify._AT_T, 1)
-    assert np.array_equal(starts, classify._AT_T_STARTS)
-    assert np.allclose(got, want, rtol=0.0, atol=1e-13 * max(1.0, abs(t)) ** 3)
+    x = np.random.default_rng(13).normal(size=(50, 104))
+    assert_matrix_matches_formulas(x, fields_of(x), classify._tests_at(t))
 
 
 @pytest.mark.parametrize("index", [1, 6, 9])
@@ -324,8 +331,8 @@ def test_undefined_points_count_as_outside_the_domain():
 
 def zero_test(snaps, name, components):
     T = _Tester(snaps, 1e-7)
-    return T.verdicts([name], T.worst(*classify._read_off(
-        {name: components})))[0]
+    matrix, starts = classify._read_off({name: components})
+    return T.verdicts([name], T.worst(matrix, np.abs(matrix), starts))[0]
 
 
 def test_zero_test_never_skips_a_nan_row():

@@ -21,8 +21,8 @@ bundled web's stored points and at 20 seeded admissible points per web
 (drawn once, by the first tree, and given to both).  For each field it
 prints the largest change relative to the larger of 1 and that field's
 largest component in the same snapshot (a field that vanishes identically
-holds only roundoff), and where that change is.  Snapshot changes are reported only; they do not set the exit
-status.
+holds only roundoff), and where that change is.  Snapshot changes are
+reported only; they do not set the exit status.
 
 Exit status 1 when a table differs or the labels bucket is not empty.
 Wall time is not measured; this compares outputs only.
