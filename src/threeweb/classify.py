@@ -17,8 +17,10 @@ outside an implicit domain; only running out of draws is an error.
 The sample is one SnapshotBatch, and each zero test reduces its residual
 over all rows at once.  A residual that is not finite fails the test.  The
 tests linear in the snapshot fields are data (LINEAR_TESTS), read off at
-import into one matrix on the snapshot map's input x; E1..E8 are sets of
-their verdicts (E_PATTERNS).
+import into one matrix on the snapshot map's input x (`tensor.read_off`).
+The labels are data too: three tables of (label, verdicts that must hold,
+verdicts that must not) rows, A_PATTERNS, CD_PATTERNS and E_PATTERNS, and
+`first_match` picks the first row that matches.
 
 Every residual component is measured against the larger of 1 and its
 componentwise roundoff bound, the same arithmetic on magnitudes (Higham,
@@ -53,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expr import Web
-from .tensor import UNIT_FIELDS, SnapshotBatch, snapshot, sym3_lower
+from .tensor import UNIT_FIELDS, SnapshotBatch, read_off, snapshot, sym3_lower
 
 
 class SamplerExhausted(RuntimeError):
@@ -77,10 +79,11 @@ class RunConfig:
         if not (0.0 < self.tol < 1e-3):
             raise ValueError("tol must be in (0, 1e-3), got %g" % self.tol)
         lo, hi = self.box
-        if not (lo < hi):
-            raise ValueError("box must satisfy lo < hi, got %r" % (self.box,))
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError("box must satisfy lo < hi with a finite width, "
+                             "got %r" % (self.box,))
+        if not self.margin > 0:
+            raise ValueError("margin must be positive, got %r" % self.margin)
 
     def to_dict(self):
         return {"points": self.points, "tol": self.tol, "seed": self.seed,
@@ -145,10 +148,13 @@ def _admissible_stream(web: Web, config: RunConfig, bound):
 
 def _well_conditioned(s):
     ok = np.ones(len(s), dtype=bool)
-    for m, det in ((s.fbar, s.det_bar), (s.ftilde, s.det_til)):
-        r1 = np.hypot(m[:, 0, 0], m[:, 0, 1])
-        r2 = np.hypot(m[:, 1, 0], m[:, 1, 1])
-        ok &= np.abs(det) >= NDET_FLOOR * r1 * r2
+    # a row whose norms overflow compares |det| with inf and fails, unless
+    # det overflows too, which makes the row degenerate
+    with np.errstate(over="ignore"):
+        for m, det in ((s.fbar, s.det_bar), (s.ftilde, s.det_til)):
+            r1 = np.hypot(m[:, 0, 0], m[:, 0, 1])
+            r2 = np.hypot(m[:, 1, 0], m[:, 1, 1])
+            ok &= np.abs(det) >= NDET_FLOOR * r1 * r2
     return ok
 
 
@@ -272,7 +278,40 @@ E_TESTS = {
     "e_p11_plus_q11": lambda s: [s.p[:, 0, 0] + s.q[:, 0, 0]],
 }
 
-# (label, tests that must vanish, tests that must not), most specific first
+# The labels, as (label, verdicts that must hold, verdicts that must not)
+# rows, most specific first: the first row that matches gives the label
+# (`first_match`).  A verdict that was not computed (t_constant and hex_at_t
+# without a constant t) does not hold.  The A rows after the second see an
+# integrable torsion direction; the C/D rows after the fourth see a4 = 0.
+A_PATTERNS = (
+    ("", "isoclinicly_geodesic", ""),
+    ("A2", "", "integrability"),
+    ("A121", "a2_zero p22_q22_zero omega21_zero b_222_zero", "a1_zero"),
+    ("A12", "a2_zero p22_q22_zero", "a1_zero"),
+    ("A1", "a2_zero", "a1_zero"),
+    ("A131", "a1_zero p11_q11_zero omega12_zero b_111_zero", "a2_zero"),
+    ("A13", "a1_zero p11_q11_zero", "a2_zero"),
+    ("A1", "a1_zero", "a2_zero"),
+    ("A1121", "a1_eq_a2 pq_quadsum_zero omega_balance hex_at_1", ""),
+    ("A112", "a1_eq_a2 pq_quadsum_zero", ""),
+    ("A1", "a1_eq_a2", ""),
+    ("A111", "t_constant hex_at_t", ""),
+    ("A11", "t_constant", ""),
+    ("A1", "", ""),
+)
+
+CD_PATTERNS = (
+    ("C12", "almost_parallelizable", "transversally_geodesic"),
+    ("C11", "almost_Bol", "transversally_geodesic"),
+    ("C1", "almost_algebraizable", "transversally_geodesic"),
+    ("C2", "", "transversally_geodesic"),
+    ("D232", "almost_parallelizable isoclinicly_geodesic", ""),
+    ("D231", "almost_parallelizable", ""),
+    ("D21", "almost_Bol", ""),
+    ("D22", "almost_algebraizable", ""),
+    ("D1", "", ""),
+)
+
 E_PATTERNS = (
     ("E1", "e_p_zero e_q_zero", ""),
     ("E2", "e_p11 e_p12 e_q_zero", "e_p22"),
@@ -286,23 +325,8 @@ E_PATTERNS = (
     ("E8", "e_pq_sum", ""),
 )
 
-def _read_off(tests):
-    """The matrix (104, C) taking a row's x to the C residual components of
-    `tests`, read off their formulas at the unit vectors of x, and each
-    test's first column."""
-    blocks = [np.concatenate([np.reshape(c, (len(c), -1))
-                              for c in components(UNIT_FIELDS)], 1)
-              for components in tests.values()]
-    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
-    return np.concatenate(blocks, 1), starts
-
-
 LINEAR_TESTS = {**LATTICE, **BRANCH, **E_TESTS}
-_RESIDUALS, _TEST_STARTS = _read_off(LINEAR_TESTS)
-# the coefficients of the map and of the formulas are multiples of 1/12, so
-# every entry is one of 1/144: rounding to it removes the roundoff of the
-# read-off (tests hold the matrix to the formulas)
-_RESIDUALS = np.round(_RESIDUALS * 144.0) / 144.0
+_RESIDUALS, _TEST_STARTS = read_off(LINEAR_TESTS)
 _RESIDUALS_ABS = np.abs(_RESIDUALS)
 
 
@@ -320,7 +344,7 @@ def _tests_at(t):
 
 
 # |a|, |p| and |q| as functions of x, for the bound of integrability
-_APQ_ABS = np.abs(_read_off({"apq": lambda s: [s.a_cov, s.p, s.q]})[0])
+_APQ_ABS = np.abs(read_off({"apq": lambda s: [s.a_cov, s.p, s.q]})[0])
 # every zero test, in the order the report lists inconclusive ones
 _ORDER = (*LATTICE, "integrability", *BRANCH, "hex_at_t", *E_TESTS)
 
@@ -449,10 +473,15 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
     preds["parallelizable"] = T.both(preds["isoclinicly_geodesic"],
                                      preds["group"])
 
-    branch, class_a = _branch_a(T, tests)
+    branch = _branch_a(T, tests)
+    held = {name for name, v in {**tests, **preds, **branch}.items()
+            if isinstance(v, IdentityVerdict) and v.holds}
+    class_a = first_match(A_PATTERNS, held)
     class_b = "B" if preds["isoclinicly_geodesic"].holds else ""
-    class_c, class_d = _branch_cd(preds)
-    class_e = e_label({name for name in E_TESTS if tests[name].holds})
+    class_cd = first_match(CD_PATTERNS, held)
+    class_c, class_d = ((class_cd, "") if class_cd.startswith("C")
+                        else ("", class_cd))
+    class_e = first_match(E_PATTERNS, held)
 
     labels = tuple(l for l in (class_a, class_b, class_c, class_d, class_e)
                    if l)
@@ -471,7 +500,7 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
 
 
 def _branch_a(T, tests):
-    """The torsion-direction branch: verdicts plus the final A label."""
+    """The verdicts of the torsion-direction branch."""
     branch = {"integrability": T.verdicts(["integrability"],
                                           T.integrability())[0]}
     branch.update((name, tests[name]) for name in BRANCH)
@@ -490,68 +519,21 @@ def _branch_a(T, tests):
 
     t0 = branch["t_value"]
     if t0 is not None:
-        at_t, starts = _read_off(_tests_at(t0))
+        # t0 is not a multiple of 1/144: read off at the exact fields
+        at_t, starts = read_off(_tests_at(t0), UNIT_FIELDS)
         worst = T.worst(at_t, np.abs(at_t), starts)
         branch["frame_alignment_residual"] = float(np.max(worst[:, 0]))
         branch["hex_at_t"] = T.verdicts(["hex_at_t"], worst[:, 1:])[0]
 
-    # label walk
-    if tests["isoclinicly_geodesic"].holds:
-        return branch, ""
-    if not branch["integrability"].holds:
-        return branch, "A2"
-    label = "A1"
-    if branch["a2_zero"].holds and not branch["a1_zero"].holds:
-        if branch["p22_q22_zero"].holds:
-            label = "A12"
-            if branch["omega21_zero"].holds and branch["b_222_zero"].holds:
-                label = "A121"
-    elif branch["a1_zero"].holds and not branch["a2_zero"].holds:
-        if branch["p11_q11_zero"].holds:
-            label = "A13"
-            if branch["omega12_zero"].holds and branch["b_111_zero"].holds:
-                label = "A131"
-    elif branch["a1_eq_a2"].holds:
-        if branch["pq_quadsum_zero"].holds:
-            label = "A112"
-            if branch["omega_balance"].holds and branch["hex_at_1"].holds:
-                label = "A1121"
-    elif branch["t_constant"] is not None and branch["t_constant"].holds:
-        label = "A11"
-        if branch["hex_at_t"] is not None and branch["hex_at_t"].holds:
-            label = "A111"
-    return branch, label
+    return branch
 
 
-def _branch_cd(preds):
-    tg = preds["transversally_geodesic"].holds
-    fgh = preds["almost_parallelizable"].holds
-    fg_h = preds["almost_Bol"].holds
-    s_zero = preds["almost_algebraizable"].holds
-    a_zero = preds["isoclinicly_geodesic"].holds
-    if not tg:
-        if fgh:
-            return "C12", ""
-        if fg_h:
-            return "C11", ""
-        if s_zero:
-            return "C1", ""
-        return "C2", ""
-    if fgh:
-        return "", "D232" if a_zero else "D231"
-    if fg_h:
-        return "", "D21"
-    if s_zero:
-        return "", "D22"
-    return "", "D1"
-
-
-def e_label(vanishing):
-    """The first of E_PATTERNS whose must-vanish tests are all in the set
-    `vanishing` and whose must-not-vanish tests are all outside it."""
-    for label, zero, nonzero in E_PATTERNS:
-        if (vanishing.issuperset(zero.split())
-                and vanishing.isdisjoint(nonzero.split())):
+def first_match(patterns, held):
+    """The label of the first row of `patterns` whose must-hold verdicts
+    are all in the set `held` and whose must-fail verdicts are all outside
+    it; "" when no row matches."""
+    for label, hold, fail in patterns:
+        if held.issuperset(hold.split()) and held.isdisjoint(fail.split()):
             return label
     return ""
 

@@ -36,6 +36,10 @@ from .tensor import (
     snapshot,
 )
 
+# argparse reads an argument that starts with "-" as an option unless it
+# matches this; its own pattern leaves out exponents, so "-1e-1" was an option
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
@@ -396,6 +400,8 @@ def build_parser():
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=VALUE", help="bind one web parameter")
     p.set_defaults(func=cmd_snapshot)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

@@ -31,14 +31,14 @@ Then:
                      - 1/3 (s[j][k] d[i][l] + s[k][l] d[i][j] + s[l][j] d[i][k])
 
 Everything after gamma is linear in gamma and D gamma plus quadratic in
-gamma, with constant coefficients.  `_tail` writes those formulas out, and
-at import they are read off it into a fixed map: LIN (40 x K) on
-[gamma, D gamma] and QUAD (64 x K) on gamma (x) gamma, whose K columns are
-the fields and the asymmetries of p and q.  A snapshot applies the map
-with one matrix product and slices the fields out of it as views.  The
-torsion's shape a^i_jk = (a_j d^i_k - a_k d^i_j)/2 and the vanishing trace
-of a4 hold for any gamma and D gamma; the tests hold `_tail` and the map to
-both, and snapshots do not check them.
+gamma, with constant coefficients: linear in x = [gamma, -D gamma,
+gamma (x) gamma].  `_tail` writes the formulas out on x, and at import
+`read_off` reads them off at x's unit vectors into the map (104 x K), whose
+K columns are the fields and the asymmetries of p and q.  A snapshot
+applies the map with one matrix product and slices the fields out of it as
+views.  The torsion's shape a^i_jk = (a_j d^i_k - a_k d^i_j)/2 and the
+vanishing trace of a4 hold for any gamma and D gamma; the tests hold
+`_tail` and the map to both, and snapshots do not check them.
 
 All of it runs on N points at once as arrays with a leading axis of N (a
 SnapshotBatch); one point is a batch of one.  Both defining functions are
@@ -263,26 +263,38 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True):
     return batch._row(0, copy=False)
 
 
-def _tail(gamma, d_gamma):
-    """Everything after gamma, by the formulas of the module docstring, for
-    a batch of gamma (N,2,2,2) and its frame derivatives d_gamma (N,2,2,2,4)
-    with axis r = D1_0, D1_1, D2_0, D2_1.  Only the import-time build of LIN
-    and QUAD runs it; snapshots apply the map."""
+def _tail(x):
+    """The fields at a batch of the map's input x (N, 104), by the formulas
+    of the module docstring: gamma is x[:, :8], D gamma (axes i, j, k, r
+    with r = D1_0, D1_1, D2_0, D2_1) is -x[:, 8:40], and each product of
+    two gammas is read from x[:, 40:], so the fields are linear in x.  Only
+    `read_off` runs it, at import; snapshots apply the map."""
+    n = len(x)
+    gamma = x[:, :8].reshape(n, 2, 2, 2)
+    d_gamma = -x[:, 8:40].reshape(n, 2, 2, 2, 4)
+    gg = x[:, 40:].reshape(n, 2, 2, 2, 2, 2, 2)
+
+    def product(spec):
+        # "mjl,ikm->ijkl" sums gamma[m, j, l] gamma[i, k, m] over m
+        factors, out = spec.split("->")
+        return np.einsum("n%s->n%s" % (factors.replace(",", ""), out), gg)
+
     torsion = 0.5 * (gamma - np.swapaxes(gamma, -1, -2))
     a_cov = np.einsum("nmjm->nj", gamma) - np.einsum("nmmj->nj", gamma)
     d_acov = (np.einsum("nmjmr->njr", d_gamma)
               - np.einsum("nmmjr->njr", d_gamma))
 
     D1, D2 = d_gamma[..., :2], d_gamma[..., 2:]
+    # the last two products are 2 gamma[m, k, l] torsion[i, m, j]
     b = 0.5 * (np.einsum("niklj->nijkl", D1)
                + np.einsum("nijlk->nijkl", D1)
                - np.einsum("nikjl->nijkl", D2)
                - np.einsum("niklj->nijkl", D2)
-               + np.einsum("nmjl,nikm->nijkl", gamma, gamma)
-               - np.einsum("nmkj,niml->nijkl", gamma, gamma)
-               + 2.0 * np.einsum("nmkl,nimj->nijkl", gamma, torsion))
-    p = d_acov[..., :2] - np.einsum("nj,njki->nik", a_cov, gamma)
-    q = d_acov[..., 2:] - np.einsum("nj,njik->nik", a_cov, gamma)
+               + product("mjl,ikm->ijkl") - product("mkj,iml->ijkl")
+               + product("mkl,imj->ijkl") - product("mkl,ijm->ijkl"))
+    # a_cov[j] gamma[j, k, i] and a_cov[j] gamma[j, i, k]
+    p = d_acov[..., :2] - product("mjm,jki->ik") + product("mmj,jki->ik")
+    q = d_acov[..., 2:] - product("mjm,jik->ik") + product("mmj,jik->ik")
 
     sym = sym3_lower(b)
     h2 = 0.25 * (sym[:, 0, 0] + sym[:, 1, 1]) - (p + q) / 3.0
@@ -292,53 +304,47 @@ def _tail(gamma, d_gamma):
     a4 = sym - (np.einsum("njk,il->nijkl", s2, _EYE)
                 + np.einsum("nkl,ij->nijkl", s2, _EYE)
                 + np.einsum("nlj,ik->nijkl", s2, _EYE)) / 3.0
-    return dict(torsion=torsion, b=b, f2=f2, g2=g2, h2=h2, a4=a4,
-                a_cov=a_cov, p=p, q=q,
-                p_asym=p[:, 0, 1] - p[:, 1, 0], q_asym=q[:, 0, 1] - q[:, 1, 0])
+    return SimpleNamespace(gamma=gamma, torsion=torsion, b=b, f2=f2, g2=g2,
+                           h2=h2, a4=a4, a_cov=a_cov, p=p, q=q)
 
 
-def _compile_tail():
-    """LIN (40, K) and QUAD (64, K) such that `_tail`, flattened to K
-    columns, is [gamma, d_gamma] @ LIN + (gamma (x) gamma) @ QUAD, read off
-    `_tail` at basis inputs in one batch; QUAD is symmetric in its two gamma
-    factors.  Also each output's columns and shape."""
-    e = _BASIS
-    gamma = np.concatenate([e, -e, np.zeros((32, 2, 2, 2)),
-                            (e[:, None] + e[None]).reshape(64, 2, 2, 2)])
-    d_gamma = np.zeros(gamma.shape + (4,))
-    d_gamma[16:48] = np.eye(32).reshape(32, 2, 2, 2, 4)
-    out = _tail(gamma, d_gamma)
-    flat = np.concatenate([v.reshape(len(gamma), -1) for v in out.values()],
-                          1)
-    plus, minus, d_lin, pairs = np.split(flat, [8, 16, 48])
-    lin = np.concatenate([(plus - minus) / 2.0, d_lin])
-    # f(e_a + e_b) - f(e_a) - f(e_b) = Q[a, b] + Q[b, a], also for a = b
-    quad = (pairs.reshape(8, 8, -1) - plus[:, None] - plus[None]) / 2.0
-    # every coefficient of the formulas is a multiple of 1/12: rounding to
-    # it removes the roundoff of the read-off (tests hold the map to _tail)
-    lin, quad = (np.round(m * 12.0) / 12.0
-                 for m in (lin, quad.reshape(64, -1)))
-
-    ends = np.cumsum([v[0].size for v in out.values()])
-    return lin, quad, {name: (slice(end - v[0].size, end), v.shape[1:])
-                       for (name, v), end in zip(out.items(), ends)}
+def read_off(tests, fields=None):
+    """The matrix (104, C) that takes a row's x to the C components of
+    `tests`, and each test's first column.  A test maps fields to a list of
+    arrays linear in x.  It is read off `fields` at the unit vectors of x,
+    or by default off `_tail`'s, and then made exact: every coefficient of
+    the formulas is a multiple of 1/12, so every entry is one of 1/144, and
+    the two orders of a product of two gammas share one.  Averaging each
+    such pair of rows and rounding to 1/144 removes the roundoff of the
+    read-off (the tests hold the map to `_tail`)."""
+    blocks = [np.concatenate([np.reshape(c, (104, -1)) for c in components(
+                  _AT_UNITS if fields is None else fields)], 1)
+              for components in tests.values()]
+    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    matrix = np.concatenate(blocks, 1)
+    if fields is None:
+        pairs = matrix[40:].reshape(8, 8, -1)
+        matrix[40:] = ((pairs + pairs.swapaxes(0, 1)) / 2.0).reshape(64, -1)
+        matrix = np.round(matrix * 144.0) / 144.0
+    return matrix, starts
 
 
-LIN, QUAD, _SEGMENTS = _compile_tail()
-# the map as a snapshot applies it: to [gamma, -D gamma, gamma (x) gamma],
-# since -D gamma is what the matrix products below give (negating a
-# coefficient is exact)
-_MAP = np.concatenate([LIN[:8], -LIN[8:], QUAD])
-_FIELD_COLUMNS = [(name, columns, (-1,) + shape)
-                  for name, (columns, shape) in _SEGMENTS.items()
-                  if name in TensorSnapshot._FIELDS]
-# the fields that are linear in x, at each of its 104 unit vectors: gamma
-# is x's first 8 components, the others are the map's rows
-UNIT_FIELDS = SimpleNamespace(gamma=np.eye(len(_MAP), 8).reshape(-1, 2, 2, 2),
+_AT_UNITS = _tail(np.eye(104))
+# the map's columns: the fields after gamma, then the asymmetries of p and q
+_MAP_FIELDS = ("torsion", "b", "f2", "g2", "h2", "a4", "a_cov", "p", "q")
+_MAP, _STARTS = read_off(
+    {**{name: lambda s, name=name: [getattr(s, name)] for name in _MAP_FIELDS},
+     "pq_asym": lambda s: [m[:, 0, 1] - m[:, 1, 0] for m in (s.p, s.q)]})
+_FIELD_COLUMNS = [(name, slice(start, start + 2 ** rank), (-1,) + (2,) * rank)
+                  for name, start in zip(_MAP_FIELDS, _STARTS)
+                  for rank in [TensorSnapshot._FIELDS[name]]]
+# the fields at each of the 104 unit vectors of x: gamma is x's first 8
+# components, the others are the map's rows
+UNIT_FIELDS = SimpleNamespace(gamma=_AT_UNITS.gamma,
                               **{name: _MAP[:, columns].reshape(shape)
                                  for name, columns, shape in _FIELD_COLUMNS})
 # a_cov, p, q and the asymmetries of p and q: the last 12 columns
-_SMALL = slice(_SEGMENTS["a_cov"][0].start, None)
+_SMALL = slice(_STARTS[_MAP_FIELDS.index("a_cov")], None)
 # the 36 partials a snapshot reads of each function, in a row of the lifted
 # coefficients of both (2 x 35), and the factorials that turn coefficients
 # into partials: per function the gradient, the Hessian, and the third

@@ -12,14 +12,14 @@ from threeweb.classify import (
     classify_generic,
     classify_web,
     collect_snapshots,
-    e_label,
+    first_match,
     _Tester,
     hexagonality_polynomials,
     _admissible_stream,
 )
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import Web, format_web, parse_web
-from threeweb.tensor import UNIT_FIELDS, snapshot
+from threeweb.tensor import UNIT_FIELDS, read_off, snapshot
 
 EX9_MUTATED_BILINEAR = (
     "u1 = x1*y1 + x2*y2 + 0.1*x1*y1\n"
@@ -47,6 +47,25 @@ def test_run_config_validation():
         RunConfig(margin=0.0)
     cfg = RunConfig()
     assert cfg.points == 64 and cfg.tol == 1e-7 and cfg.seed == 42
+
+
+@pytest.mark.parametrize("box", [(0.0, np.inf), (-1e308, 1e308),
+                                 (np.nan, 1.0)])
+def test_run_config_rejects_a_box_of_infinite_width(box):
+    with pytest.raises(ValueError, match="finite width"):
+        RunConfig(box=box)
+
+
+def test_run_config_rejects_a_nan_margin():
+    with pytest.raises(ValueError, match="margin"):
+        RunConfig(margin=float("nan"))
+
+
+def test_overflowing_row_norms_reject_their_rows_quietly():
+    # the Jacobian rows of example01 overflow near 1e308: no warning, and
+    # no such row is kept
+    with pytest.raises(SamplerExhausted):
+        classify_web(load_example(1).web, RunConfig(box=(0.0, 1e308)))
 
 
 def test_sampler_respects_domain():
@@ -212,7 +231,7 @@ def assert_matrix_matches_formulas(x, fields, tests=None):
         tests = classify.LINEAR_TESTS
         matrix, starts = classify._RESIDUALS, classify._TEST_STARTS
     else:
-        matrix, starts = classify._read_off(tests)
+        matrix, starts = read_off(tests, UNIT_FIELDS)
     got = np.split(x @ matrix, starts[1:], 1)
     assert len(got) == len(tests)
     bound = 1e-13 * np.abs(x).max(1, keepdims=True)
@@ -291,19 +310,97 @@ def if_chain_e_label(z):
     return ""
 
 
+def assert_table_matches(table, walk, names, maybe=()):
+    """first_match(table) equals `walk` at every combination of verdicts of
+    `names`: holds or not, or not computed (None) for those in `maybe`;
+    and every row of the table is the first match of some combination."""
+    first_rows = set()
+    for values in itertools.product(*[(None, False, True) if name in maybe
+                                      else (False, True) for name in names]):
+        z = dict(zip(names, values))
+        held = {name for name, holds in z.items() if holds}
+        assert first_match(table, held) == walk(z), z
+        first_rows.add(next((i for i, (_, hold, fail) in enumerate(table)
+                             if held.issuperset(hold.split())
+                             and held.isdisjoint(fail.split())), None))
+    assert first_rows - {None} == set(range(len(table)))
+
+
 def test_e_patterns_match_the_if_chain():
     keys = {"p": "e_p_zero", "q": "e_q_zero", "pq_sum": "e_pq_sum",
             "p22_q22": "e_p22_plus_q22", "p11_q11": "e_p11_plus_q11"}
     for short in ("p11", "p12", "p22", "q11", "q12", "q22"):
         keys[short] = "e_" + short
     assert sorted(keys.values()) == sorted(classify.E_TESTS)
-    labels = set()
-    for pattern in itertools.product((False, True), repeat=len(keys)):
-        z = dict(zip(keys, pattern))
-        vanishing = {keys[k] for k, holds in z.items() if holds}
-        assert e_label(vanishing) == if_chain_e_label(z), vanishing
-        labels.add(e_label(vanishing))
-    assert len(labels) == len(classify.E_PATTERNS) + 1    # and ""
+    assert_table_matches(
+        classify.E_PATTERNS,
+        lambda z: if_chain_e_label({k: z[name] for k, name in keys.items()}),
+        list(keys.values()))
+
+
+def if_walk_a_label(z):
+    """The A label as the nested if-walk that A_PATTERNS replaced."""
+    if z["isoclinicly_geodesic"]:
+        return ""
+    if not z["integrability"]:
+        return "A2"
+    label = "A1"
+    if z["a2_zero"] and not z["a1_zero"]:
+        if z["p22_q22_zero"]:
+            label = "A12"
+            if z["omega21_zero"] and z["b_222_zero"]:
+                label = "A121"
+    elif z["a1_zero"] and not z["a2_zero"]:
+        if z["p11_q11_zero"]:
+            label = "A13"
+            if z["omega12_zero"] and z["b_111_zero"]:
+                label = "A131"
+    elif z["a1_eq_a2"]:
+        if z["pq_quadsum_zero"]:
+            label = "A112"
+            if z["omega_balance"] and z["hex_at_1"]:
+                label = "A1121"
+    elif z["t_constant"] is not None and z["t_constant"]:
+        label = "A11"
+        if z["hex_at_t"] is not None and z["hex_at_t"]:
+            label = "A111"
+    return label
+
+
+def test_a_patterns_match_the_if_walk():
+    # t_constant and hex_at_t are None where no constant t was measured
+    names = ["isoclinicly_geodesic", "integrability", *classify.BRANCH,
+             "t_constant", "hex_at_t"]
+    assert_table_matches(classify.A_PATTERNS, if_walk_a_label, names,
+                         maybe=("t_constant", "hex_at_t"))
+
+
+def if_walk_cd_label(z):
+    """The C or D label as the if-walk that CD_PATTERNS replaced."""
+    fgh = z["almost_parallelizable"]
+    fg_h = z["almost_Bol"]
+    s_zero = z["almost_algebraizable"]
+    if not z["transversally_geodesic"]:
+        if fgh:
+            return "C12"
+        if fg_h:
+            return "C11"
+        if s_zero:
+            return "C1"
+        return "C2"
+    if fgh:
+        return "D232" if z["isoclinicly_geodesic"] else "D231"
+    if fg_h:
+        return "D21"
+    if s_zero:
+        return "D22"
+    return "D1"
+
+
+def test_cd_patterns_match_the_if_walk():
+    names = ["transversally_geodesic", "almost_parallelizable", "almost_Bol",
+             "almost_algebraizable", "isoclinicly_geodesic"]
+    assert_table_matches(classify.CD_PATTERNS, if_walk_cd_label, names)
 
 
 # --- rejected sample rows -----------------------------------------------
@@ -331,7 +428,7 @@ def test_undefined_points_count_as_outside_the_domain():
 
 def zero_test(snaps, name, components):
     T = _Tester(snaps, 1e-7)
-    matrix, starts = classify._read_off({name: components})
+    matrix, starts = read_off({name: components})
     return T.verdicts([name], T.worst(matrix, np.abs(matrix), starts))[0]
 
 

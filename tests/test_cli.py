@@ -224,6 +224,31 @@ def test_config_flags_are_wired_through(capsys):
                                       box=(-2.0, 2.0)).to_dict()
 
 
+@pytest.mark.parametrize("value", ["-1e-1", "-1E-1", "-1.e-1", "-.1e0",
+                                   "-0.1"])
+def test_negative_numbers_in_scientific_notation(capsys, value):
+    code, out, err = run(capsys, "snapshot", "example01", "--point",
+                         "1", "1", value, "1", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["point"] == [1.0, 1.0, -0.1, 1.0]
+
+
+def test_negative_box_bound_in_scientific_notation(capsys):
+    code, out, err = run(capsys, "classify", "example01", "--points", "8",
+                         "--box", "-1e1", "3", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["config"]["box"] == [-10.0, 3.0]
+
+
+@pytest.mark.parametrize("flags", [("--box", "0", "inf"),
+                                   ("--box", "-1e308", "1e308"),
+                                   ("--margin", "nan")])
+def test_non_finite_box_or_margin_is_an_error(capsys, flags):
+    code, _, err = run(capsys, "classify", "example01", *flags)
+    assert code == 1
+    assert err.startswith("error: ") and flags[0][2:] in err
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     src = str(Path(threeweb.__file__).resolve().parents[1])
     env = dict(os.environ)

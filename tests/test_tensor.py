@@ -7,11 +7,10 @@ from threeweb.classify import RunConfig, collect_snapshots
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import EvalError, parse_web
 from threeweb.tensor import (
-    LIN,
-    QUAD,
+    UNIT_FIELDS,
     DegenerateWeb,
     InadmissiblePoint,
-    _SEGMENTS,
+    _MAP,
     _tail,
     snapshot,
     sym3_lower,
@@ -166,24 +165,29 @@ def test_sym3_lower_symmetrizes():
     assert sym == pytest.approx(want)
 
 
+def random_x(seed, scale, n=50):
+    """n random inputs x = [gamma, -D gamma, gamma (x) gamma] of the map,
+    and each row's largest |x|: the largest term the map combines."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, 8)) * scale
+    x = np.concatenate([g, rng.normal(size=(n, 32)) * scale,
+                        (g[:, :, None] * g[:, None, :]).reshape(n, 64)], 1)
+    return x, np.abs(x).max(1)
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 def test_compiled_tail_matches_its_formulas(scale):
-    rng = np.random.default_rng(11)
-    n = 50
-    gamma = rng.normal(size=(n, 2, 2, 2)) * scale
-    d_gamma = rng.normal(size=(n, 2, 2, 2, 4)) * scale
-    g = gamma.reshape(n, 8)
-    linear = np.concatenate([g, d_gamma.reshape(n, 32)], 1)
-    quadratic = (g[:, :, None] * g[:, None, :]).reshape(n, 64)
-    got = linear @ LIN + quadratic @ QUAD
-    want = np.concatenate([v.reshape(n, -1)
-                           for v in _tail(gamma, d_gamma).values()], 1)
-    assert LIN.shape == (40, want.shape[1])
-    assert QUAD.shape == (64, want.shape[1])
-    # relative to the largest term the map combines in each row
-    terms = np.maximum(np.abs(linear).max(1), np.abs(quadratic).max(1))
-    assert np.all(np.abs(got - want).max(1) <= 1e-13 * terms)
-    pairs = QUAD.reshape(8, 8, -1)
+    x, terms = random_x(11, scale)
+    want = _tail(x)
+    for name, unit in vars(UNIT_FIELDS).items():
+        got = np.tensordot(x, unit, 1)
+        error = np.abs(got - getattr(want, name)).reshape(len(x), -1)
+        assert np.all(error.max(1) <= 1e-13 * terms), name
+    # the map's last two columns: the asymmetries of p and q
+    asym = np.stack([m[:, 0, 1] - m[:, 1, 0] for m in (want.p, want.q)], 1)
+    assert np.all(np.abs(x @ _MAP[:, -2:] - asym).max(1) <= 1e-13 * terms)
+    # the two orders of each product of two gammas share one row
+    pairs = _MAP[40:].reshape(8, 8, -1)
     assert np.array_equal(pairs, pairs.transpose(1, 0, 2))
 
 
@@ -197,36 +201,22 @@ def _torsion_from_covector(a_cov):
 def test_tail_satisfies_the_structural_identities(scale):
     # in two dimensions every torsion has the shape
     # a^i_jk = (a_j d^i_k - a_k d^i_j)/2, and h2 cancels the trace of a4,
-    # for any gamma and d_gamma, not only for those of a web
-    rng = np.random.default_rng(13)
-    n = 50
-    gamma = rng.normal(size=(n, 2, 2, 2)) * scale
-    d_gamma = rng.normal(size=(n, 2, 2, 2, 4)) * scale
-    out = _tail(gamma, d_gamma)
-    g = gamma.reshape(n, 8)
-    terms = np.maximum(np.abs(np.concatenate([g, d_gamma.reshape(n, 32)],
-                                             1)).max(1),
-                       (g * g).max(1))
-    recon = _torsion_from_covector(out["a_cov"])
-    assert np.all(np.abs(out["torsion"] - recon).max((1, 2, 3))
-                  <= 1e-13 * terms)
-    trace = out["a4"][:, 0, 0] + out["a4"][:, 1, 1]
+    # for any gamma and D gamma, not only for those of a web
+    x, terms = random_x(13, scale)
+    out = _tail(x)
+    recon = _torsion_from_covector(out.a_cov)
+    assert np.all(np.abs(out.torsion - recon).max((1, 2, 3)) <= 1e-13 * terms)
+    trace = out.a4[:, 0, 0] + out.a4[:, 1, 1]
     assert np.all(np.abs(trace).max((1, 2)) <= 1e-13 * terms)
 
 
 def test_map_satisfies_the_structural_identities_exactly():
-    # the same identities on the coefficients of the compiled map, which
-    # are exact multiples of 1/12: each holds with no roundoff at all
-    rows = np.concatenate([LIN, QUAD])
-
-    def field(name):
-        columns, shape = _SEGMENTS[name]
-        return rows[:, columns].reshape((len(rows),) + shape)
-
-    assert np.array_equal(field("torsion"),
-                          _torsion_from_covector(field("a_cov")))
-    a4 = field("a4")
-    assert not (a4[:, 0, 0] + a4[:, 1, 1]).any()
+    # the same identities on the fields at the unit vectors of x, whose
+    # coefficients are exact multiples of 1/144: each holds with no
+    # roundoff at all
+    assert np.array_equal(UNIT_FIELDS.torsion,
+                          _torsion_from_covector(UNIT_FIELDS.a_cov))
+    assert not (UNIT_FIELDS.a4[:, 0, 0] + UNIT_FIELDS.a4[:, 1, 1]).any()
 
 
 def test_omega_coefficients_mirror_gamma():
