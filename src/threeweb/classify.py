@@ -18,6 +18,10 @@ The sample is one SnapshotBatch, and each zero test reduces its residual
 over all rows at once.  A residual that is not finite fails the test.  The
 tests linear in the snapshot fields are data (LINEAR_TESTS), read off at
 import into one matrix on the snapshot map's input x (`tensor.read_off`).
+So are the joined predicates (JOINED), per row the largest residual of
+the tests each joins.  t_constant is the zero test a2 - t0 a1, t0 the mean
+of the measured a2/a1.  Every verdict comes from `_Tester.verdicts`, on one
+residual scale over every sample point, and may be listed inconclusive.
 The labels are data too: three tables of (label, verdicts that must hold,
 verdicts that must not) rows, A_PATTERNS, CD_PATTERNS and E_PATTERNS, and
 `first_match` picks the first row that matches.
@@ -327,7 +331,19 @@ E_PATTERNS = (
 
 LINEAR_TESTS = {**LATTICE, **BRANCH, **E_TESTS}
 _RESIDUALS, _TEST_STARTS = read_off(LINEAR_TESTS)
-_RESIDUALS_ABS = np.abs(_RESIDUALS)
+
+# The predicates that join linear tests: each holds where all of its tests
+# hold, and its residual at a row is the largest of theirs, the columns
+# _JOINED_COLUMNS of the linear tests' residuals from each _JOINED_STARTS.
+JOINED = {"hexagonal": "transversally_geodesic almost_algebraizable",
+          "Bol": "transversally_geodesic almost_Bol",
+          "group": "transversally_geodesic almost_parallelizable",
+          "parallelizable": "isoclinicly_geodesic transversally_geodesic "
+                            "almost_parallelizable"}
+_JOINED_COLUMNS = [list(LINEAR_TESTS).index(name)
+                   for tests in JOINED.values() for name in tests.split()]
+_JOINED_STARTS = np.cumsum([0] + [len(tests.split())
+                                  for tests in JOINED.values()])[:-1]
 
 
 def _tests_at(t):
@@ -345,8 +361,9 @@ def _tests_at(t):
 
 # |a|, |p| and |q| as functions of x, for the bound of integrability
 _APQ_ABS = np.abs(read_off({"apq": lambda s: [s.a_cov, s.p, s.q]})[0])
-# every zero test, in the order the report lists inconclusive ones
-_ORDER = (*LATTICE, "integrability", *BRANCH, "hex_at_t", *E_TESTS)
+# every verdict, in the order the report lists inconclusive ones
+_ORDER = (*LATTICE, *JOINED, "integrability", *BRANCH, "t_constant",
+          "hex_at_t", *E_TESTS)
 
 
 class _Tester:
@@ -365,12 +382,12 @@ class _Tester:
         self.ambiguous = []
         self.x_abs = snaps.x_abs()
 
-    def worst(self, matrix, abs_matrix, starts):
+    def worst(self, matrix, starts):
         """(rows, tests): per row, each test's largest |x @ matrix| over
-        max(1, x_abs @ abs_matrix), abs_matrix being |matrix|, the tests
-        starting at the columns `starts`."""
+        max(1, x_abs @ |matrix|), the tests starting at the columns
+        `starts`."""
         ratio = (np.abs(self.snaps.x @ matrix)
-                 / np.maximum(1.0, self.x_abs @ abs_matrix))
+                 / np.maximum(1.0, self.x_abs @ np.abs(matrix)))
         return np.maximum.reduceat(ratio, starts, axis=1)
 
     def integrability(self):
@@ -404,13 +421,6 @@ class _Tester:
             verdicts.append(IdentityVerdict(holds, w, len(resid),
                                             None if holds else tuple(point)))
         return verdicts
-
-    def both(self, va, vb):
-        """Conjunction of two verdicts, reported as one."""
-        # a verdict has a witness exactly when it fails
-        return IdentityVerdict(va.holds and vb.holds,
-                               max(va.max_residual, vb.max_residual),
-                               va.points_tested, va.witness or vb.witness)
 
 
 @dataclass
@@ -462,19 +472,15 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
     bound = web.bind(params)
     snaps = collect_snapshots(web, config, bound)
     T = _Tester(snaps, config.tol)
-    tests = dict(zip(LINEAR_TESTS, T.verdicts(
-        LINEAR_TESTS, T.worst(_RESIDUALS, _RESIDUALS_ABS, _TEST_STARTS))))
+    worst = T.worst(_RESIDUALS, _TEST_STARTS)
+    names = [*LINEAR_TESTS, *JOINED, "integrability"]
+    joined = np.maximum.reduceat(worst[:, _JOINED_COLUMNS], _JOINED_STARTS, 1)
+    tests = dict(zip(names, T.verdicts(names, np.concatenate(
+        [worst, joined, T.integrability()], 1))))
 
-    preds = {name: tests[name] for name in LATTICE}
-    geodesic = preds["transversally_geodesic"]
-    preds["hexagonal"] = T.both(geodesic, preds["almost_algebraizable"])
-    preds["Bol"] = T.both(geodesic, preds["almost_Bol"])
-    preds["group"] = T.both(geodesic, preds["almost_parallelizable"])
-    preds["parallelizable"] = T.both(preds["isoclinicly_geodesic"],
-                                     preds["group"])
-
+    preds = {name: tests[name] for name in (*LATTICE, *JOINED)}
     branch = _branch_a(T, tests)
-    held = {name for name, v in {**tests, **preds, **branch}.items()
+    held = {name for name, v in {**tests, **branch}.items()
             if isinstance(v, IdentityVerdict) and v.holds}
     class_a = first_match(A_PATTERNS, held)
     class_b = "B" if preds["isoclinicly_geodesic"].holds else ""
@@ -501,27 +507,22 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
 
 def _branch_a(T, tests):
     """The verdicts of the torsion-direction branch."""
-    branch = {"integrability": T.verdicts(["integrability"],
-                                          T.integrability())[0]}
-    branch.update((name, tests[name]) for name in BRANCH)
+    branch = {name: tests[name] for name in ("integrability", *BRANCH)}
     branch.update(t_constant=None, t_value=None,
                   frame_alignment_residual=None, hex_at_t=None)
 
     # t = a2/a1 where a1 is usable; None when a1 vanishes identically
     t_vals = T.snaps.t_ratio[~np.isnan(T.snaps.t_ratio)]
-    if t_vals.size and not branch["a1_zero"].holds:
-        t_mean = float(np.mean(t_vals))
-        spread = float(np.max(np.abs(t_vals - t_mean)))
-        t_holds = spread < T.tol * (1.0 + abs(t_mean))
-        branch["t_constant"] = IdentityVerdict(t_holds, spread, len(t_vals),
-                                               None)
-        branch["t_value"] = t_mean if t_holds else None
-
-    t0 = branch["t_value"]
-    if t0 is not None:
-        # t0 is not a multiple of 1/144: read off at the exact fields
-        at_t, starts = read_off(_tests_at(t0), UNIT_FIELDS)
-        worst = T.worst(at_t, np.abs(at_t), starts)
+    if not t_vals.size or branch["a1_zero"].holds:
+        return branch
+    t0 = float(np.mean(t_vals))
+    # t0 is not a multiple of 1/144: read off at the exact fields
+    t_test = {"t_constant": lambda s: [s.a_cov[:, 1] - t0 * s.a_cov[:, 0]]}
+    branch["t_constant"] = T.verdicts(
+        ["t_constant"], T.worst(*read_off(t_test, UNIT_FIELDS)))[0]
+    if branch["t_constant"].holds:
+        branch["t_value"] = t0
+        worst = T.worst(*read_off(_tests_at(t0), UNIT_FIELDS))
         branch["frame_alignment_residual"] = float(np.max(worst[:, 0]))
         branch["hex_at_t"] = T.verdicts(["hex_at_t"], worst[:, 1:])[0]
 

@@ -37,8 +37,9 @@ from .tensor import (
 )
 
 # argparse reads an argument that starts with "-" as an option unless it
-# matches this; its own pattern leaves out exponents, so "-1e-1" was an option
-NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# matches this; its own pattern leaves out exponents, "-inf" and "-nan"
+NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 EXIT_OK = 0
 EXIT_ERROR = 1

@@ -27,6 +27,7 @@ from .expr import Web, parse_web
 from .tensor import snapshot
 
 N_EXAMPLES = 15
+GOLDEN_REL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,11 @@ def load_example(index):
     return load_corpus()[index - 1]
 
 
-def golden_check(entry, snapshot_fn=None, rel_tol=1e-7):
+def golden_check(entry, snapshot_fn=None):
     """Compare every frozen reference record against the pipeline.
 
     Returns one GoldenResult per record.  ``verified`` records pass when
-    the pipeline matches the frozen value to ``rel_tol`` (relative, with
+    the pipeline matches the frozen value to GOLDEN_REL_TOL (relative, with
     an absolute floor of 1); ``printed-only`` records always come back as
     "logged-discrepancy" carrying both numbers, they cannot fail.
     """
@@ -125,8 +126,8 @@ def golden_check(entry, snapshot_fn=None, rel_tol=1e-7):
             snaps[rec.point] = snapshot_fn(entry.web, rec.point)
         actual = snaps[rec.point].lookup(rec.path)
         if rec.reliability == "verified":
-            ok = abs(actual - rec.value) <= rel_tol * max(1.0, abs(rec.value))
-            status = "pass" if ok else "fail"
+            status = ("pass" if abs(actual - rec.value)
+                      <= GOLDEN_REL_TOL * max(1.0, abs(rec.value)) else "fail")
         else:
             status = "logged-discrepancy"
         results.append(GoldenResult(path=rec.path, point=rec.point,

@@ -455,11 +455,13 @@ class Web:
     def bind(self, overrides=None):
         """Full parameter binding: declared defaults updated by overrides."""
         bound = dict(self.params)
-        if overrides:
-            for k, v in overrides.items():
-                if k not in bound:
-                    raise EvalError("unknown parameter %r" % k)
-                bound[k] = float(v)
+        for k, v in (overrides or {}).items():
+            if k not in bound:
+                raise EvalError("unknown parameter %r" % k)
+            bound[k] = float(v)
+        for k, v in bound.items():
+            if not math.isfinite(v):
+                raise EvalError("parameter %s = %r is not finite" % (k, v))
         return bound
 
     def _checks(self, point, params, margin):

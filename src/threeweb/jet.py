@@ -149,12 +149,6 @@ class Jet:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def __truediv__(self, other):
-        return self * _reciprocal(other)
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
     def _value_where(self, ok, message):
         """The value column, NaN on the batch rows where `ok` fails (which
         poisons them); a single jet there raises EvalError instead."""

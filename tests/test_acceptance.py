@@ -56,7 +56,7 @@ def test_golden_values_reproduce_quickly():
         verified_points = {r.point for r in entry.golden
                            if r.reliability == "verified"}
         assert len(verified_points) >= 2, entry.name
-        failures = [r for r in golden_check(entry, rel_tol=1e-7)
+        failures = [r for r in golden_check(entry)
                     if r.status == "fail"]
         assert not failures, (entry.name, failures[:5])
     elapsed = time.perf_counter() - started

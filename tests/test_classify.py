@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from threeweb.classify import (
     _admissible_stream,
 )
 from threeweb.corpus import load_corpus, load_example
-from threeweb.expr import Web, format_web, parse_web
+from threeweb.expr import EvalError, Web, format_web, parse_web
 from threeweb.tensor import UNIT_FIELDS, read_off, snapshot
 
 EX9_MUTATED_BILINEAR = (
@@ -209,6 +210,11 @@ def test_parameter_overrides_reach_classification():
     assert r.labels == ("B", "D232", "E1")
 
 
+def test_non_finite_parameter_is_an_error():
+    with pytest.raises(EvalError, match="parameter a"):
+        classify_web(load_example(8).web, params={"a": math.inf})
+
+
 def test_ambiguity_band_is_reported():
     # pick a tolerance equal to a predicate's tiny-but-nonzero residual so
     # the verdict lands inside the [tol, 10*tol) band
@@ -219,6 +225,62 @@ def test_ambiguity_band_is_reported():
     again = classify_web(web, RunConfig(tol=r))
     assert "transversally_geodesic" in again.inconclusive
     assert not again.predicates["transversally_geodesic"].holds
+    # the predicates that join transversally_geodesic land in the band too
+    joined = ("hexagonal", "Bol", "group", "parallelizable")
+    assert set(joined) <= set(again.inconclusive)
+    assert not any(again.predicates[name].holds for name in joined)
+
+
+# --- t_constant: the zero test a2 - t0 a1 ------------------------------
+
+@pytest.mark.parametrize("index", [4, 5, 7])
+def test_t_constant_fails_with_a_witness(index):
+    t = classify_web(load_example(index).web).branch_a["t_constant"]
+    assert not t.holds and t.max_residual >= 0.1
+    assert t.witness is not None and t.points_tested == 64
+
+
+@pytest.mark.parametrize("index", [1, 2, 6])
+def test_t_constant_holds(index):
+    branch = classify_web(load_example(index).web).branch_a
+    t = branch["t_constant"]
+    assert t.holds and t.max_residual < 1e-12 and t.witness is None
+    assert t.points_tested == 64 and branch["t_value"] is not None
+
+
+def test_t_constant_can_be_inconclusive():
+    web = load_example(6).web
+    r = classify_web(web).branch_a["t_constant"].max_residual
+    assert 0.0 < r < 1e-9
+    again = classify_web(web, RunConfig(tol=r))
+    assert "t_constant" in again.inconclusive
+    branch = again.branch_a
+    assert not branch["t_constant"].holds
+    assert branch["t_value"] is None and branch["hex_at_t"] is None
+
+
+def both(va, vb):
+    """The conjunction of two verdicts, reported as one: the reference the
+    joined predicates are checked against."""
+    return SimpleNamespace(holds=va.holds and vb.holds,
+                           max_residual=max(va.max_residual, vb.max_residual))
+
+
+@pytest.mark.parametrize("seed", [*range(10), 42])
+def test_joined_predicates_match_the_conjunctions(seed):
+    for entry in load_corpus():
+        p = classify_web(entry.web, RunConfig(seed=seed)).predicates
+        geodesic = p["transversally_geodesic"]
+        group = both(geodesic, p["almost_parallelizable"])
+        want = {"hexagonal": both(geodesic, p["almost_algebraizable"]),
+                "Bol": both(geodesic, p["almost_Bol"]),
+                "group": group,
+                "parallelizable": both(p["isoclinicly_geodesic"], group)}
+        for name, v in want.items():
+            got = p[name]
+            assert (got.holds, got.max_residual) == (v.holds,
+                                                     v.max_residual), name
+            assert (got.witness is None) == got.holds, name
 
 
 # --- the linear zero tests as one residual matrix ----------------------
@@ -429,7 +491,7 @@ def test_undefined_points_count_as_outside_the_domain():
 def zero_test(snaps, name, components):
     T = _Tester(snaps, 1e-7)
     matrix, starts = read_off({name: components})
-    return T.verdicts([name], T.worst(matrix, np.abs(matrix), starts))[0]
+    return T.verdicts([name], T.worst(matrix, starts))[0]
 
 
 def test_zero_test_never_skips_a_nan_row():

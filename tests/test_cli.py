@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,6 +91,16 @@ def test_unknown_parameter_is_an_error(capsys):
     code, _, err = run(capsys, "classify", "example01", "--param", "z=1")
     assert code == 1
     assert "unknown parameter" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "example08", "--param", "a=nan"),
+    ("snapshot", "example08", "--point", "1", "1", "1", "1", "--param",
+     "a=inf")])
+def test_non_finite_parameter_is_an_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("error: parameter a ")
 
 
 def test_malformed_parameter_is_an_error(capsys):
@@ -225,10 +236,16 @@ def test_config_flags_are_wired_through(capsys):
 
 
 @pytest.mark.parametrize("value", ["-1e-1", "-1E-1", "-1.e-1", "-.1e0",
-                                   "-0.1"])
+                                   "-0.1", "-inf", "-nan", "-Infinity"])
 def test_negative_numbers_in_scientific_notation(capsys, value):
+    # each is read as a number, not an option; the non-finite ones are then
+    # outside the domain, as "inf" is
     code, out, err = run(capsys, "snapshot", "example01", "--point",
                          "1", "1", value, "1", "--format", "json")
+    if not math.isfinite(float(value)):
+        assert code == 1 and not out
+        assert err.startswith("error: inadmissible point")
+        return
     assert code == 0, err
     assert json.loads(out)["point"] == [1.0, 1.0, -0.1, 1.0]
 

@@ -5,7 +5,8 @@
 runs `classify_web` on each corpus web at every seed LO <= seed < HI with
 the default settings otherwise, prints each label set that differs from the
 corpus's expected labels, then the number of wrong label sets and of
-reports with an `inconclusive` entry.  Exit status 1 on any wrong label set.
+reports with an `inconclusive` entry.  Exit status 1 on any wrong label set
+or any report with an `inconclusive` entry.
 The package comes from PYTHONPATH when that names one, else from the `src`
 directory of this checkout.
 """
@@ -41,7 +42,7 @@ def main(argv):
     print("%d classifications at seeds %d-%d: %d wrong labels, %d reports "
           "with an inconclusive entry"
           % (len(corpus) * (hi - lo), lo, hi - 1, wrong, inconclusive))
-    return int(wrong > 0)
+    return int(wrong > 0 or inconclusive > 0)
 
 
 if __name__ == "__main__":
