@@ -202,14 +202,10 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
     return SnapshotBatch.concat(kept)
 
 
-def hexagonality_polynomials(snap, t):
-    """The quartic and the two cubic hexagonality polynomials at t.
-
-    `snap` is a TensorSnapshot, or a SnapshotBatch for per-row values.
-    The three are linearly dependent: quartic + t*cubic2 + cubic1 = 0
-    identically in the curvature components, which the test suite uses as a
-    transcription oracle.
-    """
+def _hexagonality_coefficients(snap):
+    """The coefficients of the quartic and of the two cubic hexagonality
+    polynomials in t, each a list from t^0 up.  `snap` is a
+    TensorSnapshot, or a SnapshotBatch for per-row values."""
     # the tensor indices first: b[i, j, k, l] is then a number, or an array
     # over the rows of a batch
     sym, b = (np.moveaxis(x, range(-4, 0), range(4))
@@ -218,16 +214,34 @@ def hexagonality_polynomials(snap, t):
     def c(i, j, k, l):
         return sym[i, j, k, l]
 
-    cubic1 = (-b[0, 0, 0, 0] * t ** 3 + 3.0 * c(0, 0, 0, 1) * t ** 2
-              - 3.0 * c(0, 0, 1, 1) * t + b[0, 1, 1, 1])
-    cubic2 = (-b[1, 0, 0, 0] * t ** 3 + 3.0 * c(1, 0, 0, 1) * t ** 2
-              - 3.0 * c(1, 0, 1, 1) * t + b[1, 1, 1, 1])
-    quartic = (b[1, 0, 0, 0] * t ** 4
-               - (3.0 * c(1, 0, 0, 1) - b[0, 0, 0, 0]) * t ** 3
-               + 3.0 * (c(1, 0, 1, 1) - c(0, 0, 0, 1)) * t ** 2
-               - (b[1, 1, 1, 1] - 3.0 * c(0, 0, 1, 1)) * t
-               - b[0, 1, 1, 1])
+    cubic1 = [b[0, 1, 1, 1], -3.0 * c(0, 0, 1, 1), 3.0 * c(0, 0, 0, 1),
+              -b[0, 0, 0, 0]]
+    cubic2 = [b[1, 1, 1, 1], -3.0 * c(1, 0, 1, 1), 3.0 * c(1, 0, 0, 1),
+              -b[1, 0, 0, 0]]
+    quartic = [-b[0, 1, 1, 1], 3.0 * c(0, 0, 1, 1) - b[1, 1, 1, 1],
+               3.0 * (c(1, 0, 1, 1) - c(0, 0, 0, 1)),
+               b[0, 0, 0, 0] - 3.0 * c(1, 0, 0, 1), b[1, 0, 0, 0]]
     return quartic, cubic1, cubic2
+
+
+def _horner(coeffs, t):
+    """sum_k coeffs[k] t^k by Horner's rule."""
+    out = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out = out * t + c
+    return out
+
+
+def hexagonality_polynomials(snap, t):
+    """The quartic and the two cubic hexagonality polynomials at t.
+
+    `snap` is a TensorSnapshot, or a SnapshotBatch for per-row values.
+    The three are linearly dependent: quartic + t*cubic2 + cubic1 = 0
+    identically in the curvature components, which the test suite uses as a
+    transcription oracle.
+    """
+    return tuple(_horner(coeffs, t)
+                 for coeffs in _hexagonality_coefficients(snap))
 
 
 # The zero tests that are linear in the snapshot fields, as data: each name
@@ -346,17 +360,31 @@ _JOINED_STARTS = np.cumsum([0] + [len(tests.split())
                                   for tests in JOINED.values()])[:-1]
 
 
-def _tests_at(t):
-    """The tests at a constant t, both linear in x: the frame-alignment
-    identity, informational only (the connection form omega_2^1 should
-    equal t^2 omega_1^2 + t(omega_1^1 - omega_2^2) coefficientwise, on
-    either base form), and hexagonality at t."""
-    def frame_alignment(s):
-        return [w[:, 0, 1] - t * t * w[:, 1, 0] - t * (w[:, 0, 0] - w[:, 1, 1])
-                for w in (s.gamma.swapaxes(2, 3), s.gamma)]
+def _tests_at_powers(s):
+    """The tests at a constant t, both linear in x and polynomials in t of
+    degree at most 3, by power of t: for each of t^0..t^3, the coefficients
+    of the frame-alignment identity, informational only (the connection
+    form omega_2^1 should equal t^2 omega_1^2 + t(omega_1^1 - omega_2^2)
+    coefficientwise, on either base form), then of hexagonality at t."""
+    ws = (s.gamma.swapaxes(2, 3), s.gamma)
+    frame = ([w[:, 0, 1] for w in ws], [w[:, 1, 1] - w[:, 0, 0] for w in ws],
+             [-w[:, 1, 0] for w in ws], [0.0 * w[:, 1, 0] for w in ws])
+    cubics = _hexagonality_coefficients(s)[1:]
+    return [frame[k] + [cubic[k] for cubic in cubics] for k in range(4)]
 
-    return {"frame_alignment_residual": frame_alignment,
-            "hex_at_t": lambda s: hexagonality_polynomials(s, t)[1:]}
+
+# the matrices (104, 6) of the coefficients of t^0..t^3 of the tests at t,
+# taken once at the exact fields: frame alignment's four columns, then
+# hex_at_t's two
+_AT_T = [np.concatenate([np.reshape(c, (104, -1)) for c in power], 1)
+         for power in _tests_at_powers(UNIT_FIELDS)]
+_AT_T_STARTS = np.array([0, 4])
+
+
+def _tests_at(t):
+    """The matrix of the tests at t, assembled by Horner's rule, and each
+    test's first column."""
+    return _horner(_AT_T, t), _AT_T_STARTS
 
 
 # |a|, |p| and |q| as functions of x, for the bound of integrability
@@ -516,13 +544,13 @@ def _branch_a(T, tests):
     if not t_vals.size or branch["a1_zero"].holds:
         return branch
     t0 = float(np.mean(t_vals))
-    # t0 is not a multiple of 1/144: read off at the exact fields
-    t_test = {"t_constant": lambda s: [s.a_cov[:, 1] - t0 * s.a_cov[:, 0]]}
+    # a2 - t0 a1 on the columns of a_cov
+    a1, a2 = UNIT_FIELDS.a_cov[:, :1], UNIT_FIELDS.a_cov[:, 1:]
     branch["t_constant"] = T.verdicts(
-        ["t_constant"], T.worst(*read_off(t_test, UNIT_FIELDS)))[0]
+        ["t_constant"], T.worst(a2 - t0 * a1, [0]))[0]
     if branch["t_constant"].holds:
         branch["t_value"] = t0
-        worst = T.worst(*read_off(_tests_at(t0), UNIT_FIELDS))
+        worst = T.worst(*_tests_at(t0))
         branch["frame_alignment_residual"] = float(np.max(worst[:, 0]))
         branch["hex_at_t"] = T.verdicts(["hex_at_t"], worst[:, 1:])[0]
 

@@ -145,6 +145,9 @@ def _tokenize(text, line_no):
                     j += 2 if text[j + 1] in "+-" else 1
                 else:
                     break
+            if math.isinf(float(text[i:j])):
+                raise ParseError("number %s overflows to inf" % text[i:j],
+                                 line_no, col)
             tokens.append(("num", text[i:j], col))
             i = j
         elif c.isalpha() or c == "_":

@@ -23,6 +23,19 @@ with f_k the Taylor coefficients of the function at c0: two jet products
 Jet arithmetic takes directly: where finite, the results equal those of the
 constant jets they replace bit for bit.  A folded `ln` of a non-positive
 value or division by zero raises EvalError, at one point or a batch.
+
+Each Jet also carries `deg`, a bound on the total degree of its nonzero
+coefficients: 1 for a variable seed, the larger of the two for a sum or
+difference, the same for a negation or a float multiple, min(3, d1 + d2)
+for a product, and 3 for a reciprocal, exp or ln.  A product reads only
+the pairs of coefficients its factors' degrees allow, from the pair table
+for (d1, d2): 25 of the 165 pairs for affine x affine, 95 for affine x
+full.  The webs of interest are rational in affine pieces, so most
+products in a lift are of that kind.  A batch sums each table's pairs into
+the 35 coefficients with one product against a constant 0/1 matrix, one
+jet with `np.bincount` over the pairs' coefficient indices.  A non-finite
+coefficient of either factor, at or below its degree, meets the other
+factor's value coefficient in some pair, so it poisons the product.
 """
 
 from __future__ import annotations
@@ -51,12 +64,24 @@ _FACTORIAL = np.array([math.prod(math.factorial(a) for a in alpha)
                        for alpha in MULTI], dtype=float)
 
 # Multiplication table: all (i, j) with |MULTI[i] + MULTI[j]| <= 3, sorted
-# by the index k of the sum, and where each k's run of pairs starts.
-_PAIRS = sorted((INDEX[tuple(x + y for x, y in zip(a, b))], i, j)
-                for i, a in enumerate(MULTI) for j, b in enumerate(MULTI)
-                if sum(a) + sum(b) <= DEGREE)
-_MUL_K, _MUL_I, _MUL_J = (np.array(col) for col in zip(*_PAIRS))
-_MUL_START = np.searchsorted(_MUL_K, np.arange(NCOEFF))
+# by the index k of the sum
+_K, _I, _J = np.array(sorted(
+    (INDEX[tuple(x + y for x, y in zip(a, b))], i, j)
+    for i, a in enumerate(MULTI) for j, b in enumerate(MULTI)
+    if sum(a) + sum(b) <= DEGREE)).T
+_TOTAL = np.array([sum(alpha) for alpha in MULTI])
+
+
+def _pair_table(d1, d2):
+    """The pairs of the table with |MULTI[i]| <= d1 and |MULTI[j]| <= d2:
+    their i, j and k, and the 0/1 matrix (pairs x 35) that sums them by k."""
+    keep = (_TOTAL[_I] <= d1) & (_TOTAL[_J] <= d2)
+    return _I[keep], _J[keep], _K[keep], np.eye(NCOEFF)[_K[keep]]
+
+
+# (d1, d2) -> the pair table of a product of jets of those degrees
+_PAIRS = {(d1, d2): _pair_table(d1, d2)
+          for d1 in range(DEGREE + 1) for d2 in range(DEGREE + 1)}
 
 
 # _UNIT[v] is the coefficient index of x_v
@@ -80,71 +105,55 @@ def _gather(c, index):
     return c[index] if c.ndim == 1 else c[..., index]
 
 
-def _jet(c):
-    """A Jet on coefficients computed here: no conversion or check."""
+def _jet(c, deg):
+    """A Jet on coefficients computed here, whose total degree is at most
+    `deg`: no conversion or check."""
     jet = object.__new__(Jet)
     jet.c = c
+    jet.deg = deg
     return jet
 
 
 class Jet:
     """Degree-3 truncated Taylor expansion of a scalar function, at one
-    point or at a batch of points (the leading axes of `c`)."""
+    point or at a batch of points (the leading axes of `c`), whose nonzero
+    coefficients have total degree at most `deg`.  Built by `jet_lift`."""
 
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        self.c = np.asarray(coeffs, dtype=float)
-        if self.c.shape[-1:] != (NCOEFF,):
-            raise ValueError("jet needs %d coefficients" % NCOEFF)
-
-    # construction -----------------------------------------------------
-
-    @staticmethod
-    def constant(value):
-        value = np.asarray(value, dtype=float)
-        c = np.zeros(value.shape + (NCOEFF,))
-        c[..., 0] = value
-        return _jet(c)
-
-    # accessors ----------------------------------------------------------
+    __slots__ = ("c", "deg")
 
     @property
     def value(self):
         return self.c[..., 0]
 
-    def partial(self, alpha):
-        """The partial derivative d^alpha F at the expansion point."""
-        i = INDEX[tuple(alpha)]  # KeyError for |alpha| > 3 is right
-        return self.c[..., i] * _FACTORIAL[i]
-
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return _jet(self.c + other.c)
+            return _jet(self.c + other.c, max(self.deg, other.deg))
         c = self.c.copy()
         c[..., 0] += other
-        return _jet(c)
+        return _jet(c, self.deg)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return _jet(self.c - other.c)
+            return _jet(self.c - other.c, max(self.deg, other.deg))
         return self + (-other)
 
     def __rsub__(self, other):
         return -self + other
 
     def __neg__(self):
-        return _jet(-self.c)
+        return _jet(-self.c, self.deg)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return _jet(self.c * other)
-        prod = _gather(self.c, _MUL_I) * _gather(other.c, _MUL_J)
-        return _jet(np.add.reduceat(prod, _MUL_START, axis=-1))
+            return _jet(self.c * other, self.deg)
+        i, j, k, sums = _PAIRS[self.deg, other.deg]
+        prod = _gather(self.c, i) * _gather(other.c, j)
+        return _jet(np.bincount(k, prod, NCOEFF) if prod.ndim == 1
+                    else prod @ sums, min(DEGREE, self.deg + other.deg))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -160,10 +169,11 @@ class Jet:
         return c0
 
     @staticmethod
-    def _powers(u):
-        """u, u^2 and u^3 of coefficients `u`, their value zeroed here."""
+    def _powers(u, deg):
+        """u, u^2 and u^3 of coefficients `u` of degree at most `deg`, their
+        value zeroed here."""
         u[..., 0] = 0.0
-        u = _jet(u)
+        u = _jet(u, deg)
         u2 = u * u
         return u.c, u2.c, (u2 * u).c
 
@@ -171,26 +181,26 @@ class Jet:
         c0 = self._value_where(self.c[..., :1] != 0.0,
                                "jet division by a jet with value")
         # 1/(c0 (1 + u)) = (1 - u + u^2 - u^3) / c0
-        u, u2, u3 = self._powers(self.c / c0)
+        u, u2, u3 = self._powers(self.c / c0, self.deg)
         w = u2 - u - u3
         w[..., 0] = 1.0
-        return _jet(w / c0)
+        return _jet(w / c0, DEGREE)
 
     def exp(self):
         # exp(c0 + u) = exp(c0) (1 + u + u^2/2 + u^3/6)
-        u, u2, u3 = self._powers(self.c.copy())
+        u, u2, u3 = self._powers(self.c.copy(), self.deg)
         w = u + u2 * 0.5 + u3 * (1.0 / 6.0)
         w[..., 0] = 1.0
-        return _jet(w * np.exp(self.c[..., :1]))
+        return _jet(w * np.exp(self.c[..., :1]), DEGREE)
 
     def ln(self):
         c0 = self._value_where(self.c[..., :1] > 0.0,
                                "ln of a jet with non-positive value")
         # ln(c0 (1 + u)) = ln(c0) + u - u^2/2 + u^3/3
-        u, u2, u3 = self._powers(self.c / c0)
+        u, u2, u3 = self._powers(self.c / c0, self.deg)
         w = u - u2 * 0.5 + u3 * (1.0 / 3.0)
         w[..., :1] = np.log(c0)
-        return _jet(w)
+        return _jet(w, DEGREE)
 
     def __repr__(self):
         return "Jet(value=%r)" % (self.value,)
@@ -243,7 +253,8 @@ def jet_lift(e, point, params=None):
     seeds = np.zeros(lead + (NVARS, NCOEFF))
     seeds[..., 0] = point
     seeds[..., _VARS, _UNIT] = 1.0
-    vars_ = {name: _jet(seeds[..., v, :]) for v, name in enumerate(VARIABLES)}
+    vars_ = {name: _jet(seeds[..., v, :], 1)
+             for v, name in enumerate(VARIABLES)}
     many = isinstance(e, (list, tuple))
     exprs = e if many else (e,)
     out = np.zeros(lead + (len(exprs), NCOEFF))
@@ -254,7 +265,7 @@ def jet_lift(e, point, params=None):
                 out[..., i, :] = jet.c
             else:  # a constant expression still gets one row per point
                 out[..., i, 0] = jet
-    return _jet(out if many else out[..., 0, :])
+    return _jet(out if many else out[..., 0, :], DEGREE)
 
 
 # node type -> how the lifts of its operands combine

@@ -23,6 +23,19 @@ directional derivatives dual to the base forms of the first two foliations;
 D gamma follows from the partials of f by the closed form
 d(gbar) = -gbar d(fbar) gbar (likewise for gtilde), which makes it the third
 partials of f in the frame plus gamma times the Hessian of f in the frame.
+At one point, with z = (x1, x2, y1, y2), hess[i][s][t] = d2 f^i/dz^s dz^t,
+third[i][s][l][m] = d3 f^i/dz^s dx^l dy^m, frame = diag(gbar, gtilde) and
+r = D1_0, D1_1, D2_0, D2_1:
+
+    hess_frame  = einsum("sa,ist,tb->iab", frame, hess, frame)
+    gamma       = -hess_frame[:, :2, 2:]
+    third_frame = einsum("islm,lj,mk->isjk", third, gbar, gtilde)
+    -D gamma    = einsum("isjk,sr->ijkr", third_frame, frame)
+                  + einsum("ipk,pjr->ijkr", gamma, hess_frame[:, :2])
+                  + einsum("ijp,pkr->ijkr", gamma, hess_frame[:, 2:])
+
+A batch forms third_frame with one product of third, (8 x 4) at each point,
+and gbar (x) gtilde (4 x 4), and contracts it with the frame in one more.
 Then:
 
     h2 = 1/4 * sym3(b)^k_{kij} - 1/3 (p + q)      (sym3 = mean over the six
@@ -170,7 +183,8 @@ class SnapshotBatch:
     axis of N (`t_ratio` NaN for None), `points` (N, 4), and the rows'
     `degenerate` and `finite` flags.  Also the input `x` (N, 104) of the
     map the fields came from, and the frame products `x` was formed from:
-    `frame` (N,4,4), `hess_frame` (N,2,4,4) and `third_frame` (N,2,4,2,2).
+    `frame` (N,4,4), `hess_frame` (N,2,4,4) and `third_frame` (N,2,4,2,2),
+    as in the formulas of the module docstring.
     An int index gives one TensorSnapshot, a slice or index array a batch.
     """
 
@@ -182,6 +196,10 @@ class SnapshotBatch:
 
     @classmethod
     def concat(cls, batches):
+        """One batch of the rows of `batches` in order; a lone batch is
+        returned as it is."""
+        if len(batches) == 1:
+            return batches[0]
         return cls(np.concatenate([b.points for b in batches]),
                    batches[0].params,
                    {name: np.concatenate([b.fields[name] for b in batches])
@@ -366,7 +384,7 @@ def _minus_d_gamma(g, frame, hess_frame, third_frame):
     the third partials in the frame plus, through _GAMMA_HESS, gamma times
     the frame Hessian."""
     n = len(g)
-    return ((third_frame.transpose(0, 1, 3, 4, 2) @ frame[:, None, None])
+    return ((third_frame.reshape(n, 2, 4, 4).swapaxes(2, 3) @ frame[:, None])
             .reshape(n, 32)
             + ((g @ _GAMMA_HESS).reshape(n, 8, 8)
                @ hess_frame.reshape(n, 8, 4)).reshape(n, 32))
@@ -400,9 +418,11 @@ def _invariants(points, bound, coeffs):
     hess_frame = np.swapaxes(frame, 1, 2)[:, None] @ hess @ frame[:, None]
     gamma = -hess_frame[:, :, :2, 2:]
     g = gamma.reshape(n, 8)
-    # the third partials in the frame, axes (i, s, j, k)
-    third_frame = (np.swapaxes(gbar, 1, 2)[:, None, None] @ third
-                   @ gtil[:, None, None])
+    # the third partials in the frame, axes (i, s, j, k): the (l, m) axes
+    # of the third partials times gbar (x) gtilde, axes (l, m; j, k)
+    kron = gbar[:, :, None, :, None] * gtil[:, None, :, None, :]
+    third_frame = (third.reshape(n, 8, 4)
+                   @ kron.reshape(n, 4, 4)).reshape(n, 2, 4, 2, 2)
     x = np.concatenate([g, _minus_d_gamma(g, frame, hess_frame, third_frame),
                         (g[:, :, None] * g[:, None, :]).reshape(n, 64)], 1)
     out = x @ _MAP

@@ -6,9 +6,17 @@ Richardson-extrapolated central stencils.  Third-order mixed partials lose
 too many digits at very small steps, so the base step is 0.02 and one
 extrapolation level brings the truncation error to O(h^4), which comfortably
 beats the 1e-5 relative tolerance the comparisons use.
+
+The jet helpers build and read `threeweb.jet.Jet`s from the test side: a
+checking constructor, constant jets, partials, and the dense product over
+all 165 pairs of coefficients, the oracle of the degree-aware product.
 """
 
+import itertools
+
 import numpy as np
+
+from threeweb.jet import DEGREE, INDEX, MULTI, NCOEFF, _FACTORIAL, _jet
 
 BASE_STEP = 0.02
 
@@ -66,3 +74,44 @@ def partial_fd(f, point, alpha, h=BASE_STEP):
 
 def rel_err(got, want):
     return abs(got - want) / max(1.0, abs(want))
+
+
+def make_jet(coeffs, deg=DEGREE):
+    """A Jet on `coeffs` (..., 35) whose coefficients above total degree
+    `deg` must be zero."""
+    c = np.asarray(coeffs, dtype=float)
+    if c.shape[-1:] != (NCOEFF,):
+        raise ValueError("jet needs %d coefficients" % NCOEFF)
+    if np.any(c[..., [sum(alpha) > deg for alpha in MULTI]]):
+        raise ValueError("jet has coefficients above degree %d" % deg)
+    return _jet(c, deg)
+
+
+def constant_jet(value):
+    value = np.asarray(value, dtype=float)
+    c = np.zeros(value.shape + (NCOEFF,))
+    c[..., 0] = value
+    return _jet(c, 0)
+
+
+def partial(jet, alpha):
+    """The partial derivative d^alpha F of a jet at its expansion point."""
+    i = INDEX[tuple(alpha)]  # KeyError for |alpha| > 3 is right
+    return jet.c[..., i] * _FACTORIAL[i]
+
+
+# every (i, j) with |MULTI[i] + MULTI[j]| <= 3, sorted by the index k of the
+# sum, and where each k's run of pairs starts
+_DENSE = sorted((INDEX[tuple(x + y for x, y in zip(a, b))], i, j)
+                for (i, a), (j, b) in itertools.product(enumerate(MULTI),
+                                                        repeat=2)
+                if sum(a) + sum(b) <= DEGREE)
+_DENSE_K, _DENSE_I, _DENSE_J = (np.array(col) for col in zip(*_DENSE))
+_DENSE_START = np.searchsorted(_DENSE_K, np.arange(NCOEFF))
+
+
+def dense_product(a, b):
+    """The coefficients of the product of coefficient arrays a and b
+    (..., 35), over all 165 pairs, summed by `np.add.reduceat`."""
+    return np.add.reduceat(a[..., _DENSE_I] * b[..., _DENSE_J],
+                           _DENSE_START, axis=-1)

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import partial_fd, rel_err
+from oracles import partial, partial_fd, rel_err
 from threeweb.classify import (
     RunConfig,
     classify_web,
@@ -143,7 +143,7 @@ def test_jets_match_finite_difference_oracle():
                     if sum(alpha) == 0:
                         continue
                     want = partial_fd(f, pt, alpha)
-                    got = jet.partial(alpha)
+                    got = partial(jet, alpha)
                     assert rel_err(got, want) < 1e-5, \
                         (entry.name, pt, alpha, got, want)
 

@@ -316,10 +316,37 @@ def test_compiled_tests_match_their_formulas(scale):
     assert_matrix_matches_formulas(x, fields_of(x))
 
 
+def formulas_at(t):
+    """The tests at a constant t written out in t: the frame-alignment
+    identity and the two cubic hexagonality polynomials, an independent
+    transcription of the coefficients `classify` reads off."""
+    def frame_alignment(s):
+        return [w[:, 0, 1] - t * t * w[:, 1, 0] - t * (w[:, 0, 0] - w[:, 1, 1])
+                for w in (s.gamma.swapaxes(2, 3), s.gamma)]
+
+    def hex_at_t(s):
+        sym, b = (np.moveaxis(x, range(-4, 0), range(4))
+                  for x in (classify.sym3_lower(s.b), s.b))
+        return [-b[i, 0, 0, 0] * t ** 3 + 3.0 * sym[i, 0, 0, 1] * t ** 2
+                - 3.0 * sym[i, 0, 1, 1] * t + b[i, 1, 1, 1] for i in (0, 1)]
+
+    return {"frame_alignment_residual": frame_alignment, "hex_at_t": hex_at_t}
+
+
 @pytest.mark.parametrize("t", [-2.5, -0.3, 0.7, 1.0, 4.0])
 def test_tests_at_t_match_their_formulas(t):
     x = np.random.default_rng(13).normal(size=(50, 104))
-    assert_matrix_matches_formulas(x, fields_of(x), classify._tests_at(t))
+    assert_matrix_matches_formulas(x, fields_of(x), formulas_at(t))
+
+
+@pytest.mark.parametrize("t", [-37.5, -2.5, -0.3, 0.0, 0.7, 1.0, 4.0, 250.0])
+def test_tests_at_t_assemble_their_read_off(t):
+    # the matrix at t assembled from the per-power matrices by Horner's
+    # rule, against the formulas read off at t
+    matrix, starts = classify._tests_at(t)
+    want, want_starts = read_off(formulas_at(t), UNIT_FIELDS)
+    assert list(starts) == list(want_starts)
+    assert np.all(np.abs(matrix - want) <= 1e-15 * max(1.0, abs(t)) ** 3)
 
 
 @pytest.mark.parametrize("index", [1, 6, 9])

@@ -81,6 +81,19 @@ def test_parse_errors_carry_position(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("text,where", [
+    ("u1 = x1 + 1e999*y1*x2\nu2 = x2 + y2\n", "line 1, col 11"),
+    ("param a = 1e999\nu1 = x1 + a*y1\nu2 = x2 + y2\n", "line 1, col 11"),
+])
+def test_overflowing_literal_is_a_parse_error(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.web"
+    bad.write_text(text)
+    code, out, err = run(capsys, "classify", str(bad), "--points", "8")
+    assert code == 1 and not out
+    assert err.startswith("error: ") and where in err
+    assert "1e999 overflows" in err
+
+
 def test_rejected_tolerance_is_an_error(capsys):
     code, _, err = run(capsys, "classify", "example01", "--tol", "1e-2")
     assert code == 1

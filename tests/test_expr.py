@@ -146,6 +146,9 @@ def test_domain_kinds():
     ("u1 = x1^y1\nu2 = x2\n", 1),                  # non-integer exponent
     ("u1 = x1^1.5\nu2 = x2\n", 1),
     ("frob = x1\nu1 = x1\nu2 = x2\n", 1),          # unknown line head
+    ("u1 = x1 + 1e999*y1\nu2 = x2\n", 1),          # literal overflows
+    ("param a = -1e999\nu1 = x1\nu2 = x2\n", 1),
+    ("u1 = x1\nu2 = x2\ndomain x1 - 2e308 > 0\n", 3),
 ])
 def test_parse_errors_carry_position(text, line):
     with pytest.raises(ParseError) as info:

@@ -1,12 +1,19 @@
+import contextlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import partial_fd, rel_err
+from oracles import (constant_jet, dense_product, make_jet, partial,
+                     partial_fd, rel_err)
+from threeweb import jet
 from threeweb.corpus import load_example
-from threeweb.expr import EvalError, Var, evaluate, parse_web
-from threeweb.jet import MULTI, NCOEFF, Jet, _int_pow, jet_lift
+from threeweb.expr import (Add, Const, Div, EvalError, Exp, Ln, Mul, Neg, Pow,
+                           Sub, Var, evaluate, parse_web)
+from threeweb.jet import DEGREE, MULTI, NCOEFF, _int_pow, jet_lift
 
 RNG = np.random.default_rng(2024)
 
@@ -15,7 +22,7 @@ def _random_jet(scale=1.0, positive=False):
     c = RNG.uniform(-scale, scale, NCOEFF)
     if positive:
         c[0] = abs(c[0]) + 0.5
-    return Jet(c)
+    return make_jet(c)
 
 
 def _close(a, b, tol=1e-10):
@@ -24,13 +31,13 @@ def _close(a, b, tol=1e-10):
 
 
 def test_constant_and_variable_seeds():
-    j = Jet.constant(7.0)
+    j = constant_jet(7.0)
     assert j.value == 7.0
-    assert j.partial((1, 0, 0, 0)) == 0.0
+    assert partial(j, (1, 0, 0, 0)) == 0.0
     v = jet_lift(Var("y1"), (0.0, 0.0, 1.5, 0.0))
     assert v.value == 1.5
-    assert v.partial((0, 0, 1, 0)) == 1.0
-    assert v.partial((0, 0, 2, 0)) == 0.0
+    assert partial(v, (0, 0, 1, 0)) == 1.0
+    assert partial(v, (0, 0, 2, 0)) == 0.0
 
 
 def test_polynomial_partials_are_exact():
@@ -40,16 +47,16 @@ def test_polynomial_partials_are_exact():
     j = jet_lift(web.u1, (x1, x2, y1, y2))
     assert j.value == pytest.approx(x1 * x1 * x2 + 3 * x1 * y1 * y2
                                       - y2 ** 3, rel=1e-14)
-    assert j.partial((1, 0, 0, 0)) == pytest.approx(2 * x1 * x2 + 3 * y1 * y2)
-    assert j.partial((2, 0, 0, 0)) == pytest.approx(2 * x2)
-    assert j.partial((2, 1, 0, 0)) == pytest.approx(2.0)
-    assert j.partial((1, 0, 1, 1)) == pytest.approx(3.0)
-    assert j.partial((0, 0, 0, 3)) == pytest.approx(-6.0)
-    assert j.partial((0, 3, 0, 0)) == 0.0
+    assert partial(j, (1, 0, 0, 0)) == pytest.approx(2 * x1 * x2 + 3 * y1 * y2)
+    assert partial(j, (2, 0, 0, 0)) == pytest.approx(2 * x2)
+    assert partial(j, (2, 1, 0, 0)) == pytest.approx(2.0)
+    assert partial(j, (1, 0, 1, 1)) == pytest.approx(3.0)
+    assert partial(j, (0, 0, 0, 3)) == pytest.approx(-6.0)
+    assert partial(j, (0, 3, 0, 0)) == 0.0
 
 
 def test_reciprocal_inverts():
-    one = Jet.constant(1.0)
+    one = constant_jet(1.0)
     for _ in range(20):
         j = _random_jet(positive=True)
         assert _close(j * j.reciprocal(), one)
@@ -67,18 +74,18 @@ def test_int_pow_matches_repeated_product():
         j = _random_jet(positive=True)
         assert _close(_int_pow(j, 3), j * j * j)
         assert _close(_int_pow(j, 1), j)
-        assert _close(_int_pow(j, 0), Jet.constant(1.0))
+        assert _close(_int_pow(j, 0), constant_jet(1.0))
         assert _close(_int_pow(j, -2), (j * j).reciprocal(), tol=1e-8)
 
 
 def test_error_cases():
-    zero_front = Jet.constant(0.0)
+    zero_front = constant_jet(0.0)
     with pytest.raises(EvalError):
         zero_front.reciprocal()
     with pytest.raises(EvalError):
-        Jet.constant(-1.0).ln()
+        constant_jet(-1.0).ln()
     with pytest.raises(EvalError):
-        Jet.constant(0.0).ln()
+        constant_jet(0.0).ln()
     with pytest.raises(EvalError):
         _int_pow(zero_front, -1)
 
@@ -110,7 +117,7 @@ def test_partials_match_finite_differences(index, point):
             if sum(alpha) == 0:
                 continue
             want = partial_fd(f, point, alpha)
-            got = j.partial(alpha)
+            got = partial(j, alpha)
             assert rel_err(got, want) < 1e-5, (alpha, got, want)
 
 
@@ -125,10 +132,10 @@ def test_exp_jet_against_closed_form():
             want = 0.0 if sum(alpha) > 0 else base
             if sum(alpha) == 0:
                 continue
-            assert j.partial(alpha) == pytest.approx(0.0, abs=1e-12)
+            assert partial(j, alpha) == pytest.approx(0.0, abs=1e-12)
         else:
             want = base * 2.0 ** alpha[3]
-            assert j.partial(alpha) == pytest.approx(want, rel=1e-12)
+            assert partial(j, alpha) == pytest.approx(want, rel=1e-12)
 
 
 # Constant and parameter subtrees fold to floats inside jet_lift.
@@ -152,7 +159,7 @@ def test_folded_constants_match_finite_differences(point):
         assert j.value == pytest.approx(f(point), rel=1e-14)
         for alpha in MULTI[1:]:
             want = partial_fd(f, point, alpha)
-            assert rel_err(j.partial(alpha), want) < 1e-5, (alpha, want)
+            assert rel_err(partial(j, alpha), want) < 1e-5, (alpha, want)
 
 
 @pytest.mark.parametrize("text", ["u1 = x1 + ln(0 - 1)\nu2 = x2\n",
@@ -199,7 +206,7 @@ def test_series_match_finite_differences(text):
             assert j.value[i] == pytest.approx(f(point), rel=1e-14)
             for alpha in MULTI[1:]:
                 want = partial_fd(f, point, alpha)
-                got = j.partial(alpha)[i]
+                got = partial(j, alpha)[i]
                 assert rel_err(got, want) < 1e-5, (i, alpha, got, want)
 
 
@@ -213,3 +220,126 @@ def test_folded_constant_errors_name_the_operation(text, message):
     for point in ((1.0, 2.0, 3.0, 4.0), RNG.uniform(-1.0, 1.0, (5, 4))):
         with pytest.raises(EvalError, match=message):
             jet_lift((web.u1, web.u2), point)
+
+
+# --- the degree-aware product -------------------------------------------
+
+_TOTAL = np.array([sum(alpha) for alpha in MULTI])
+_DEGREES = list(itertools.product(range(DEGREE + 1), repeat=2))
+
+
+def _coeffs_of_degree(shape, deg):
+    """Random coefficients (shape + (35,)) that vanish above total degree
+    `deg`, each row at its own scale between 1e-3 and 1e3."""
+    scale = 10.0 ** RNG.uniform(-3.0, 3.0, shape + (1,))
+    return RNG.uniform(-1.0, 1.0, shape + (NCOEFF,)) * scale * (_TOTAL <= deg)
+
+
+@pytest.mark.parametrize("shape", [(), (40,)])
+@pytest.mark.parametrize("d1,d2", _DEGREES)
+def test_degree_pair_product_matches_the_dense_product(d1, d2, shape):
+    a = make_jet(_coeffs_of_degree(shape, d1), d1)
+    b = make_jet(_coeffs_of_degree(shape, d2), d2)
+    got = a * b
+    want = dense_product(a.c, b.c)
+    scale = dense_product(np.abs(a.c), np.abs(b.c)).max(-1, keepdims=True)
+    assert got.deg == min(DEGREE, d1 + d2)
+    assert got.c.shape == want.shape
+    assert np.all(np.abs(got.c - want) <= 1e-15 * scale)
+    assert not got.c[..., _TOTAL > got.deg].any()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("d1,d2", _DEGREES)
+def test_non_finite_factor_poisons_the_product_row(d1, d2, bad):
+    # one row per coefficient of either factor at or below its degree, with
+    # the non-finite value planted there; the last row stays finite
+    slots = ([(0, i) for i in np.flatnonzero(_TOTAL <= d1)]
+             + [(1, j) for j in np.flatnonzero(_TOTAL <= d2)])
+    n = len(slots) + 1
+    a, b = _coeffs_of_degree((n,), d1), _coeffs_of_degree((n,), d2)
+    for row, (factor, index) in enumerate(slots):
+        (a, b)[factor][row, index] = bad
+    with np.errstate(all="ignore"):
+        prod = (make_jet(a, d1) * make_jet(b, d2)).c
+        assert not np.isfinite(prod[:-1]).all(axis=1).any()
+        assert np.isfinite(prod[-1]).all()
+        for row in range(n):  # one jet at a time
+            one = (make_jet(a[row], d1) * make_jet(b[row], d2)).c
+            assert np.isfinite(one).all() == (row == n - 1)
+
+
+@contextlib.contextmanager
+def _full_tables():
+    """Every product reads all 165 pairs, as if every degree were 3."""
+    saved = jet._PAIRS
+    jet._PAIRS = {key: saved[DEGREE, DEGREE] for key in saved}
+    try:
+        yield
+    finally:
+        jet._PAIRS = saved
+
+
+@contextlib.contextmanager
+def _checked_degrees():
+    """Every jet built asserts, on its rows that are finite, that its
+    coefficients above its degree vanish."""
+    build = jet._jet
+
+    def checked(c, deg):
+        finite = np.isfinite(c).all(axis=-1)
+        assert not c[finite][..., _TOTAL > deg].any(), deg
+        return build(c, deg)
+
+    jet._jet = checked
+    try:
+        yield
+    finally:
+        jet._jet = build
+
+
+def _tree_strategy():
+    leaves = st.one_of(st.sampled_from(["x1", "x2", "y1", "y2"]).map(Var),
+                       st.sampled_from([1.0, 2.0, 0.5, -3.0]).map(Const))
+
+    def extend(children):
+        pair = st.tuples(children, children)
+        return st.one_of(
+            *(pair.map(lambda t, node=node: node(*t))
+              for node in (Add, Sub, Mul, Div)),
+            children.map(Neg), children.map(Exp), children.map(Ln),
+            st.tuples(children, st.integers(-3, 3)).map(lambda t: Pow(*t)))
+
+    return st.recursive(leaves, extend, max_leaves=16)
+
+
+# rows with zeros and negatives, so that ln and division leave some rows
+# outside their domain
+_TREE_POINTS = np.vstack([np.random.default_rng(5).uniform(-2.0, 2.0, (6, 4)),
+                          [[0.0, 1.0, -1.0, 0.5], [1.0, 0.0, 0.0, -2.0]]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_tree_strategy(), _tree_strategy()))
+def test_lift_matches_the_lift_with_every_degree_three(exprs):
+    # the degree bounds hold as each jet is built, and the lift that relies
+    # on them equals the lift that reads every pair
+    def lift(points):
+        try:
+            return jet_lift(exprs, points).c
+        except EvalError:  # a folded constant outside its domain
+            return None
+
+    for points in (_TREE_POINTS, _TREE_POINTS[0]):
+        with _checked_degrees():
+            got = lift(points)
+        with _full_tables():
+            want = lift(points)
+        assert (got is None) == (want is None)
+        if got is None:
+            continue
+        finite = np.isfinite(got).all(axis=(-2, -1))
+        assert np.array_equal(finite, np.isfinite(want).all(axis=(-2, -1)))
+        got, want = got[finite], want[finite]
+        scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1), keepdims=True))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)

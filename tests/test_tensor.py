@@ -6,10 +6,13 @@ import pytest
 from threeweb.classify import RunConfig, collect_snapshots
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import EvalError, parse_web
+from oracles import make_jet, partial
+from threeweb.jet import jet_lift
 from threeweb.tensor import (
     UNIT_FIELDS,
     DegenerateWeb,
     InadmissiblePoint,
+    SnapshotBatch,
     _MAP,
     _tail,
     snapshot,
@@ -339,3 +342,53 @@ def test_bad_row_mid_batch_is_masked_alone(text, bad_point):
     _assert_rows_match(batch[[0, 2, 3]],
                        [snapshot(web, tuple(pt), check_domain=False)
                         for pt in good])
+
+
+@pytest.mark.parametrize("index", [1, 6, 8, 10, 13])
+def test_frame_products_match_the_docstring_formulas(index):
+    # the einsum formulas of the module docstring, on partials read off the
+    # jets one at a time, against the batched products of the pipeline
+    web = load_example(index).web
+    batch = collect_snapshots(web, RunConfig(points=8, seed=3))
+    jets = jet_lift((web.u1, web.u2), batch.points, web.bind()).c
+
+    def partials(*axes):
+        out = np.zeros((len(batch), 2) + tuple(map(len, axes)))
+        for where in itertools.product(*map(range, map(len, axes))):
+            alpha = [0] * 4
+            for axis, w in zip(axes, where):
+                alpha[axis[w]] += 1
+            for i in range(2):
+                out[(slice(None), i) + where] = partial(
+                    make_jet(jets[:, i]), alpha)
+        return out
+
+    z, x, y = range(4), range(2), range(2, 4)
+    hess, third = partials(z, z), partials(z, x, y)
+    e = np.einsum
+    frame = batch.frame
+    hess_frame = e("nsa,nist,ntb->niab", frame, hess, frame)
+    third_frame = e("nislm,nlj,nmk->nisjk", third, batch.gbar, batch.gtilde)
+    gamma = -hess_frame[:, :, :2, 2:]
+    minus_d_gamma = (e("nisjk,nsr->nijkr", third_frame, frame)
+                     + e("nipk,npjr->nijkr", gamma, hess_frame[:, :, :2])
+                     + e("nijp,npkr->nijkr", gamma, hess_frame[:, :, 2:]))
+    for got, want in ((batch.hess_frame, hess_frame), (batch.gamma, gamma),
+                      (batch.third_frame, third_frame),
+                      (batch.x[:, 8:40], minus_d_gamma.reshape(-1, 32))):
+        assert got.shape == want.shape
+        scale = np.maximum(1.0, np.abs(want).reshape(len(want), -1).max(1))
+        err = np.abs(got - want).reshape(len(want), -1).max(1)
+        assert np.all(err <= 1e-12 * scale)
+    # the bound of -D gamma covers the same arithmetic on magnitudes
+    assert np.all(batch.x_abs()[:, 8:40] >= np.abs(minus_d_gamma).reshape(
+        -1, 32) * (1.0 - 1e-12))
+
+
+def test_concat_returns_a_lone_batch_as_it_is():
+    batch = snapshot(load_example(1).web, np.array(load_example(1).points))
+    assert SnapshotBatch.concat([batch]) is batch
+    both = SnapshotBatch.concat([batch[:2], batch[2:]])
+    assert np.array_equal(both.points, batch.points)
+    assert all(np.array_equal(both.fields[name], batch.fields[name])
+               for name in batch.fields)
