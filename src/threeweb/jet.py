@@ -30,12 +30,10 @@ difference, the same for a negation or a float multiple, min(3, d1 + d2)
 for a product, and 3 for a reciprocal, exp or ln.  A product reads only
 the pairs of coefficients its factors' degrees allow, from the pair table
 for (d1, d2): 25 of the 165 pairs for affine x affine, 95 for affine x
-full.  The webs of interest are rational in affine pieces, so most
-products in a lift are of that kind.  A batch sums each table's pairs into
-the 35 coefficients with one product against a constant 0/1 matrix, one
-jet with `np.bincount` over the pairs' coefficient indices.  A non-finite
-coefficient of either factor, at or below its degree, meets the other
-factor's value coefficient in some pair, so it poisons the product.
+full.  The product sums its table's pairs into the 35 coefficients with
+one product against a constant 0/1 matrix, at one point or a batch.  A
+non-finite coefficient of either factor, at or below its degree, meets the
+other factor's value coefficient in some pair, so it poisons the product.
 """
 
 from __future__ import annotations
@@ -74,14 +72,15 @@ _TOTAL = np.array([sum(alpha) for alpha in MULTI])
 
 def _pair_table(d1, d2):
     """The pairs of the table with |MULTI[i]| <= d1 and |MULTI[j]| <= d2:
-    their i, j and k, and the 0/1 matrix (pairs x 35) that sums them by k."""
+    their i and j, and the 0/1 matrix (pairs x 35) that sums them by k."""
     keep = (_TOTAL[_I] <= d1) & (_TOTAL[_J] <= d2)
-    return _I[keep], _J[keep], _K[keep], np.eye(NCOEFF)[_K[keep]]
+    return _I[keep], _J[keep], np.eye(NCOEFF)[_K[keep]]
 
 
-# (d1, d2) -> the pair table of a product of jets of those degrees
+# (d1, d2) -> the pair table of a product of jets of those degrees; every
+# jet has degree at least 1, the degree of a variable seed
 _PAIRS = {(d1, d2): _pair_table(d1, d2)
-          for d1 in range(DEGREE + 1) for d2 in range(DEGREE + 1)}
+          for d1 in range(1, DEGREE + 1) for d2 in range(1, DEGREE + 1)}
 
 
 # _UNIT[v] is the coefficient index of x_v
@@ -150,10 +149,9 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return _jet(self.c * other, self.deg)
-        i, j, k, sums = _PAIRS[self.deg, other.deg]
+        i, j, sums = _PAIRS[self.deg, other.deg]
         prod = _gather(self.c, i) * _gather(other.c, j)
-        return _jet(np.bincount(k, prod, NCOEFF) if prod.ndim == 1
-                    else prod @ sums, min(DEGREE, self.deg + other.deg))
+        return _jet(prod @ sums, min(DEGREE, self.deg + other.deg))
 
     def __rmul__(self, other):
         return self.__mul__(other)

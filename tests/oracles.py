@@ -91,7 +91,7 @@ def constant_jet(value):
     value = np.asarray(value, dtype=float)
     c = np.zeros(value.shape + (NCOEFF,))
     c[..., 0] = value
-    return _jet(c, 0)
+    return _jet(c, 1)  # a bound: every jet has degree at least 1
 
 
 def partial(jet, alpha):

@@ -225,7 +225,7 @@ def test_folded_constant_errors_name_the_operation(text, message):
 # --- the degree-aware product -------------------------------------------
 
 _TOTAL = np.array([sum(alpha) for alpha in MULTI])
-_DEGREES = list(itertools.product(range(DEGREE + 1), repeat=2))
+_DEGREES = list(itertools.product(range(1, DEGREE + 1), repeat=2))
 
 
 def _coeffs_of_degree(shape, deg):

@@ -1,22 +1,23 @@
 """Time a base source tree against this one, in alternating pairs of runs.
 
-    python3 tools/bench_pairs.py BASE_SRC_DIR [--workload NAME ...]
-        [--pairs 10] [--seconds 18] [--first-seed 5000] [--out BENCH.json]
+    python3 tools/bench_pairs.py BASE_SRC_DIR [--first-seed 5000]
+        [--out BENCH.json]
 
 BASE_SRC_DIR is the `src` directory of another checkout, for example one
-made with `git archive`.  Each pair runs `perfbench/run.py --trace 0` once
-in that checkout and once in this one, at the same seed, and switches which
-side runs first from one pair to the next.  Pair p uses seed
-FIRST_SEED + p, so pick seeds that were not used while the change was
-written.  Each run's last output line is its JSON result.
+made with `git archive`.  For every workload of `BENCHMARK.json`, each of
+10 pairs runs `perfbench/run.py --trace 0` for the benchmark's
+`run_seconds` once in that checkout and once in this one, at the same
+seed, and switches which side runs first from one pair to the next.  Pair
+p uses seed FIRST_SEED + p, so pick seeds that were not used while the
+change was written.  Each run's last output line is its JSON result.
 
 For each workload and end-to-end metric the tool prints each side's median
-and quartiles over the pairs, how many pairs the working tree won (ties
-count for neither side), and whether the gain is resolved: the working
-tree wins at least nine tenths of the pairs and the medians differ by more
-than the base's interquartile range.  Every metric of `BENCHMARK.json` is
-lower-is-better.  It writes all of it, every run's value included, to the
-JSON file `--out`.  A run that fails, or reports failed operations, is
+and quartiles over the pairs, how many pairs the working tree won and
+lost (ties count for neither side), and whether the gain is resolved: the
+working tree wins at least nine tenths of the pairs and the medians differ
+by more than the base's interquartile range.  Every metric of
+`BENCHMARK.json` is lower-is-better.  It writes all of it, every run's
+value included, to the JSON file `--out`.  A run that fails, or reports failed operations, is
 printed and recorded, and makes the exit status 1.
 """
 
@@ -34,13 +35,15 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+SECONDS = BENCHMARK["run_seconds"]
+PAIRS = 10
 
 
-def run_once(root, workload, seed, seconds):
+def run_once(root, workload, seed):
     """The JSON result of one untraced run of the benchmark in `root`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
@@ -54,16 +57,17 @@ def summary(values):
 
 
 def compare(base_runs, work_runs):
-    """Per metric: each side's summary, the working tree's wins, and
-    whether its gain is resolved."""
+    """Per metric: each side's summary, the working tree's wins and
+    losses, and whether its gain is resolved."""
     out = {}
     for metric in METRICS:
         base = [r["metrics"][metric]["value"] for r in base_runs]
         work = [r["metrics"][metric]["value"] for r in work_runs]
         b, w = summary(base), summary(work)
         wins = sum(x < y for x, y in zip(work, base))
+        losses = sum(x > y for x, y in zip(work, base))
         out[metric] = {
-            "base": b, "work": w, "wins": wins,
+            "base": b, "work": w, "wins": wins, "losses": losses,
             "change": w["median"] / b["median"] - 1.0,
             "gain_resolved": (wins >= 0.9 * len(base) and
                               b["median"] - w["median"] > b["q3"] - b["q1"]),
@@ -74,32 +78,26 @@ def compare(base_runs, work_runs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src", type=Path)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        default=BENCHMARK["run_seconds"])
     parser.add_argument("--first-seed", type=int, default=5000)
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = parser.parse_args(argv)
     base_root = args.base_src.resolve().parent
     if not (base_root / "perfbench" / "run.py").is_file():
         parser.error("no perfbench/run.py beside %s" % args.base_src)
-    if args.pairs < 2:
-        parser.error("need at least 2 pairs for quartiles")
 
-    doc = {"pairs": args.pairs, "seconds": args.seconds,
+    doc = {"pairs": PAIRS, "seconds": SECONDS,
            "first_seed": args.first_seed,
            "host": {"python": platform.python_version(),
                     "machine": platform.machine()},
            "workloads": {}}
     ok = True
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         runs = {"base": [], "work": []}
-        for pair in range(args.pairs):
+        for pair in range(PAIRS):
             seed = args.first_seed + pair
             order = (("base", base_root), ("work", ROOT))
             for side, root in order if pair % 2 == 0 else order[::-1]:
-                result = run_once(root, workload, seed, args.seconds)
+                result = run_once(root, workload, seed)
                 result["seed"] = seed
                 runs[side].append(result)
                 if not result["correct"]:
@@ -113,12 +111,12 @@ def main(argv=None):
             entry["metrics"] = compare(runs["base"], runs["work"])
             for metric, m in entry["metrics"].items():
                 print("%-7s %-15s base %.6g [%.6g, %.6g]  work %.6g "
-                      "[%.6g, %.6g]  %+.1f%%  wins %d/%d%s" % (
+                      "[%.6g, %.6g]  %+.1f%%  wins %d losses %d of %d%s" % (
                           workload, metric, m["base"]["median"],
                           m["base"]["q1"], m["base"]["q3"],
                           m["work"]["median"], m["work"]["q1"],
                           m["work"]["q3"], 100.0 * m["change"], m["wins"],
-                          args.pairs,
+                          m["losses"], PAIRS,
                           "  resolved gain" if m["gain_resolved"] else ""))
         doc["workloads"][workload] = entry
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
