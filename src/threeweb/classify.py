@@ -58,7 +58,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import Web
+from .expr import EvalError, Web
 from .tensor import UNIT_FIELDS, SnapshotBatch, read_off, snapshot, sym3_lower
 
 
@@ -203,25 +203,15 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
 
 
 def _hexagonality_coefficients(snap):
-    """The coefficients of the quartic and of the two cubic hexagonality
-    polynomials in t, each a list from t^0 up.  `snap` is a
-    TensorSnapshot, or a SnapshotBatch for per-row values."""
+    """The coefficients of the two cubic hexagonality polynomials in t, each
+    a list from t^0 up.  `snap` is a TensorSnapshot, or a SnapshotBatch for
+    per-row values."""
     # the tensor indices first: b[i, j, k, l] is then a number, or an array
     # over the rows of a batch
     sym, b = (np.moveaxis(x, range(-4, 0), range(4))
               for x in (sym3_lower(snap.b), snap.b))
-
-    def c(i, j, k, l):
-        return sym[i, j, k, l]
-
-    cubic1 = [b[0, 1, 1, 1], -3.0 * c(0, 0, 1, 1), 3.0 * c(0, 0, 0, 1),
-              -b[0, 0, 0, 0]]
-    cubic2 = [b[1, 1, 1, 1], -3.0 * c(1, 0, 1, 1), 3.0 * c(1, 0, 0, 1),
-              -b[1, 0, 0, 0]]
-    quartic = [-b[0, 1, 1, 1], 3.0 * c(0, 0, 1, 1) - b[1, 1, 1, 1],
-               3.0 * (c(1, 0, 1, 1) - c(0, 0, 0, 1)),
-               b[0, 0, 0, 0] - 3.0 * c(1, 0, 0, 1), b[1, 0, 0, 0]]
-    return quartic, cubic1, cubic2
+    return [[b[i, 1, 1, 1], -3.0 * sym[i, 0, 1, 1], 3.0 * sym[i, 0, 0, 1],
+             -b[i, 0, 0, 0]] for i in (0, 1)]
 
 
 def _horner(coeffs, t):
@@ -230,18 +220,6 @@ def _horner(coeffs, t):
     for c in reversed(coeffs[:-1]):
         out = out * t + c
     return out
-
-
-def hexagonality_polynomials(snap, t):
-    """The quartic and the two cubic hexagonality polynomials at t.
-
-    `snap` is a TensorSnapshot, or a SnapshotBatch for per-row values.
-    The three are linearly dependent: quartic + t*cubic2 + cubic1 = 0
-    identically in the curvature components, which the test suite uses as a
-    transcription oracle.
-    """
-    return tuple(_horner(coeffs, t)
-                 for coeffs in _hexagonality_coefficients(snap))
 
 
 # The zero tests that are linear in the snapshot fields, as data: each name
@@ -279,7 +257,8 @@ BRANCH = {
     "b_222_zero": lambda s: [s.b[:, :, 1, 1, 1]],
     "b_111_zero": lambda s: [s.b[:, :, 0, 0, 0]],
     "omega_balance": _balance,
-    "hex_at_1": lambda s: hexagonality_polynomials(s, 1.0)[1:],
+    "hex_at_1": lambda s: [_horner(cubic, 1.0)
+                           for cubic in _hexagonality_coefficients(s)],
 }
 
 E_TESTS = {
@@ -369,7 +348,7 @@ def _tests_at_powers(s):
     ws = (s.gamma.swapaxes(2, 3), s.gamma)
     frame = ([w[:, 0, 1] for w in ws], [w[:, 1, 1] - w[:, 0, 0] for w in ws],
              [-w[:, 1, 0] for w in ws], [0.0 * w[:, 1, 0] for w in ws])
-    cubics = _hexagonality_coefficients(s)[1:]
+    cubics = _hexagonality_coefficients(s)
     return [frame[k] + [cubic[k] for cubic in cubics] for k in range(4)]
 
 
@@ -597,7 +576,9 @@ def classify_generic(web: Web, config: RunConfig | None = None,
 
     The returned report is the first binding's, with `generic` set to
     whether all bindings produced identical labels and the per-binding
-    label sets attached.
+    label sets attached.  A binding is skipped when too few sample points
+    are usable under it, or when a constant subexpression is undefined or
+    not finite under it (EvalError).
     """
     if not web.params:
         raise ValueError("classify_generic needs a parameterized web")
@@ -612,7 +593,7 @@ def classify_generic(web: Web, config: RunConfig | None = None,
         try:
             reports.append(classify_web(web, config, params=binding,
                                         metadata=metadata))
-        except SamplerExhausted:
+        except (SamplerExhausted, EvalError):
             continue
     if len(reports) < bindings:
         raise SamplerExhausted("only %d of %d parameter bindings were "

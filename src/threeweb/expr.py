@@ -9,10 +9,24 @@ A web file is line oriented:
     domain x1 - x2 != 0
     domain x1 + x2 > 0
 
-Variables are x1, x2, y1, y2.  `euler` is the constant e.  Operators are
-+ - * / unary minus, integer powers with ^, and the functions exp(...) and
-ln(...).  Parameters must be declared before they are used; their declared
-value is the default binding and can be overridden at evaluation time.
+Variables are x1, x2, y1, y2.  Parameters must be declared before they
+are used; their declared value is the default binding and can be
+overridden at evaluation time.  An expression follows this grammar,
+loosest binding first:
+
+    level 0   a + b, a - b      left associative          Add, Sub
+    level 1   a*b, a/b          left associative          Mul, Div
+    level 2   -a                                          Neg
+    level 3   a^k, a^-k         k an integer literal      Pow
+    atoms     numbers, variables, parameters, euler (the constant e),
+              exp(...) and ln(...) (Exp, Ln), and (...)
+
+A number is written in ASCII digits, with an optional decimal point and
+exponent (1, 2.5, .5, 1e-3); an identifier is a letter or _ followed by
+letters, digits and _.  Anything else, a non-ASCII digit included, is a
+ParseError with its line and column.  The module writes this grammar down
+once, as the table under "the grammar" below, which the tokenizer, the
+parser, the printer and parse_web's reserved names all read.
 
 AST nodes are frozen dataclasses, so structural equality works and trees
 can be shared freely.  `format_expr` prints with minimal parentheses, and
@@ -24,7 +38,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,89 +124,85 @@ Expr = Const | Var | ParamRef | Neg | Exp | Ln | Add | Sub | Mul | Div | Pow
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# the grammar
 
-_SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", "=", "!", ">")
+# The binary operators by precedence level, loosest first, each level left
+# associative: the space printed either side of its symbols, and each
+# symbol with its node.
+_LEVELS = ((" ", {"+": Add, "-": Sub}), ("", {"*": Mul, "/": Div}))
+# The symbols of Neg, which also negates an exponent, and of Pow.
+_NEG, _POW = "-", "^"
+_FUNCTIONS = {"exp": Exp, "ln": Ln}
+_CONSTANTS = {"euler": math.e}
+# a domain line's comparisons against 0, with the Constraint kind of each
+_COMPARISONS = {"!=": "nonzero", ">": "positive"}
+_RESERVED = {*VARIABLES, *_FUNCTIONS, *_CONSTANTS, "u1", "u2", "domain",
+             "param"}
+
+# The table as the parser and the printer read it.
+_BINARY_OPS = {symbol: (level, node) for level, (_, ops) in enumerate(_LEVELS)
+               for symbol, node in ops.items()}
+_INFIX = {node: pad + symbol + pad for pad, ops in _LEVELS
+          for symbol, node in ops.items()}
+# How tightly each node binds: a binary node at its level, then Neg, then
+# Pow; anything else is an atom and binds tighter still.
+_PRECEDENCE = {node: level for level, node in _BINARY_OPS.values()}
+_PRECEDENCE.update({Neg: len(_LEVELS), Pow: len(_LEVELS) + 1})
+_ATOM = len(_LEVELS) + 2
+_NAMES = {node: name for name, node in _FUNCTIONS.items()}
+_CONSTANT_NAMES = {value: name for name, value in _CONSTANTS.items()}
+_RELATIONS = {kind: symbol for symbol, kind in _COMPARISONS.items()}
+
+# One token: the spaces and tabs before it, then a symbol (the longest
+# first), an identifier, a number (ASCII digits only), or any other
+# character, which is an error.
+_SYMBOLS = sorted({*_BINARY_OPS, _NEG, _POW, "(", ")", "=", *_COMPARISONS},
+                  key=lambda symbol: (-len(symbol), symbol))
+_TOKEN = re.compile(r"([ \t]*)(?:(%s)|([^\W\d]\w*)|((?:[0-9]+\.?[0-9]*|"
+                    r"\.[0-9]+)(?:[eE][+-]?[0-9]+)?)|([^ \t]))"
+                    % "|".join(map(re.escape, _SYMBOLS)))
 
 
 def _tokenize(text, line_no):
-    """Yield (kind, value, col) tuples; kind is num/ident/sym."""
+    """The (kind, value, col) tuples of one line; kind is num/ident/sym."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t":
-            i += 1
+    col = 1
+    # a comment runs from # to the end of the line
+    for space, sym, ident, num, bad in _TOKEN.findall(text.partition("#")[0]):
+        col += len(space)
+        if sym:
+            tokens.append(("sym", sym, col))
+            col += len(sym)
             continue
-        if c == "#":
-            break
-        col = i + 1
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                d = text[j]
-                if d.isdigit():
-                    j += 1
-                elif d == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif d in "eE" and j + 1 < n and (text[j + 1].isdigit() or
-                        (text[j + 1] in "+-" and j + 2 < n and text[j + 2].isdigit())) \
-                        and not seen_exp:
-                    seen_exp = True
-                    j += 2 if text[j + 1] in "+-" else 1
-                else:
-                    break
-            if math.isinf(float(text[i:j])):
-                raise ParseError("number %s overflows to inf" % text[i:j],
-                                 line_no, col)
-            tokens.append(("num", text[i:j], col))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], col))
-            i = j
-        elif c in _SYMBOLS:
-            if c == "!" and i + 1 < n and text[i + 1] == "=":
-                tokens.append(("sym", "!=", col))
-                i += 2
-            else:
-                tokens.append(("sym", c, col))
-                i += 1
-        else:
-            raise ParseError("unexpected character %r" % c, line_no, col)
+        # \w admits numerals that are not letters, such as ², which may not
+        # start an identifier
+        if bad or ident and not (ident[0].isalpha() or ident[0] == "_"):
+            raise ParseError("unexpected character %r" % (bad or ident)[0],
+                             line_no, col)
+        if num and math.isinf(float(num)):
+            raise ParseError("number %s overflows to inf" % num, line_no, col)
+        tokens.append(("ident", ident, col) if ident else ("num", num, col))
+        col += len(ident or num)
     return tokens
 
 
 class _ExprParser:
-    """Recursive descent over one line's token list."""
+    """Recursive descent over one line's token list, which ends in a
+    (None, None, col) token just past its last."""
 
     def __init__(self, tokens, line_no, params):
-        self.tokens = tokens
+        end = tokens[-1][2] + len(tokens[-1][1]) if tokens else 1
+        self.tokens = tokens + [(None, None, end)]
         self.pos = 0
         self.line = line_no
         self.params = params
 
     def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, None, self._end_col())
-
-    def _end_col(self):
-        if self.tokens:
-            k, v, c = self.tokens[-1]
-            return c + len(v)
-        return 1
+        return self.tokens[self.pos]
 
     def take(self):
-        tok = self.peek()
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def expect_sym(self, sym):
         kind, value, col = self.take()
@@ -199,159 +210,101 @@ class _ExprParser:
             raise ParseError("expected %r" % sym, self.line, col)
 
     def parse(self):
-        e = self.expr()
+        try:
+            e = self.binary(0)
+        except RecursionError:
+            raise ParseError("expression nested too deeply", self.line,
+                             self.tokens[0][2]) from None
         kind, value, col = self.peek()
         if kind is not None:
             raise ParseError("unexpected %r" % value, self.line, col)
         return e
 
-    def expr(self):
-        e = self.term()
-        while True:
-            kind, value, col = self.peek()
-            if kind == "sym" and value in ("+", "-"):
-                self.take()
-                rhs = self.term()
-                e = Add(e, rhs) if value == "+" else Sub(e, rhs)
-            else:
-                return e
-
-    def term(self):
+    def binary(self, min_level):
+        """Factors joined by the binary operators of `min_level` and above,
+        by precedence climbing.  Only a symbol token's value can be the
+        symbol of an operator."""
         e = self.factor()
         while True:
-            kind, value, col = self.peek()
-            if kind == "sym" and value in ("*", "/"):
-                self.take()
-                rhs = self.factor()
-                e = Mul(e, rhs) if value == "*" else Div(e, rhs)
-            else:
+            level, node = _BINARY_OPS.get(self.peek()[1], (-1, None))
+            if level < min_level:
                 return e
+            self.pos += 1
+            e = node(e, self.binary(level + 1))
 
     def factor(self):
-        kind, value, col = self.peek()
-        if kind == "sym" and value == "-":
-            self.take()
+        if self.peek()[1] == _NEG:
+            self.pos += 1
             return Neg(self.factor())
-        return self.power()
-
-    def power(self):
         base = self.atom()
-        kind, value, col = self.peek()
-        if kind == "sym" and value == "^":
-            self.take()
-            exponent = self._exponent()
-            return Pow(base, exponent)
-        return base
-
-    def _exponent(self):
+        if self.peek()[1] != _POW:
+            return base
+        self.pos += 1
         sign = 1
-        kind, value, col = self.peek()
-        if kind == "sym" and value == "-":
-            self.take()
+        if self.peek()[1] == _NEG:
+            self.pos += 1
             sign = -1
         kind, value, col = self.take()
         if kind != "num":
             raise ParseError("exponent must be an integer literal", self.line, col)
-        if "." in value or "e" in value or "E" in value:
+        if not value.isdigit():
             raise ParseError("exponent must be an integer, got %r" % value,
                              self.line, col)
-        return sign * int(value)
+        return Pow(base, sign * int(value))
 
     def atom(self):
-        kind, value, col = self.take()
+        kind, value, col = self.peek()
+        if value == "(":
+            return self.parenthesized()
+        self.pos += 1
         if kind == "num":
             return Const(float(value))
-        if kind == "sym" and value == "(":
-            e = self.expr()
-            self.expect_sym(")")
-            return e
-        if kind == "ident":
-            if value in ("exp", "ln"):
-                self.expect_sym("(")
-                arg = self.expr()
-                self.expect_sym(")")
-                return Exp(arg) if value == "exp" else Ln(arg)
-            if value in VARIABLES:
-                return Var(value)
-            if value == "euler":
-                return Const(math.e)
-            if value in self.params:
-                return ParamRef(value)
-            raise ParseError("unknown identifier %r" % value, self.line, col)
-        raise ParseError("expected an expression", self.line,
-                         col if kind is not None else self._end_col())
+        if kind != "ident":
+            raise ParseError("expected an expression", self.line, col)
+        if value in _FUNCTIONS:
+            return _FUNCTIONS[value](self.parenthesized())
+        if value in VARIABLES:
+            return Var(value)
+        if value in _CONSTANTS:
+            return Const(_CONSTANTS[value])
+        if value in self.params:
+            return ParamRef(value)
+        raise ParseError("unknown identifier %r" % value, self.line, col)
+
+    def parenthesized(self):
+        self.expect_sym("(")
+        e = self.binary(0)
+        self.expect_sym(")")
+        return e
 
 
 # ---------------------------------------------------------------------------
 # printing
 
-# precedence levels for minimal-parentheses printing
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-
-def _prec(e):
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
 def format_expr(e):
-    if isinstance(e, Const):
-        if e.value == math.e:
-            return "euler"
-        return repr(e.value)
-    if isinstance(e, Var):
+    """e as text with the fewest parentheses that parse back to e."""
+    kind = type(e)
+    if kind in _INFIX:
+        level = _PRECEDENCE[kind]
+        return (_wrap(e.left, level) + _INFIX[kind]
+                + _wrap(e.right, level + 1))
+    if kind is Neg:
+        return _NEG + _wrap(e.arg, _PRECEDENCE[Neg])
+    if kind is Pow:
+        return "%s%s%d" % (_wrap(e.base, _ATOM), _POW, e.exponent)
+    if kind in _NAMES:
+        return "%s(%s)" % (_NAMES[kind], format_expr(e.arg))
+    if kind is Const:
+        return _CONSTANT_NAMES.get(e.value) or repr(e.value)
+    if kind is Var or kind is ParamRef:
         return e.name
-    if isinstance(e, ParamRef):
-        return e.name
-    if isinstance(e, Neg):
-        # bind looser than * so -(a*b) still reads -a*b is wrong; keep parens
-        # whenever the argument is looser than the unary minus itself
-        inner = format_expr(e.arg)
-        if _prec(e.arg) < _PREC_NEG:
-            inner = "(" + inner + ")"
-        return "-" + inner
-    if isinstance(e, Exp):
-        return "exp(" + format_expr(e.arg) + ")"
-    if isinstance(e, Ln):
-        return "ln(" + format_expr(e.arg) + ")"
-    if isinstance(e, Add):
-        return "%s + %s" % (_fmt_child(e.left, _PREC_ADD),
-                            _fmt_child(e.right, _PREC_ADD + 1))
-    if isinstance(e, Sub):
-        return "%s - %s" % (_fmt_child(e.left, _PREC_ADD),
-                            _fmt_child(e.right, _PREC_ADD + 1))
-    if isinstance(e, Mul):
-        return "%s*%s" % (_fmt_child(e.left, _PREC_MUL),
-                          _fmt_child(e.right, _PREC_MUL + 1))
-    if isinstance(e, Div):
-        return "%s/%s" % (_fmt_child(e.left, _PREC_MUL),
-                          _fmt_child(e.right, _PREC_MUL + 1))
-    if isinstance(e, Pow):
-        base = format_expr(e.base)
-        if _prec(e.base) < _PREC_ATOM:
-            base = "(" + base + ")"
-        if e.exponent < 0:
-            return "%s^-%d" % (base, -e.exponent)
-        return "%s^%d" % (base, e.exponent)
     raise TypeError("not an expression node: %r" % (e,))
 
 
-def _fmt_child(e, min_prec):
+def _wrap(e, min_prec):
+    """format_expr(e), in parentheses if e binds looser than min_prec."""
     s = format_expr(e)
-    if _prec(e) < min_prec:
-        return "(" + s + ")"
-    return s
+    return s if _PRECEDENCE.get(type(e), _ATOM) >= min_prec else "(" + s + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +466,15 @@ class Web:
         for c, v, holds in self._checks(point, params, margin):
             if not holds:
                 return "%s %s 0 (value %g, margin %g)" % (
-                    format_expr(c.expr), "!=" if c.kind == "nonzero"
-                    else ">", v, margin)
+                    format_expr(c.expr), _RELATIONS[c.kind], v, margin)
         return None
 
 
 def parse_web(text, name=""):
     """Parse the web file format described in the module docstring."""
-    u1 = None
-    u2 = None
+    defined = {}  # u1 and u2
     constraints = []
-    params = []
-    param_names = set()
+    params = {}  # name -> declared value, in declaration order
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw, line_no)
         if not tokens:
@@ -536,40 +486,32 @@ def parse_web(text, name=""):
             if len(tokens) < 2 or tokens[1][:2] != ("sym", "="):
                 raise ParseError("expected '=' after %s" % head, line_no,
                                  tokens[1][2] if len(tokens) > 1 else col + len(head))
-            e = _ExprParser(tokens[2:], line_no, frozenset(param_names)).parse()
-            if head == "u1":
-                if u1 is not None:
-                    raise ParseError("u1 defined twice", line_no, col)
-                u1 = e
-            else:
-                if u2 is not None:
-                    raise ParseError("u2 defined twice", line_no, col)
-                u2 = e
+            e = _ExprParser(tokens[2:], line_no, params).parse()
+            if head in defined:
+                raise ParseError("%s defined twice" % head, line_no, col)
+            defined[head] = e
         elif head == "domain":
             body = tokens[1:]
-            # split on the comparison symbol
-            split = None
-            for i, (k, v, c) in enumerate(body):
-                if k == "sym" and v in ("!=", ">"):
-                    split = i
-                    op = v
-                    break
+            # split on the first comparison symbol
+            split = next((i for i, (k, v, _) in enumerate(body)
+                          if k == "sym" and v in _COMPARISONS), None)
             if split is None:
-                raise ParseError("domain needs '!= 0' or '> 0'", line_no, col)
-            e = _ExprParser(body[:split], line_no, frozenset(param_names)).parse()
+                raise ParseError("domain needs %s" % " or ".join(
+                    "'%s 0'" % op for op in _COMPARISONS), line_no, col)
+            e = _ExprParser(body[:split], line_no, params).parse()
+            _, op, where = body[split]
             tail = body[split + 1:]
             if len(tail) != 1 or tail[0][0] != "num" or float(tail[0][1]) != 0.0:
-                where = tail[0][2] if tail else body[split][2] + len(op)
+                where = tail[0][2] if tail else where + len(op)
                 raise ParseError("domain comparisons are against 0", line_no, where)
-            constraints.append(Constraint(e, "nonzero" if op == "!=" else "positive"))
+            constraints.append(Constraint(e, _COMPARISONS[op]))
         elif head == "param":
             if len(tokens) < 4 or tokens[1][0] != "ident":
                 raise ParseError("expected 'param NAME = VALUE'", line_no, col)
             pname = tokens[1][1]
-            if pname in VARIABLES or pname in ("euler", "exp", "ln", "u1", "u2",
-                                               "domain", "param"):
+            if pname in _RESERVED:
                 raise ParseError("reserved name %r" % pname, line_no, tokens[1][2])
-            if pname in param_names:
+            if pname in params:
                 raise ParseError("parameter %r declared twice" % pname,
                                  line_no, tokens[1][2])
             if tokens[2][:2] != ("sym", "="):
@@ -577,23 +519,23 @@ def parse_web(text, name=""):
                                  tokens[2][2])
             value_tokens = tokens[3:]
             sign = 1.0
-            if value_tokens and value_tokens[0][:2] == ("sym", "-"):
+            if value_tokens and value_tokens[0][1] == _NEG:
                 sign = -1.0
                 value_tokens = value_tokens[1:]
             if len(value_tokens) != 1 or value_tokens[0][0] != "num":
                 where = value_tokens[0][2] if value_tokens else tokens[3][2]
                 raise ParseError("param value must be a number", line_no, where)
-            params.append((pname, sign * float(value_tokens[0][1])))
-            param_names.add(pname)
+            params[pname] = sign * float(value_tokens[0][1])
         else:
             raise ParseError("expected u1/u2/domain/param, got %r" % head,
                              line_no, col)
-    if u1 is None or u2 is None:
-        missing = "u1" if u1 is None else "u2"
-        raise ParseError("missing %s definition" % missing,
-                         text.count("\n") + 1, 1)
-    return Web(u1=u1, u2=u2, constraints=tuple(constraints),
-               params=tuple(params), name=name)
+    for head in ("u1", "u2"):
+        if head not in defined:
+            raise ParseError("missing %s definition" % head,
+                             text.count("\n") + 1, 1)
+    return Web(u1=defined["u1"], u2=defined["u2"],
+               constraints=tuple(constraints), params=tuple(params.items()),
+               name=name)
 
 
 def format_web(web):
@@ -604,6 +546,6 @@ def format_web(web):
     lines.append("u1 = " + format_expr(web.u1))
     lines.append("u2 = " + format_expr(web.u2))
     for c in web.constraints:
-        op = "!=" if c.kind == "nonzero" else ">"
-        lines.append("domain %s %s 0" % (format_expr(c.expr), op))
+        lines.append("domain %s %s 0" % (format_expr(c.expr),
+                                         _RELATIONS[c.kind]))
     return "\n".join(lines) + "\n"

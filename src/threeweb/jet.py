@@ -20,9 +20,10 @@ with f_k the Taylor coefficients of the function at c0: two jet products
 (u^2 and u^3) where Horner's rule takes three.
 
 `jet_lift` folds constant and parameter subtrees to Python floats, which
-Jet arithmetic takes directly: where finite, the results equal those of the
-constant jets they replace bit for bit.  A folded `ln` of a non-positive
-value or division by zero raises EvalError, at one point or a batch.
+Jet arithmetic takes directly: the results equal those of the constant
+jets they replace bit for bit.  A folded `ln` of a non-positive value, a
+division by zero, or a fold to inf or NaN raises EvalError, at one point or
+a batch.
 
 Each Jet also carries `deg`, a bound on the total degree of its nonzero
 coefficients: 1 for a variable seed, the larger of the two for a sum or
@@ -45,7 +46,7 @@ import operator
 import numpy as np
 
 from .expr import (Add, Const, Div, EvalError, Exp, Ln, Mul, Neg, ParamRef,
-                   Pow, Sub, Var, VARIABLES)
+                   Pow, Sub, Var, VARIABLES, format_expr)
 
 DEGREE = 3
 NVARS = 4
@@ -273,22 +274,27 @@ _UNARY = {Neg: operator.neg, Exp: _exp, Ln: _ln}
 
 
 def _lift(e, vars_, params):
-    """The Jet of `e`, or a float where `e` holds no variable."""
+    """The Jet of `e`, or a float where `e` holds no variable.  A float
+    that folds to inf or NaN raises EvalError naming its subexpression."""
     kind = type(e)
     if kind in _BINARY:
-        return _BINARY[kind](_lift(e.left, vars_, params),
-                             _lift(e.right, vars_, params))
-    if kind in _UNARY:
-        return _UNARY[kind](_lift(e.arg, vars_, params))
-    if kind is Var:
+        out = _BINARY[kind](_lift(e.left, vars_, params),
+                            _lift(e.right, vars_, params))
+    elif kind in _UNARY:
+        out = _UNARY[kind](_lift(e.arg, vars_, params))
+    elif kind is Var:
         return vars_[e.name]
-    if kind is Const:
+    elif kind is Const:
         return float(e.value)
-    if kind is Pow:
-        return _int_pow(_lift(e.base, vars_, params), e.exponent)
-    if kind is ParamRef:
+    elif kind is Pow:
+        out = _int_pow(_lift(e.base, vars_, params), e.exponent)
+    elif kind is ParamRef:
         try:
             return float(params[e.name])
         except KeyError:
             raise EvalError("parameter %r is unbound" % e.name) from None
-    raise TypeError("not an expression node: %r" % (e,))
+    else:
+        raise TypeError("not an expression node: %r" % (e,))
+    if type(out) is float and not math.isfinite(out):
+        raise EvalError("the constant %s is %r" % (format_expr(e), out))
+    return out

@@ -10,13 +10,19 @@ beats the 1e-5 relative tolerance the comparisons use.
 The jet helpers build and read `threeweb.jet.Jet`s from the test side: a
 checking constructor, constant jets, partials, and the dense product over
 all 165 pairs of coefficients, the oracle of the degree-aware product.
+
+`hexagonality_polynomials` adds the quartic hexagonality polynomial to the
+two cubics that `threeweb.classify` tests, as their linear-dependence
+oracle.
 """
 
 import itertools
 
 import numpy as np
 
+from threeweb.classify import _hexagonality_coefficients, _horner
 from threeweb.jet import DEGREE, INDEX, MULTI, NCOEFF, _FACTORIAL, _jet
+from threeweb.tensor import sym3_lower
 
 BASE_STEP = 0.02
 
@@ -115,3 +121,21 @@ def dense_product(a, b):
     (..., 35), over all 165 pairs, summed by `np.add.reduceat`."""
     return np.add.reduceat(a[..., _DENSE_I] * b[..., _DENSE_J],
                            _DENSE_START, axis=-1)
+
+
+def hexagonality_polynomials(snap, t):
+    """The quartic and the two cubic hexagonality polynomials at t.
+
+    `snap` is a TensorSnapshot, or a SnapshotBatch for per-row values.
+    The quartic is written here from b and sym3(b); the cubics are
+    classify's.  The three are linearly dependent: quartic + t*cubic2 +
+    cubic1 = 0 identically in the curvature components, an oracle for the
+    cubics' transcription.
+    """
+    sym, b = (np.moveaxis(x, range(-4, 0), range(4))
+              for x in (sym3_lower(snap.b), snap.b))
+    quartic = [-b[0, 1, 1, 1], 3.0 * sym[0, 0, 1, 1] - b[1, 1, 1, 1],
+               3.0 * (sym[1, 0, 1, 1] - sym[0, 0, 0, 1]),
+               b[0, 0, 0, 0] - 3.0 * sym[1, 0, 0, 1], b[1, 0, 0, 0]]
+    return tuple(_horner(coeffs, t)
+                 for coeffs in (quartic, *_hexagonality_coefficients(snap)))

@@ -15,12 +15,11 @@ import time
 import numpy as np
 import pytest
 
-from oracles import partial, partial_fd, rel_err
+from oracles import hexagonality_polynomials, partial, partial_fd, rel_err
 from threeweb.classify import (
     RunConfig,
     classify_web,
     collect_snapshots,
-    hexagonality_polynomials,
     _admissible_stream,
 )
 from threeweb.cli import main as cli_main

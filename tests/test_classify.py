@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import hexagonality_polynomials
 from threeweb import classify
 from threeweb.classify import (
     RunConfig,
@@ -15,7 +16,6 @@ from threeweb.classify import (
     collect_snapshots,
     first_match,
     _Tester,
-    hexagonality_polynomials,
     _admissible_stream,
 )
 from threeweb.corpus import load_corpus, load_example
@@ -194,6 +194,16 @@ def test_generic_classification_of_parameterized_web():
     assert len(seen) == 5
     for pb in r.per_binding:
         assert pb["labels"] == ["B", "D232", "E1"]
+
+
+def test_generic_classification_skips_bindings_with_undefined_constants():
+    # of the bindings drawn from [-2, 2], ln(a) is undefined at a <= 0 and
+    # exp(700*a) overflows at a > 1.014
+    web = parse_web("param a = 1\nu1 = x1 + ln(a)*y1*x2 + 1e-300*exp(700*a)*y2"
+                    "\nu2 = x2 + y2\n")
+    r = classify_generic(web, RunConfig(points=8), bindings=3)
+    assert len(r.per_binding) == 3
+    assert all(0 < pb["params"]["a"] < 1.02 for pb in r.per_binding)
 
 
 def test_generic_classification_needs_parameters():

@@ -94,6 +94,23 @@ def test_overflowing_literal_is_a_parse_error(tmp_path, capsys, text, where):
     assert "1e999 overflows" in err
 
 
+def test_constant_that_folds_to_inf_is_named(tmp_path, capsys):
+    bad = tmp_path / "fold.web"
+    bad.write_text("u1 = x1 + 1e200*1e200*y1*x2\nu2 = x2 + y2\n")
+    code, out, err = run(capsys, "classify", str(bad), "--points", "8")
+    assert code == 1 and not out
+    assert err == "error: the constant 1e+200*1e+200 is inf\n"
+
+
+def test_parameter_that_folds_to_inf_is_named(tmp_path, capsys):
+    bad = tmp_path / "fold.web"
+    bad.write_text("param a = 1e200\nu1 = x1 + a*a*y1*x2\nu2 = x2 + y2\n")
+    code, out, err = run(capsys, "snapshot", str(bad),
+                         "--point", "1", "1", "1", "1")
+    assert code == 1 and not out
+    assert err == "error: the constant a*a is inf\n"
+
+
 def test_rejected_tolerance_is_an_error(capsys):
     code, _, err = run(capsys, "classify", "example01", "--tol", "1e-2")
     assert code == 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threeweb.corpus import load_corpus
@@ -20,6 +20,7 @@ from threeweb.expr import (
     Pow,
     Sub,
     Var,
+    Web,
     evaluate,
     format_expr,
     format_web,
@@ -149,12 +150,30 @@ def test_domain_kinds():
     ("u1 = x1 + 1e999*y1\nu2 = x2\n", 1),          # literal overflows
     ("param a = -1e999\nu1 = x1\nu2 = x2\n", 1),
     ("u1 = x1\nu2 = x2\ndomain x1 - 2e308 > 0\n", 3),
+    ("u1 = x1 + ²\nu2 = x2\n", 1),                 # digits are ASCII only
+    ("u1 = x1 + ٣\nu2 = x2\n", 1),
+    pytest.param("u1 = x1\nu2 = %sx2%s\n" % ("(" * 1000, ")" * 1000), 2,
+                 id="nested-too-deeply"),
 ])
 def test_parse_errors_carry_position(text, line):
     with pytest.raises(ParseError) as info:
         parse_web(text)
     assert info.value.line == line
     assert info.value.col >= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from("x1y2+-*/^()=!>.eE#_ \t09"),
+                         st.characters()))
+       .filter(lambda t: t.splitlines() in ([], [t])))
+@example("²")
+@example("(" * 1000)
+def test_any_line_parses_or_is_a_parse_error(text):
+    try:
+        web = parse_web("u1 = x1 + %s\nu2 = x2\n" % text)
+    except ParseError:
+        return
+    assert isinstance(web, Web)
 
 
 def test_param_defaults_and_overrides():
