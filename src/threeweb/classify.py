@@ -197,7 +197,9 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
         judged += len(batch)
         ok = batch.finite & ~batch.degenerate & _well_conditioned(batch)
         rows = np.flatnonzero(ok)[:config.points - found]
-        kept.append(batch[rows])
+        # the kept rows are often a prefix, which a slice takes uncopied
+        prefix = not len(rows) or rows[-1] == len(rows) - 1
+        kept.append(batch[:len(rows)] if prefix else batch[rows])
         found += len(rows)
     return SnapshotBatch.concat(kept)
 

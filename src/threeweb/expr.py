@@ -32,6 +32,16 @@ AST nodes are frozen dataclasses, so structural equality works and trees
 can be shared freely.  `format_expr` prints with minimal parentheses, and
 `parse_web` reads a printed expression back as a tree equal to it, so
 `parse_web(format_web(web))` equals `web`.
+
+Nothing walks a tree to evaluate it.  `compile_program` turns a tuple of
+expressions into one flat Program, in which structurally equal subtrees
+are one step, and a runner writes each step's code once: the value runner
+here (`evaluate` and the domain constraints, with NaN where a value is
+undefined) and the jet runner in `jet.py`.  A Web compiles its constraints
+(`Web.domain_program`) and its two defining functions
+(`Web.lift_program`) on first use and keeps the programs beside its
+fields, so every snapshot, admissibility test and parameter binding of
+that Web reuses them.
 """
 
 from __future__ import annotations
@@ -39,7 +49,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -308,17 +320,148 @@ def _wrap(e, min_prec):
 
 
 # ---------------------------------------------------------------------------
+# compiled programs
+
+class Step(NamedTuple):
+    """One step of a Program: `op` applied to the values of earlier steps."""
+
+    op: str        # the kind of node, in lower case, or "reciprocal"
+    args: tuple    # the slots of the operands' steps
+    value: object  # a Var's or a ParamRef's name, a Const's value, or a
+                   # Pow's exponent
+    node: object   # the subtree the step computes; None for a reciprocal
+    scalar: bool   # the step holds no variable
+
+
+class Program:
+    """Expressions compiled once into a flat list of steps.
+
+    `steps` holds each distinct subtree once, in the order a depth-first,
+    left-to-right walk first finishes it, so a step's operands come before
+    it; `outputs` holds the slot of each compiled expression.  `code`, which
+    a runner writes, holds one function per step, fn(vals, cols, params) ->
+    the step's value, given the list of the values of the steps before it,
+    the variables and the parameter binding.  The runner also says how
+    `cols` holds the variables: the value runner here takes cols[v] as the
+    values of variable number v, and the jet runner in `jet.py` takes seed
+    jets.  A run drops each value once the last step that reads it has run,
+    so a batch does not keep every intermediate array to the end.
+    """
+
+    __slots__ = ("steps", "outputs", "_plan")
+
+    def __init__(self, steps, outputs, code):
+        self.steps, self.outputs = steps, outputs
+        last = {a: s for s, step in enumerate(steps) for a in step.args}
+        dead = [() for _ in steps]
+        for a, s in last.items():
+            if a not in outputs:
+                dead[s] += (a,)
+        self._plan = tuple(zip(code, dead))
+
+    def run(self, cols, params):
+        """The value of each compiled expression."""
+        vals = []
+        for fn, dead in self._plan:
+            vals.append(fn(vals, cols, params))
+            for a in dead:
+                vals[a] = None
+        return [vals[slot] for slot in self.outputs]
+
+
+_OPS = {Const: "const", Var: "var", ParamRef: "param", Neg: "neg",
+        Exp: "exp", Ln: "ln", Add: "add", Sub: "sub", Mul: "mul",
+        Div: "div", Pow: "pow"}
+
+
+def _operands(e):
+    """The subtrees of node e, left to right."""
+    kind = type(e)
+    if kind in _INFIX:
+        return e.left, e.right
+    if kind is Pow:
+        return (e.base,)
+    if kind in _NAMES or kind is Neg:
+        return (e.arg,)
+    return ()
+
+
+def compile_program(exprs, lower, reciprocals=False):
+    """The expressions `exprs` as one Program, whose code `lower(steps)`
+    writes.
+
+    Structurally equal subtrees become one step, so a subexpression that
+    u1 and u2, or two constraints, have in common is computed once.  With
+    `reciprocals`, as the jet runner wants, a / b is a * (1/b) and a^-k is
+    (1/a)^k, where 1/b is a step of its own: every division by b, and every
+    negative power of it, shares one reciprocal.  The walk keeps its own
+    stack, so no depth of nesting exhausts Python's.
+    """
+    steps, slots = [], {}
+
+    def emit(op, args, value, node):
+        key = (op, args, repr(value) if op == "const" else value)
+        if key not in slots:
+            slots[key] = len(steps)
+            scalar = op != "var" and all(steps[a].scalar for a in args)
+            steps.append(Step(op, args, value, node, scalar))
+        return slots[key]
+
+    done = []  # the slot of each finished subtree not yet an operand
+    todo = [(e, False) for e in reversed(exprs)]
+    while todo:
+        e, ready = todo.pop()
+        if type(e) not in _OPS:
+            raise TypeError("not an expression node: %r" % (e,))
+        operands = _operands(e)
+        if operands and not ready:
+            todo.append((e, True))
+            todo.extend((x, False) for x in reversed(operands))
+            continue
+        args = tuple(done[len(done) - len(operands):])
+        del done[len(done) - len(operands):]
+        op = _OPS[type(e)]
+        value = (e.value if op == "const" else e.name if not operands
+                 else getattr(e, "exponent", None))
+        if reciprocals and op == "div":
+            op, args = "mul", (args[0], emit("reciprocal", args[1:], None,
+                                             None))
+        elif (reciprocals and op == "pow" and isinstance(value, int)
+              and value < 0):
+            args, value = (emit("reciprocal", args, None, None),), -value
+        done.append(emit(op, args, value, e))
+    return Program(tuple(steps), tuple(done), lower(steps))
+
+
+def _apply(fn, args):
+    """Code that applies fn to the values of the steps at slots `args`."""
+    if len(args) == 2:
+        a, b = args
+        return lambda vals, cols, params: fn(vals[a], vals[b])
+    (a,) = args
+    return lambda vals, cols, params: fn(vals[a])
+
+
+def _bound(name, params):
+    """The value params binds to a parameter."""
+    try:
+        return params[name]
+    except KeyError:
+        raise EvalError("parameter %r is unbound" % name) from None
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 def evaluate(e, point, params=None):
     """Evaluate at point = (x1, x2, y1, y2); params maps names to floats.
 
-    Raises EvalError where `_eval_rows` gives NaN: outside the domain of ln
-    or of a division, where exp or a power overflows, or at inf - inf.
+    Raises EvalError where the value runner gives NaN: outside the domain
+    of ln or of a division, where exp or a power overflows, or at inf - inf.
     """
-    cols = dict(zip(VARIABLES, np.asarray(point, dtype=float)))
+    program = compile_program((e,), _value_code)
     with np.errstate(all="ignore"):
-        v = _eval_rows(e, cols, params or {})
+        (v,) = program.run(np.asarray(point, dtype=float), params or {})
     if v != v:
         raise EvalError("%s is undefined at %s" % (format_expr(e),
                                                    tuple(point)))
@@ -343,48 +486,52 @@ def _overflow_to_nan(r, arg):
     return np.nan if abs(r) - abs(arg) == np.inf else r
 
 
-# node type -> how the values of its operands combine
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-           Div: lambda a, b: a / _nan_where(b == 0.0, b)}
-_UNARY = {Neg: operator.neg,
-          Exp: lambda v: _overflow_to_nan(np.exp(v), v),
-          Ln: lambda v: np.log(_nan_where(v <= 0.0, v))}
+def _power(k):
+    """base -> base^k for the value runner."""
+    if k == 0:
+        # numpy's NaN ** 0 is 1, which would hide an undefined base
+        return lambda base: _nan_where(base != base, 1.0)
+
+    def power(base):
+        if type(base) is float:  # a constant, whose ** raises on overflow
+            base = np.float64(base)
+        return _overflow_to_nan(base ** k, base)
+
+    return power
 
 
-def _eval_rows(e, cols, params):
-    """The value of e, given each variable as a numpy array of values (or
-    one point's np.float64 scalars), under the caller's np.errstate.
+# op -> how the values of its operands combine
+_VALUE_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+              "div": lambda a, b: a / _nan_where(b == 0.0, b),
+              "neg": operator.neg,
+              "exp": lambda v: _overflow_to_nan(np.exp(v), v),
+              "ln": lambda v: np.log(_nan_where(v <= 0.0, v))}
 
-    The value is NaN wherever it is undefined: outside the domain of ln or
-    of a division, where exp or an integer power overflows from a finite
+
+def _value_code(steps):
+    """The value runner's code, which runs under the caller's np.errstate
+    with each variable a numpy array of values (or one point's np.float64
+    scalars).
+
+    A value is NaN wherever it is undefined: outside the domain of ln or of
+    a division, where exp or an integer power overflows from a finite
     argument (Python's math.exp and float ** int raise there, while numpy
     returns inf), and wherever an undefined operand feeds in.  A caller
     rejects a row by testing for finiteness.
     """
-    kind = type(e)
-    if kind in _BINARY:
-        return _BINARY[kind](_eval_rows(e.left, cols, params),
-                             _eval_rows(e.right, cols, params))
-    if kind is Var:
-        return cols[e.name]
-    if kind is Pow:
-        base = _eval_rows(e.base, cols, params)
-        if e.exponent == 0:
-            # numpy's NaN ** 0 is 1, which would hide an undefined base
-            return _nan_where(base != base, 1.0)
-        if type(base) is float:  # a constant, whose ** raises on overflow
-            base = np.float64(base)
-        return _overflow_to_nan(base ** e.exponent, base)
-    if kind is Const:
-        return e.value
-    if kind in _UNARY:
-        return _UNARY[kind](_eval_rows(e.arg, cols, params))
-    if kind is ParamRef:
-        try:
-            return params[e.name]
-        except KeyError:
-            raise EvalError("parameter %r is unbound" % e.name) from None
-    raise TypeError("not an expression node: %r" % (e,))
+    return tuple(_value_step(op, args, value)
+                 for op, args, value, _, _ in steps)
+
+
+def _value_step(op, args, value):
+    if op == "var":
+        v = VARIABLES.index(value)
+        return lambda vals, cols, params: cols[v]
+    if op == "const":
+        return lambda vals, cols, params: value
+    if op == "param":
+        return lambda vals, cols, params: _bound(value, params)
+    return _apply(_power(value) if op == "pow" else _VALUE_OPS[op], args)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +577,34 @@ class Web:
         so are points where a constraint is undefined or infinite.
         """
         bound = self.bind(params)
-        cols = dict(zip(VARIABLES, point.T if point.ndim == 2 else point))
         out = []
         with np.errstate(all="ignore"):
-            for c in self.constraints:
-                v = _eval_rows(c.expr, cols, bound)
+            values = self.domain_program.run(point.T, bound)
+            for c, v in zip(self.constraints, values):
                 a = abs(v) if c.kind == "nonzero" else v
                 out.append((c, v, (a > margin) & (a < np.inf)))
         return out
+
+    # Each program is compiled on first use and kept on this Web, outside
+    # its fields: a Web is immutable, so its programs never go stale, and
+    # `dataclasses.replace` makes a Web that compiles its own.
+
+    @cached_property
+    def domain_program(self):
+        """The constraints' expressions, compiled for the value runner."""
+        return compile_program([c.expr for c in self.constraints],
+                               _value_code)
+
+    @cached_property
+    def lift_program(self):
+        """(u1, u2), compiled for the jet runner of `jet.jet_lift`."""
+        from .jet import compile_lift  # jet.py builds on this module
+        return compile_lift((self.u1, self.u2))
+
+    def __getstate__(self):
+        # the fields alone: a program's code is closures, which do not
+        # pickle, and a copy compiles its own programs on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def admissible(self, point, params=None, margin=1e-3):
         """True if every domain constraint holds with the given margin.

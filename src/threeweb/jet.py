@@ -19,16 +19,28 @@ f0 + f1 u + f2 u^2 + f3 u^3 in the value-0 jet u left after taking c0 out,
 with f_k the Taylor coefficients of the function at c0: two jet products
 (u^2 and u^3) where Horner's rule takes three.
 
-`jet_lift` folds constant and parameter subtrees to Python floats, which
-Jet arithmetic takes directly: the results equal those of the constant
-jets they replace bit for bit.  A folded `ln` of a non-positive value, a
-division by zero, or a fold to inf or NaN raises EvalError, at one point or
-a batch.
+`jet_lift` runs the expressions compiled into one flat Program by
+`compile_lift` (see `expr.compile_program`): each distinct subtree is one
+step, and a / b is a times a reciprocal step of b, so u1 and u2 share what
+they have in common.  In the corpus, example04 takes the reciprocal of
+x1 + y1 once for both functions, and example06 that of x1 + x2.  A Web
+compiles its program on first use and keeps it (`Web.lift_program`); bare
+expressions are compiled on each call.  Steps that hold no variable
+(constant and parameter subtrees) compute Python floats from the binding
+on each run, which the jet steps take directly: the results equal those of
+the constant jets they replace bit for bit.  A folded `ln` of a
+non-positive value, a division by zero, or a fold to inf or NaN raises
+EvalError, at one point or a batch.  The other steps compute coefficient
+arrays, with the degree of each and the pair table of each product fixed
+at compile time, so a run does no dispatch on node types or degrees.  A
+power x^k is one step of binary powers, x*x for k = 2 and (x*x)*x for
+k = 3: at most 2 log2(k) products.
 
 Each Jet also carries `deg`, a bound on the total degree of its nonzero
 coefficients: 1 for a variable seed, the larger of the two for a sum or
 difference, the same for a negation or a float multiple, min(3, d1 + d2)
-for a product, and 3 for a reciprocal, exp or ln.  A product reads only
+for a product, and 3 for a reciprocal, exp or ln; the jet runner fixes the
+same bound for each step.  A product reads only
 the pairs of coefficients its factors' degrees allow, from the pair table
 for (d1, d2): 25 of the 165 pairs for affine x affine, 95 for affine x
 full.  The product sums its table's pairs into the 35 coefficients with
@@ -45,8 +57,8 @@ import operator
 
 import numpy as np
 
-from .expr import (Add, Const, Div, EvalError, Exp, Ln, Mul, Neg, ParamRef,
-                   Pow, Sub, Var, VARIABLES, format_expr)
+from .expr import (EvalError, Program, VARIABLES, _apply, _bound,
+                   compile_program, format_expr)
 
 DEGREE = 3
 NVARS = 4
@@ -88,6 +100,9 @@ _PAIRS = {(d1, d2): _pair_table(d1, d2)
 _VARS = np.arange(NVARS)
 _UNIT = np.array([INDEX[tuple(int(i == v) for i in range(NVARS))]
                   for v in _VARS])
+# the seed jets of x1, x2, y1 and y2 at the origin
+_SEEDS = np.zeros((NVARS, NCOEFF))
+_SEEDS[_VARS, _UNIT] = 1.0
 
 
 def partial_index(tuples):
@@ -114,6 +129,71 @@ def _jet(c, deg):
     return jet
 
 
+def _product(a, b, table):
+    """The coefficients of the product of coefficients a and b, by the pair
+    table of their degrees."""
+    i, j, sums = table
+    return (_gather(a, i) * _gather(b, j)) @ sums
+
+
+def _series_tables(deg):
+    """The pair tables of u*u and of (u*u)*u, for u of degree `deg`."""
+    return _PAIRS[deg, deg], _PAIRS[min(DEGREE, 2 * deg), deg]
+
+
+def _powers(u, tables):
+    """u, u^2 and u^3 of coefficients `u`, their value zeroed here."""
+    u[..., 0] = 0.0
+    u2 = _product(u, u, tables[0])
+    return u, u2, _product(u2, u, tables[1])
+
+
+def _value_where(c, ok, message):
+    """The value column of c, NaN on the batch rows where `ok` fails (which
+    poisons them); a single jet there raises EvalError instead."""
+    c0 = c[..., :1]
+    if c.ndim > 1:
+        return np.where(ok, c0, np.nan)
+    if not ok[0]:
+        raise EvalError("%s %r" % (message, float(c0[0])))
+    return c0
+
+
+def _reciprocal(c, tables):
+    c0 = _value_where(c, c[..., :1] != 0.0,
+                      "jet division by a jet with value")
+    # 1/(c0 (1 + u)) = (1 - u + u^2 - u^3) / c0
+    u, u2, u3 = _powers(c / c0, tables)
+    w = u2 - u - u3
+    w[..., 0] = 1.0
+    return w / c0
+
+
+def _exp(c, tables):
+    # exp(c0 + u) = exp(c0) (1 + u + u^2/2 + u^3/6)
+    u, u2, u3 = _powers(c.copy(), tables)
+    w = u + u2 * 0.5 + u3 * (1.0 / 6.0)
+    w[..., 0] = 1.0
+    return w * np.exp(c[..., :1])
+
+
+def _ln(c, tables):
+    c0 = _value_where(c, c[..., :1] > 0.0,
+                      "ln of a jet with non-positive value")
+    # ln(c0 (1 + u)) = ln(c0) + u - u^2/2 + u^3/3
+    u, u2, u3 = _powers(c / c0, tables)
+    w = u - u2 * 0.5 + u3 * (1.0 / 3.0)
+    w[..., :1] = np.log(c0)
+    return w
+
+
+def _shift(c, x):
+    """c with the float x added to its value: a copy."""
+    c = c.copy()
+    c[..., 0] += x
+    return c
+
+
 class Jet:
     """Degree-3 truncated Taylor expansion of a scalar function, at one
     point or at a batch of points (the leading axes of `c`), whose nonzero
@@ -130,9 +210,7 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, Jet):
             return _jet(self.c + other.c, max(self.deg, other.deg))
-        c = self.c.copy()
-        c[..., 0] += other
-        return _jet(c, self.deg)
+        return _jet(_shift(self.c, other), self.deg)
 
     __radd__ = __add__
 
@@ -150,151 +228,192 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return _jet(self.c * other, self.deg)
-        i, j, sums = _PAIRS[self.deg, other.deg]
-        prod = _gather(self.c, i) * _gather(other.c, j)
-        return _jet(prod @ sums, min(DEGREE, self.deg + other.deg))
+        return _jet(_product(self.c, other.c, _PAIRS[self.deg, other.deg]),
+                    min(DEGREE, self.deg + other.deg))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def _value_where(self, ok, message):
-        """The value column, NaN on the batch rows where `ok` fails (which
-        poisons them); a single jet there raises EvalError instead."""
-        c0 = self.c[..., :1]
-        if self.c.ndim > 1:
-            return np.where(ok, c0, np.nan)
-        if not ok[0]:
-            raise EvalError("%s %r" % (message, float(c0[0])))
-        return c0
-
-    @staticmethod
-    def _powers(u, deg):
-        """u, u^2 and u^3 of coefficients `u` of degree at most `deg`, their
-        value zeroed here."""
-        u[..., 0] = 0.0
-        u = _jet(u, deg)
-        u2 = u * u
-        return u.c, u2.c, (u2 * u).c
-
     def reciprocal(self):
-        c0 = self._value_where(self.c[..., :1] != 0.0,
-                               "jet division by a jet with value")
-        # 1/(c0 (1 + u)) = (1 - u + u^2 - u^3) / c0
-        u, u2, u3 = self._powers(self.c / c0, self.deg)
-        w = u2 - u - u3
-        w[..., 0] = 1.0
-        return _jet(w / c0, DEGREE)
+        return _jet(_reciprocal(self.c, _series_tables(self.deg)), DEGREE)
 
     def exp(self):
-        # exp(c0 + u) = exp(c0) (1 + u + u^2/2 + u^3/6)
-        u, u2, u3 = self._powers(self.c.copy(), self.deg)
-        w = u + u2 * 0.5 + u3 * (1.0 / 6.0)
-        w[..., 0] = 1.0
-        return _jet(w * np.exp(self.c[..., :1]), DEGREE)
+        return _jet(_exp(self.c, _series_tables(self.deg)), DEGREE)
 
     def ln(self):
-        c0 = self._value_where(self.c[..., :1] > 0.0,
-                               "ln of a jet with non-positive value")
-        # ln(c0 (1 + u)) = ln(c0) + u - u^2/2 + u^3/3
-        u, u2, u3 = self._powers(self.c / c0, self.deg)
-        w = u - u2 * 0.5 + u3 * (1.0 / 3.0)
-        w[..., :1] = np.log(c0)
-        return _jet(w, DEGREE)
+        return _jet(_ln(self.c, _series_tables(self.deg)), DEGREE)
 
     def __repr__(self):
         return "Jet(value=%r)" % (self.value,)
 
 
-def _reciprocal(x):
-    if isinstance(x, Jet):
-        return x.reciprocal()
-    if x == 0.0:
-        raise EvalError("jet division by a jet with value %r" % float(x))
-    return 1.0 / x
+def _power_bits(k):
+    """The binary digits of k >= 1 after its leading 1.  x^k is x, then
+    for each digit a squaring followed, for a 1, by a product with x: x*x
+    for k = 2 and (x*x)*x for k = 3, with 2 log2(k) products at most."""
+    return [bit == "1" for bit in bin(k)[3:]]
 
 
-def _ln(x):
-    if isinstance(x, Jet):
-        return x.ln()
-    if not x > 0.0:
-        raise EvalError("ln of a jet with non-positive value %r" % float(x))
-    return float(np.log(x))
+# ---------------------------------------------------------------------------
+# the jet runner
 
-
-def _exp(x):
-    return x.exp() if isinstance(x, Jet) else float(np.exp(x))
-
-
-def _int_pow(x, k):
-    """x^k for an int k, on a Jet or a float: the constant 1 for k = 0,
-    NaN where x is not finite, else |k| - 1 multiplies."""
-    if not isinstance(k, int):
-        raise EvalError("jet powers must have integer exponents")
-    if k == 0:
-        return x * 0.0 + 1.0
-    if k < 0:
-        x, k = _reciprocal(x), -k
-    out = x
-    for _ in range(k - 1):
-        out = out * x
-    return out
+def compile_lift(exprs):
+    """The expressions compiled for `jet_lift`: with their reciprocals
+    shared, each jet's degree known and each product's pair table fixed."""
+    return compile_program(exprs, _jet_code, reciprocals=True)
 
 
 def jet_lift(e, point, params=None):
     """Expand an expression tree around `point` = (x1, x2, y1, y2), or
     around every row of an (N, 4) array of points at once.
 
-    Given a sequence of k expressions instead, lift them all with one set
-    of seeds into one Jet with an axis of k before the coefficients:
-    (k, 35) at a point, (N, k, 35) at N points."""
+    Given a sequence of k expressions instead, or a Program that
+    `compile_lift` compiled from one, lift them all with one set of seeds
+    into one Jet with an axis of k before the coefficients: (k, 35) at a
+    point, (N, k, 35) at N points.  Expressions are compiled on each call;
+    a Web keeps its program (`Web.lift_program`)."""
+    many = isinstance(e, (list, tuple, Program))
+    program = e if isinstance(e, Program) else compile_lift(
+        e if many else (e,))
     point = np.asarray(point, dtype=float)
     lead = point.shape[:-1]
-    seeds = np.zeros(lead + (NVARS, NCOEFF))
+    seeds = np.empty(lead + _SEEDS.shape)
+    seeds[...] = _SEEDS
     seeds[..., 0] = point
-    seeds[..., _VARS, _UNIT] = 1.0
-    vars_ = {name: _jet(seeds[..., v, :], 1)
-             for v, name in enumerate(VARIABLES)}
-    many = isinstance(e, (list, tuple))
-    exprs = e if many else (e,)
-    out = np.zeros(lead + (len(exprs), NCOEFF))
     with np.errstate(all="ignore"):
-        for i, expr in enumerate(exprs):
-            jet = _lift(expr, vars_, params or {})
-            if isinstance(jet, Jet):
-                out[..., i, :] = jet.c
-            else:  # a constant expression still gets one row per point
-                out[..., i, 0] = jet
+        values = program.run(seeds, params or {})
+    out = np.zeros(lead + (len(values), NCOEFF))
+    for i, v in enumerate(values):
+        if type(v) is float:  # a constant still gets one row per point
+            out[..., i, 0] = v
+        else:
+            out[..., i, :] = v
     return _jet(out if many else out[..., 0, :], DEGREE)
 
 
-# node type -> how the lifts of its operands combine
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-           Div: lambda a, b: a * _reciprocal(b)}
-_UNARY = {Neg: operator.neg, Exp: _exp, Ln: _ln}
+def _jet_code(steps):
+    """The jet runner's code.  A step that holds no variable computes a
+    Python float from the binding, which Jet arithmetic would take
+    directly; any other a jet's coefficients, whose degree is fixed here."""
+    degrees, code = [], []
+    for step in steps:
+        fn, deg = _jet_step(step, degrees)
+        degrees.append(deg)
+        code.append(fn)
+    return tuple(code)
 
 
-def _lift(e, vars_, params):
-    """The Jet of `e`, or a float where `e` holds no variable.  A float
-    that folds to inf or NaN raises EvalError naming its subexpression."""
-    kind = type(e)
-    if kind in _BINARY:
-        out = _BINARY[kind](_lift(e.left, vars_, params),
-                            _lift(e.right, vars_, params))
-    elif kind in _UNARY:
-        out = _UNARY[kind](_lift(e.arg, vars_, params))
-    elif kind is Var:
-        return vars_[e.name]
-    elif kind is Const:
-        return float(e.value)
-    elif kind is Pow:
-        out = _int_pow(_lift(e.base, vars_, params), e.exponent)
-    elif kind is ParamRef:
-        try:
-            return float(params[e.name])
-        except KeyError:
-            raise EvalError("parameter %r is unbound" % e.name) from None
+def _float_ln(x):
+    if not x > 0.0:
+        raise EvalError("ln of a jet with non-positive value %r" % float(x))
+    return float(np.log(x))
+
+
+def _float_reciprocal(x):
+    if x == 0.0:
+        raise EvalError("jet division by a jet with value %r" % float(x))
+    return 1.0 / x
+
+
+# op -> how the floats of its operands combine
+_FLOAT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+              "neg": operator.neg, "exp": lambda x: float(np.exp(x)),
+              "ln": _float_ln, "reciprocal": _float_reciprocal}
+_SERIES = {"reciprocal": _reciprocal, "exp": _exp, "ln": _ln}
+
+
+def _jet_step(step, degrees):
+    """The code of one step, and the degree of its jet (0 for a float):
+    given `degrees`, those of the steps before it."""
+    op, args, value, node, scalar = step
+    if op == "pow" and not isinstance(value, int):
+        raise EvalError("jet powers must have integer exponents")
+    if scalar:
+        return _float_step(op, args, value, node), 0
+    if op == "var":
+        v = VARIABLES.index(value)
+        return (lambda vals, seeds, params: seeds[..., v, :]), 1
+    deg = max(degrees[a] for a in args)
+    if op in _SERIES:
+        series, tables, (a,) = _SERIES[op], _series_tables(deg), args
+        return (lambda vals, seeds, params: series(vals[a], tables)), DEGREE
+    if op == "pow":
+        return _jet_power(args, value, deg)
+    if op == "neg":
+        return _apply(operator.neg, args), deg
+    a, b = args
+    if degrees[a] and degrees[b]:
+        if op == "mul":
+            table = _PAIRS[degrees[a], degrees[b]]
+            return ((lambda vals, seeds, params:
+                     _product(vals[a], vals[b], table)),
+                    min(DEGREE, degrees[a] + degrees[b]))
+        return _apply(np.add if op == "add" else np.subtract, args), deg
+    # a jet and a float: Jet arithmetic's rules, the jet first
+    jet_first = degrees[a] > 0
+    if op == "sub":
+        fn = ((lambda c, x: _shift(c, -x)) if jet_first
+              else (lambda c, x: _shift(-c, x)))
     else:
-        raise TypeError("not an expression node: %r" % (e,))
-    if type(out) is float and not math.isfinite(out):
-        raise EvalError("the constant %s is %r" % (format_expr(e), out))
-    return out
+        fn = _shift if op == "add" else operator.mul
+    return _apply(fn, args if jet_first else args[::-1]), deg
+
+
+def _jet_power(args, k, deg):
+    """The code of x^k for a jet x, and its degree."""
+    if k == 0:
+        return _apply(lambda c: _shift(c * 0.0, 1.0), args), deg
+    schedule, d = [], deg
+    for times in _power_bits(k):
+        square, d = _PAIRS[d, d], min(DEGREE, 2 * d)
+        schedule.append((square, _PAIRS[d, deg] if times else None))
+        if times:
+            d = min(DEGREE, d + deg)
+
+    def power(c):
+        out = c
+        for square, times in schedule:
+            out = _product(out, out, square)
+            if times is not None:
+                out = _product(out, c, times)
+        return out
+
+    return _apply(power, args), d
+
+
+def _float_step(op, args, value, node):
+    """The code of a step that holds no variable.  A float that an
+    operation makes inf or NaN raises EvalError naming its subexpression."""
+    if op == "const":
+        value = float(value)
+        return lambda vals, seeds, params: value
+    if op == "param":
+        return lambda vals, seeds, params: float(_bound(value, params))
+    if op == "pow":
+        if value == 0:
+            fn = _apply(lambda x: x * 0.0 + 1.0, args)
+        else:
+            bits = _power_bits(value)
+
+            def power(x):
+                out = x
+                for times in bits:
+                    out = out * out
+                    if times:
+                        out = out * x
+                return out
+
+            fn = _apply(power, args)
+    else:
+        fn = _apply(_FLOAT_OPS[op], args)
+    if node is None:  # a reciprocal, which only feeds a checked step
+        return fn
+
+    def checked(vals, seeds, params):
+        out = fn(vals, seeds, params)
+        if not math.isfinite(out):
+            raise EvalError("the constant %s is %r" % (format_expr(node),
+                                                       out))
+        return out
+
+    return checked

@@ -264,7 +264,7 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True):
                 "at" if point.ndim == 2 else tuple(point.tolist()), broken))
     # one point lifts as a single jet, which raises EvalError outside the
     # domain of ln or of a division
-    coeffs = jet_lift((web.u1, web.u2), point, bound).c
+    coeffs = jet_lift(web.lift_program, point, bound).c
     with np.errstate(all="ignore"):
         batch = _invariants(points, bound, coeffs)
     if point.ndim == 2:

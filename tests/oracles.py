@@ -11,17 +11,30 @@ The jet helpers build and read `threeweb.jet.Jet`s from the test side: a
 checking constructor, constant jets, partials, and the dense product over
 all 165 pairs of coefficients, the oracle of the degree-aware product.
 
+`naive_eval` evaluates an expression with Python floats and the math
+module, independently of `threeweb.expr`.  `_lift` and `_eval_rows` are the
+recursive tree walkers that `threeweb` replaced with compiled programs,
+kept as references (`lift_reference` lifts by `_lift` as `jet_lift` did):
+the jet runner and the value runner must match them bit for bit, with the
+same EvalError messages.
+
 `hexagonality_polynomials` adds the quartic hexagonality polynomial to the
 two cubics that `threeweb.classify` tests, as their linear-dependence
 oracle.
 """
 
 import itertools
+import math
+import operator
 
 import numpy as np
 
 from threeweb.classify import _hexagonality_coefficients, _horner
-from threeweb.jet import DEGREE, INDEX, MULTI, NCOEFF, _FACTORIAL, _jet
+from threeweb.expr import (Add, Const, Div, EvalError, Exp, Ln, Mul, Neg,
+                           ParamRef, Pow, Sub, Var, VARIABLES, _nan_where,
+                           _overflow_to_nan, format_expr)
+from threeweb.jet import (DEGREE, INDEX, MULTI, NCOEFF, NVARS, Jet,
+                          _FACTORIAL, _UNIT, _VARS, _jet, _power_bits)
 from threeweb.tensor import sym3_lower
 
 BASE_STEP = 0.02
@@ -139,3 +152,162 @@ def hexagonality_polynomials(snap, t):
                b[0, 0, 0, 0] - 3.0 * sym[1, 0, 0, 1], b[1, 0, 0, 0]]
     return tuple(_horner(coeffs, t)
                  for coeffs in (quartic, *_hexagonality_coefficients(snap)))
+
+
+def naive_eval(e, env):
+    """The value of e by Python float arithmetic and the math module, with
+    env mapping variable and parameter names to floats: a second evaluator,
+    which raises where Python does."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, (Var, ParamRef)):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -naive_eval(e.arg, env)
+    if isinstance(e, Exp):
+        return math.exp(naive_eval(e.arg, env))
+    if isinstance(e, Ln):
+        return math.log(naive_eval(e.arg, env))
+    if isinstance(e, Add):
+        return naive_eval(e.left, env) + naive_eval(e.right, env)
+    if isinstance(e, Sub):
+        return naive_eval(e.left, env) - naive_eval(e.right, env)
+    if isinstance(e, Mul):
+        return naive_eval(e.left, env) * naive_eval(e.right, env)
+    if isinstance(e, Div):
+        return naive_eval(e.left, env) / naive_eval(e.right, env)
+    if isinstance(e, Pow):
+        return naive_eval(e.base, env) ** e.exponent
+    raise TypeError(e)
+
+
+# --- the recursive tree walkers --------------------------------------------
+
+def _reciprocal(x):
+    if isinstance(x, Jet):
+        return x.reciprocal()
+    if x == 0.0:
+        raise EvalError("jet division by a jet with value %r" % float(x))
+    return 1.0 / x
+
+
+def _ln(x):
+    if isinstance(x, Jet):
+        return x.ln()
+    if not x > 0.0:
+        raise EvalError("ln of a jet with non-positive value %r" % float(x))
+    return float(np.log(x))
+
+
+def _exp(x):
+    return x.exp() if isinstance(x, Jet) else float(np.exp(x))
+
+
+def _int_pow(x, k):
+    """x^k for an int k, on a Jet or a float: the constant 1 for k = 0,
+    NaN where x is not finite, else binary powers in the order of
+    `jet._power_bits`."""
+    if not isinstance(k, int):
+        raise EvalError("jet powers must have integer exponents")
+    if k == 0:
+        return x * 0.0 + 1.0
+    if k < 0:
+        x, k = _reciprocal(x), -k
+    out = x
+    for times in _power_bits(k):
+        out = out * out
+        if times:
+            out = out * x
+    return out
+
+
+# node type -> how the lifts of its operands combine
+_LIFT_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+                Div: lambda a, b: a * _reciprocal(b)}
+_LIFT_UNARY = {Neg: operator.neg, Exp: _exp, Ln: _ln}
+
+
+def _lift(e, vars_, params):
+    """The Jet of `e`, or a float where `e` holds no variable.  A float
+    that folds to inf or NaN raises EvalError naming its subexpression."""
+    kind = type(e)
+    if kind in _LIFT_BINARY:
+        out = _LIFT_BINARY[kind](_lift(e.left, vars_, params),
+                                 _lift(e.right, vars_, params))
+    elif kind in _LIFT_UNARY:
+        out = _LIFT_UNARY[kind](_lift(e.arg, vars_, params))
+    elif kind is Var:
+        return vars_[e.name]
+    elif kind is Const:
+        return float(e.value)
+    elif kind is Pow:
+        out = _int_pow(_lift(e.base, vars_, params), e.exponent)
+    elif kind is ParamRef:
+        try:
+            return float(params[e.name])
+        except KeyError:
+            raise EvalError("parameter %r is unbound" % e.name) from None
+    else:
+        raise TypeError("not an expression node: %r" % (e,))
+    if type(out) is float and not math.isfinite(out):
+        raise EvalError("the constant %s is %r" % (format_expr(e), out))
+    return out
+
+
+def lift_reference(exprs, point, params=None):
+    """The coefficients (..., k, 35) of the k expressions lifted around
+    `point`, or around each row of an (N, 4) array, by `_lift`."""
+    point = np.asarray(point, dtype=float)
+    lead = point.shape[:-1]
+    seeds = np.zeros(lead + (NVARS, NCOEFF))
+    seeds[..., 0] = point
+    seeds[..., _VARS, _UNIT] = 1.0
+    vars_ = {name: _jet(seeds[..., v, :], 1)
+             for v, name in enumerate(VARIABLES)}
+    out = np.zeros(lead + (len(exprs), NCOEFF))
+    with np.errstate(all="ignore"):
+        for i, expr in enumerate(exprs):
+            jet = _lift(expr, vars_, params or {})
+            if isinstance(jet, Jet):
+                out[..., i, :] = jet.c
+            else:  # a constant expression still gets one row per point
+                out[..., i, 0] = jet
+    return out
+
+
+# node type -> how the values of its operands combine
+_EVAL_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+                Div: lambda a, b: a / _nan_where(b == 0.0, b)}
+_EVAL_UNARY = {Neg: operator.neg,
+               Exp: lambda v: _overflow_to_nan(np.exp(v), v),
+               Ln: lambda v: np.log(_nan_where(v <= 0.0, v))}
+
+
+def _eval_rows(e, cols, params):
+    """The value of e, given each variable by name as a numpy array of
+    values (or one point's np.float64 scalars), under the caller's
+    np.errstate: NaN wherever it is undefined."""
+    kind = type(e)
+    if kind in _EVAL_BINARY:
+        return _EVAL_BINARY[kind](_eval_rows(e.left, cols, params),
+                                  _eval_rows(e.right, cols, params))
+    if kind is Var:
+        return cols[e.name]
+    if kind is Pow:
+        base = _eval_rows(e.base, cols, params)
+        if e.exponent == 0:
+            # numpy's NaN ** 0 is 1, which would hide an undefined base
+            return _nan_where(base != base, 1.0)
+        if type(base) is float:  # a constant, whose ** raises on overflow
+            base = np.float64(base)
+        return _overflow_to_nan(base ** e.exponent, base)
+    if kind is Const:
+        return e.value
+    if kind in _EVAL_UNARY:
+        return _EVAL_UNARY[kind](_eval_rows(e.arg, cols, params))
+    if kind is ParamRef:
+        try:
+            return params[e.name]
+        except KeyError:
+            raise EvalError("parameter %r is unbound" % e.name) from None
+    raise TypeError("not an expression node: %r" % (e,))

@@ -206,6 +206,29 @@ def test_generic_classification_skips_bindings_with_undefined_constants():
     assert all(0 < pb["params"]["a"] < 1.02 for pb in r.per_binding)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_reused_web_classifies_as_freshly_parsed_ones(seed, monkeypatch):
+    # the web keeps its compiled programs across calls and bindings; each
+    # binding's report must equal the one a fresh parse of the web gives
+    reused = load_example(8).web
+    classify_generic(reused, RunConfig(seed=seed + 1))  # compiles and runs
+    reports = []
+
+    def recording(*args, **kwargs):
+        report = classify_web(*args, **kwargs)
+        reports.append(json.dumps(report.to_dict()))
+        return report
+
+    monkeypatch.setattr(classify, "classify_web", recording)
+    runs = []
+    for web in (reused, load_example(8).web):
+        reports.clear()
+        final = classify_generic(web, RunConfig(seed=seed))
+        runs.append((list(reports), json.dumps(final.to_dict())))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) >= 5
+
+
 def test_generic_classification_needs_parameters():
     with pytest.raises(ValueError):
         classify_generic(load_example(1).web)

@@ -1,11 +1,16 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import naive_eval
 from threeweb.corpus import load_corpus
+from threeweb.jet import jet_lift
 from threeweb.expr import (
     Add,
     Const,
@@ -79,39 +84,13 @@ def test_corpus_files_round_trip():
         assert again == entry.web, entry.name
 
 
-def _naive(e, env):
-    # A second evaluator, written independently of expr._eval_rows, used
-    # purely as a differential-testing oracle.
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, (Var, ParamRef)):
-        return env[e.name]
-    if isinstance(e, Neg):
-        return -_naive(e.arg, env)
-    if isinstance(e, Exp):
-        return math.exp(_naive(e.arg, env))
-    if isinstance(e, Ln):
-        return math.log(_naive(e.arg, env))
-    if isinstance(e, Add):
-        return _naive(e.left, env) + _naive(e.right, env)
-    if isinstance(e, Sub):
-        return _naive(e.left, env) - _naive(e.right, env)
-    if isinstance(e, Mul):
-        return _naive(e.left, env) * _naive(e.right, env)
-    if isinstance(e, Div):
-        return _naive(e.left, env) / _naive(e.right, env)
-    if isinstance(e, Pow):
-        return _naive(e.base, env) ** e.exponent
-    raise TypeError(e)
-
-
 @settings(max_examples=200, deadline=None)
 @given(_expr_strategy(),
        st.tuples(*[st.floats(-2, 2, allow_nan=False)] * 4))
 def test_evaluation_matches_independent_evaluator(expr, point):
     env = dict(zip(("x1", "x2", "y1", "y2"), point))
     try:
-        want = _naive(expr, env)
+        want = naive_eval(expr, env)
     except (ArithmeticError, ValueError):
         with pytest.raises((EvalError, OverflowError)):
             evaluate(expr, point)
@@ -239,3 +218,30 @@ def test_parsed_webs_compare_structurally():
     text = "u1 = x1 + y1\nu2 = x2 * y2\ndomain x2 != 0\n"
     assert parse_web(text, name="a") == parse_web(text, name="a")
     assert parse_web(text, name="a") != parse_web(text, name="b")
+
+
+def test_each_web_compiles_its_own_programs():
+    text = "u1 = x1*y1 + x2\nu2 = y2/(x1 + 1)\ndomain x1 + 1 > 0\n"
+    web, again = parse_web(text), parse_web(text)
+    assert web == again
+    assert web.lift_program is web.lift_program  # compiled once
+    assert again.lift_program is not web.lift_program
+    assert again.domain_program is not web.domain_program
+    point = (0.5, -1.5, 2.0, 0.25)
+    moved = dataclasses.replace(web, u1=Var("x1"),
+                                constraints=(web.constraints[0],) * 2)
+    for w in (web, again, moved):
+        assert np.array_equal(jet_lift(w.lift_program, point).c,
+                              jet_lift((w.u1, w.u2), point).c)
+        assert (w.domain_program.run(np.array(point), {})
+                == [evaluate(c.expr, point) for c in w.constraints])
+    assert not np.array_equal(jet_lift(moved.lift_program, point).c,
+                              jet_lift(web.lift_program, point).c)
+    # the programs are not fields: equality, printing and pickling ignore
+    # them, and a copy compiles its own
+    assert "program" not in repr(web)
+    for copied in (pickle.loads(pickle.dumps(web)), copy.copy(web)):
+        assert copied == web and "lift_program" not in vars(copied)
+        assert copied.lift_program is not web.lift_program
+    assert dataclasses.replace(moved, u1=web.u1, constraints=web.constraints) \
+        == web

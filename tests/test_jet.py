@@ -1,19 +1,23 @@
 import contextlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (constant_jet, dense_product, make_jet, partial,
+from oracles import (_eval_rows, _int_pow, constant_jet, dense_product,
+                     lift_reference, make_jet, naive_eval, partial,
                      partial_fd, rel_err)
 from threeweb import jet
 from threeweb.corpus import load_example
-from threeweb.expr import (Add, Const, Div, EvalError, Exp, Ln, Mul, Neg, Pow,
-                           Sub, Var, evaluate, parse_web)
-from threeweb.jet import DEGREE, MULTI, NCOEFF, _int_pow, jet_lift
+from threeweb.expr import (Add, Const, Div, EvalError, Exp, Ln, Mul, Neg,
+                           ParamRef, Pow, Sub, Var, VARIABLES, _value_code,
+                           compile_program, evaluate, format_expr, parse_web)
+from threeweb.jet import DEGREE, MULTI, NCOEFF, jet_lift
+from threeweb.tensor import DegenerateWeb, snapshot
 
 RNG = np.random.default_rng(2024)
 
@@ -280,30 +284,56 @@ def _full_tables():
         jet._PAIRS = saved
 
 
+def _assert_degree(c, deg):
+    """On the rows of c that are finite, its coefficients above total
+    degree `deg` vanish."""
+    finite = np.isfinite(c).all(axis=-1)
+    assert not c[finite][..., _TOTAL > deg].any(), deg
+
+
 @contextlib.contextmanager
 def _checked_degrees():
-    """Every jet built asserts, on its rows that are finite, that its
-    coefficients above its degree vanish."""
-    build = jet._jet
+    """Every step the jet runner compiles asserts its degree on the jet it
+    computes, and so does every Jet built."""
+    build, step = jet._jet, jet._jet_step
 
-    def checked(c, deg):
-        finite = np.isfinite(c).all(axis=-1)
-        assert not c[finite][..., _TOTAL > deg].any(), deg
+    def checked_build(c, deg):
+        _assert_degree(c, deg)
         return build(c, deg)
 
-    jet._jet = checked
+    def checked_step(s, degrees):
+        fn, deg = step(s, degrees)
+        if not deg:  # a float
+            return fn, deg
+
+        def checked(vals, seeds, params):
+            c = fn(vals, seeds, params)
+            _assert_degree(c, deg)
+            return c
+
+        return checked, deg
+
+    jet._jet, jet._jet_step = checked_build, checked_step
     try:
         yield
     finally:
-        jet._jet = build
+        jet._jet, jet._jet_step = build, step
+
+
+_PARAMS = {"k": 1.5, "mu": -2.0}
 
 
 def _tree_strategy():
+    """Trees over the variables, constants (1e200 among them, so that some
+    folds overflow) and the parameters of _PARAMS, in which binary nodes
+    often take one subtree twice."""
     leaves = st.one_of(st.sampled_from(["x1", "x2", "y1", "y2"]).map(Var),
-                       st.sampled_from([1.0, 2.0, 0.5, -3.0]).map(Const))
+                       st.sampled_from([1.0, 2.0, 0.5, -3.0, 1e200]).map(Const),
+                       st.sampled_from(sorted(_PARAMS)).map(ParamRef))
 
     def extend(children):
-        pair = st.tuples(children, children)
+        pair = st.tuples(children, children, st.booleans()).map(
+            lambda t: (t[0], t[0]) if t[2] else t[:2])
         return st.one_of(
             *(pair.map(lambda t, node=node: node(*t))
               for node in (Add, Sub, Mul, Div)),
@@ -313,20 +343,35 @@ def _tree_strategy():
     return st.recursive(leaves, extend, max_leaves=16)
 
 
+def _pair_strategy():
+    """Two trees, which often have a third as a common subtree."""
+    tree = _tree_strategy()
+    return st.one_of(st.tuples(tree, tree), st.tuples(tree, tree, tree).map(
+        lambda t: (Mul(t[0], t[2]), Div(t[1], t[2]))))
+
+
 # rows with zeros and negatives, so that ln and division leave some rows
 # outside their domain
 _TREE_POINTS = np.vstack([np.random.default_rng(5).uniform(-2.0, 2.0, (6, 4)),
                           [[0.0, 1.0, -1.0, 0.5], [1.0, 0.0, 0.0, -2.0]]])
 
 
+def _outcome(lift, *args):
+    """lift(*args) as bytes, or the message of the EvalError it raises."""
+    try:
+        return np.asarray(lift(*args)).tobytes()
+    except EvalError as err:
+        return "EvalError: %s" % err
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.tuples(_tree_strategy(), _tree_strategy()))
+@given(_pair_strategy())
 def test_lift_matches_the_lift_with_every_degree_three(exprs):
-    # the degree bounds hold as each jet is built, and the lift that relies
+    # the degree bounds hold on every step's jet, and the lift that relies
     # on them equals the lift that reads every pair
     def lift(points):
         try:
-            return jet_lift(exprs, points).c
+            return jet_lift(exprs, points, _PARAMS).c
         except EvalError:  # a folded constant outside its domain
             return None
 
@@ -343,3 +388,93 @@ def test_lift_matches_the_lift_with_every_degree_three(exprs):
         got, want = got[finite], want[finite]
         scale = np.maximum(1.0, np.abs(want).max(axis=(-2, -1), keepdims=True))
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_strategy())
+def test_compiled_lift_matches_the_tree_walk_bit_for_bit(exprs):
+    # at each point: the same coefficients or the same EvalError; on the
+    # batch: the same coefficients, NaN rows included
+    def compiled(points):
+        return jet_lift(exprs, points, _PARAMS).c
+
+    for point in _TREE_POINTS:
+        assert (_outcome(compiled, point)
+                == _outcome(lift_reference, exprs, point, _PARAMS))
+    assert (_outcome(compiled, _TREE_POINTS)
+            == _outcome(lift_reference, exprs, _TREE_POINTS, _PARAMS))
+
+
+def _evaluate_reference(e, point, params):
+    """`evaluate` over the tree walk `_eval_rows`."""
+    with np.errstate(all="ignore"):
+        v = _eval_rows(e, dict(zip(VARIABLES, np.asarray(point))), params)
+    if v != v:
+        raise EvalError("%s is undefined at %s" % (format_expr(e),
+                                                   tuple(point)))
+    return float(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_strategy())
+def test_compiled_values_match_the_tree_walk_bit_for_bit(exprs):
+    # at each point: the value or the EvalError of the tree walk, and the
+    # value of the independent evaluator; on the batch: the same values,
+    # NaN rows included
+    for point in _TREE_POINTS:
+        env = dict(zip(VARIABLES, point.tolist()), **_PARAMS)
+        for e in exprs:
+            got = _outcome(evaluate, e, point, _PARAMS)
+            assert got == _outcome(_evaluate_reference, e, point, _PARAMS)
+            try:
+                want = naive_eval(e, env)
+            except (ArithmeticError, ValueError):
+                continue
+            if math.isfinite(want):
+                assert evaluate(e, point, _PARAMS) == pytest.approx(
+                    want, rel=1e-12, abs=1e-12)
+    cols = dict(zip(VARIABLES, _TREE_POINTS.T))
+    with np.errstate(all="ignore"):
+        got = compile_program(exprs, _value_code).run(_TREE_POINTS.T, _PARAMS)
+        want = [_eval_rows(e, cols, _PARAMS) for e in exprs]
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+@pytest.mark.parametrize("index", [4, 6])
+def test_u1_and_u2_share_one_reciprocal(index):
+    program = load_example(index).web.lift_program
+    assert [s.op for s in program.steps].count("reciprocal") == 1
+
+
+def test_unbound_parameter_is_the_first_error_met_in_the_walk():
+    # the walk meets 1/x1 at x1 = 0 before the unbound parameter
+    exprs = (Div(Const(1.0), Var("x1")), Mul(ParamRef("k"), Var("x2")))
+    point = (0.0, 1.0, 2.0, 3.0)
+    want = _outcome(lift_reference, exprs, point, {})
+    assert want.startswith("EvalError: jet division")
+    assert _outcome(lambda: jet_lift(exprs, point, {}).c) == want
+    with pytest.raises(EvalError, match="parameter 'k' is unbound"):
+        jet_lift(exprs[::-1], point, {})
+
+
+@pytest.mark.parametrize("exponent", ["100000", "1000000000", "-1000000000"])
+def test_a_huge_exponent_ends_quickly(exponent):
+    # binary powers: 2 log2(k) products, not |k| - 1
+    web = parse_web("u1 = x1 + y1*(1 + x2*y2/1000)^%s\nu2 = x2 + y2 + x1*y1\n"
+                    % exponent)
+    start = time.perf_counter()
+    for point in ((0.5, 0.01, 1.5, 0.02), (0.5, 1.0, 1.5, 2.0)):
+        try:  # a result, or an error that names the point
+            snapshot(web, point)
+        except (EvalError, DegenerateWeb):
+            pass
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_long_sum_lifts():
+    # the compiler keeps its own stack, where the tree walk recursed once
+    # per term and exhausted Python's
+    web = parse_web("u1 = %s\nu2 = x2*y2\n" % " + ".join(["x1*y1"] * 3000))
+    assert snapshot(web, (1.0, 2.0, 3.0, 4.0)).det_bar == 3000 * 3.0 * 4.0

@@ -21,8 +21,9 @@ bundled web's stored points and at 20 seeded admissible points per web
 (drawn once, by the first tree, and given to both).  For each field it
 prints the largest change relative to the larger of 1 and that field's
 largest component in the same snapshot (a field that vanishes identically
-holds only roundoff), and where that change is.  Snapshot changes are
-reported only; they do not set the exit status.
+holds only roundoff), and where that change is, after one summary line:
+at how many points the two outputs are byte-identical.  Snapshot changes
+are reported only; they do not set the exit status.
 
 Exit status 1 when a table differs or the labels bucket is not empty.
 Wall time is not measured; this compares outputs only.
@@ -68,7 +69,7 @@ json.dump(doc, sys.stdout)
 """
 
 SNAPSHOT_POINTS = 20
-# runs in the child: the snapshot JSON of every bundled web at the points
+# runs in the child: the snapshot JSON text of every bundled web at the points
 # given on stdin (web name -> list of points), or, given null, at its
 # stored points and SNAPSHOT_POINTS seeded admissible ones; null where
 # `threeweb snapshot` fails
@@ -98,7 +99,7 @@ for index, entry in enumerate(load_corpus()):
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["snapshot", entry.name, "--format", "json",
                              "--point", *map(repr, p)])
-        snaps.append(json.loads(out.getvalue()) if code == 0 else None)
+        snaps.append(out.getvalue() if code == 0 else None)
     doc[entry.name] = {"points": points, "snapshots": snaps}
 json.dump(doc, sys.stdout)
 """
@@ -118,17 +119,20 @@ def run_child(src, script, args, stdin=None):
 
 def snapshot_changes(old, new):
     """Per snapshot field, the largest change relative to max(1, the
-    field's largest component), with where it happened; and the points at
-    which one tree's snapshot failed and the other's did not."""
-    worst, failed = {}, []
+    field's largest component), with where it happened; the points at
+    which one tree's snapshot failed and the other's did not; and how many
+    snapshot outputs are byte-identical."""
+    worst, failed, same = {}, [], 0
     for web, runs in old.items():
         pairs = zip(runs["points"], runs["snapshots"],
                     new[web]["snapshots"])
         for point, a, b in pairs:
+            same += a is not None and a == b
             if a is None or b is None:
                 if (a is None) != (b is None):
                     failed.append((web, point))
                 continue
+            a, b = json.loads(a), json.loads(b)
             for key in a.keys() - SNAPSHOT_SKIP:
                 if (isinstance(a[key], bool) or a[key] is None
                         or b[key] is None):
@@ -138,7 +142,7 @@ def snapshot_changes(old, new):
                     change = np.max(moved) / max(1.0, np.max(np.abs(a[key])))
                 if change > worst.get(key, (-1.0,))[0]:
                     worst[key] = (change, web, point)
-    return worst, failed
+    return worst, failed, same
 
 
 def compare(old, new, where, buckets):
@@ -206,10 +210,12 @@ def main(argv):
             for where, a, b in diffs[:EXAMPLES]:
                 print("    %s: %r -> %r" % (" / ".join(map(str, where)), a, b))
 
-    worst, failed = snapshot_changes(old_snaps, new_snaps)
+    worst, failed, same = snapshot_changes(old_snaps, new_snaps)
+    points = sum(len(points) for points in given.values())
+    print("snapshot --format json: byte-identical at %d of %d points"
+          % (same, points))
     print("snapshot --format json: %d points, largest change per field "
-          "relative to max(1, its largest component):"
-          % sum(len(points) for points in given.values()))
+          "relative to max(1, its largest component):" % points)
     for key in sorted(worst):
         change, web, point = worst[key]
         print("  %-13s %.3g%s" % (key, change, "  (%s at %s)" % (web, point)
