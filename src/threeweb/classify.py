@@ -12,7 +12,10 @@ Jacobian blocks are nearly singular are skipped (see NDET_FLOOR): the
 pipeline's values there are dominated by roundoff and would poison the
 residuals of identities that genuinely hold.  So are points where the
 defining functions or the invariants are not finite, which count as
-outside an implicit domain; only running out of draws is an error.
+outside an implicit domain; only running out of draws is an error.  Every
+such check but the last reads only the lifted jets, so candidate points
+are judged as soon as they are lifted, and the rest of the pipeline runs
+once, on the sample (`collect_snapshots`).
 
 The sample is one SnapshotBatch, and each zero test reduces its residual
 over all rows at once.  A residual that is not finite fails the test.  The
@@ -59,7 +62,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .expr import EvalError, Web
-from .tensor import UNIT_FIELDS, SnapshotBatch, read_off, snapshot, sym3_lower
+from .jet import NCOEFF, jet_lift
+from .tensor import (UNIT_FIELDS, jacobian_blocks, read_off, snapshot,
+                     sym3_lower)
 
 
 class SamplerExhausted(RuntimeError):
@@ -150,58 +155,69 @@ def _admissible_stream(web: Web, config: RunConfig, bound):
         yield rows
 
 
-def _well_conditioned(s):
-    ok = np.ones(len(s), dtype=bool)
+def _well_conditioned(blocks, det):
+    """Per row, whether both Jacobian blocks (N, 2, 2, 2) clear NDET_FLOOR:
+    |det| at least the floor times the product of the rows' norms."""
     # a row whose norms overflow compares |det| with inf and fails, unless
     # det overflows too, which makes the row degenerate
-    with np.errstate(over="ignore"):
-        for m, det in ((s.fbar, s.det_bar), (s.ftilde, s.det_til)):
-            r1 = np.hypot(m[:, 0, 0], m[:, 0, 1])
-            r2 = np.hypot(m[:, 1, 0], m[:, 1, 1])
-            ok &= np.abs(det) >= NDET_FLOOR * r1 * r2
-    return ok
+    norms = np.hypot(blocks[..., 0], blocks[..., 1])
+    return (np.abs(det) >= NDET_FLOOR * norms[..., 0]
+            * norms[..., 1]).all(axis=1)
 
 
 def collect_snapshots(web: Web, config: RunConfig, params=None):
     """Snapshots at admissible, well-conditioned sample points, as one
     SnapshotBatch of `config.points` rows in draw order.
 
-    Admissible rows are pooled across draw blocks and go through
-    `snapshot` in batches of the rows still wanted over the accept rate
-    seen so far in this call (1 at first), plus 1/8, so a restrictive
-    domain costs about as many calls as an open one.  A row is rejected
-    when it is degenerate, not finite or ill-conditioned.  Rows after the
-    one that completes the sample are never judged.
+    Admissible rows are pooled across draw blocks and lifted in rounds of
+    the rows still wanted over the accept rate seen so far in this call (1
+    at first), plus 1/8, so a restrictive domain costs about as many rounds
+    as an open one.  A lifted row is judged on its coefficients alone: it
+    is rejected when they are not finite, or when a Jacobian block is
+    singular or ill-conditioned.  Once `config.points` rows pass, `snapshot`
+    runs the tensor tail once, on exactly those rows and their
+    coefficients.  A row whose invariants are not finite is dropped and
+    the next passing row in draw order takes its place, so the sample is
+    the first `config.points` admissible rows that pass every check.  Rows
+    after the one that completes the sample are never lifted.
     """
     bound = web.bind(params)
     stream = _admissible_stream(web, config, bound)
-    pool = np.empty((0, 4))
-    kept = []
-    found = judged = 0
-    while found < config.points:
-        # no row accepted yet reads as a rate below 1/judged
-        need = (config.points - found) * max(judged, 1) / max(found, 1)
-        size = math.ceil(need * 9 / 8)
-        if len(pool) < size:
-            admissible = next(stream, None)
-            if admissible is not None:
-                pool = np.concatenate([pool, admissible])
-                continue
-            if not len(pool):
-                raise SamplerExhausted(
-                    "only %d of %d well-conditioned admissible points found"
-                    % (found, config.points))
-        batch = snapshot(web, pool[:size], bound, margin=config.margin,
-                         check_domain=False)
-        pool = pool[size:]
-        judged += len(batch)
-        ok = batch.finite & ~batch.degenerate & _well_conditioned(batch)
-        rows = np.flatnonzero(ok)[:config.points - found]
-        # the kept rows are often a prefix, which a slice takes uncopied
-        prefix = not len(rows) or rows[-1] == len(rows) - 1
-        kept.append(batch[:len(rows)] if prefix else batch[rows])
-        found += len(rows)
-    return SnapshotBatch.concat(kept)
+    pool = np.empty((0, 4))  # admissible rows not yet lifted
+    # the lifted rows that pass, in draw order, and their coefficients
+    rows, coeffs = np.empty((0, 4)), np.empty((0, 2, NCOEFF))
+    n = config.points
+    judged = 0
+    while True:
+        while len(rows) < n:
+            found = len(rows)
+            # no row accepted yet reads as a rate below 1/judged
+            need = (n - found) * max(judged, 1) / max(found, 1)
+            size = math.ceil(need * 9 / 8)
+            if len(pool) < size:
+                admissible = next(stream, None)
+                if admissible is not None:
+                    pool = np.concatenate([pool, admissible])
+                    continue
+                if not len(pool):
+                    raise SamplerExhausted(
+                        "only %d of %d well-conditioned admissible points "
+                        "found" % (found, n))
+            lifted, pool = pool[:size], pool[size:]
+            judged += len(lifted)
+            c = jet_lift(web.lift_program, lifted, bound).c
+            with np.errstate(all="ignore"):
+                blocks, det, degenerate = jacobian_blocks(c)
+                ok = (np.isfinite(c).all(axis=(1, 2)) & ~degenerate
+                      & _well_conditioned(blocks, det))
+            rows = np.concatenate([rows, lifted[ok]])
+            coeffs = np.concatenate([coeffs, c[ok]])
+        batch = snapshot(web, rows[:n], bound, check_domain=False,
+                         coeffs=coeffs[:n])
+        if batch.finite.all():
+            return batch
+        keep = np.concatenate([batch.finite, np.ones(len(rows) - n, bool)])
+        rows, coeffs = rows[keep], coeffs[keep]
 
 
 def _hexagonality_coefficients(snap):

@@ -294,29 +294,38 @@ class _ExprParser:
 # printing
 
 def format_expr(e):
-    """e as text with the fewest parentheses that parse back to e."""
-    kind = type(e)
-    if kind in _INFIX:
-        level = _PRECEDENCE[kind]
-        return (_wrap(e.left, level) + _INFIX[kind]
-                + _wrap(e.right, level + 1))
-    if kind is Neg:
-        return _NEG + _wrap(e.arg, _PRECEDENCE[Neg])
-    if kind is Pow:
-        return "%s%s%d" % (_wrap(e.base, _ATOM), _POW, e.exponent)
-    if kind in _NAMES:
-        return "%s(%s)" % (_NAMES[kind], format_expr(e.arg))
-    if kind is Const:
-        return _CONSTANT_NAMES.get(e.value) or repr(e.value)
-    if kind is Var or kind is ParamRef:
-        return e.name
-    raise TypeError("not an expression node: %r" % (e,))
-
-
-def _wrap(e, min_prec):
-    """format_expr(e), in parentheses if e binds looser than min_prec."""
-    s = format_expr(e)
-    return s if _PRECEDENCE.get(type(e), _ATOM) >= min_prec else "(" + s + ")"
+    """e as text with the fewest parentheses that parse back to e.  The
+    walk keeps its own stack, so no depth of nesting exhausts Python's."""
+    out = []
+    # text to write, or a subtree and the least precedence it may have
+    # without parentheses
+    todo = [(e, 0)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        e, min_prec = item
+        kind = type(e)
+        if kind in _INFIX:
+            level = _PRECEDENCE[kind]
+            parts = [(e.left, level), _INFIX[kind], (e.right, level + 1)]
+        elif kind is Neg:
+            parts = [_NEG, (e.arg, _PRECEDENCE[Neg])]
+        elif kind is Pow:
+            parts = [(e.base, _ATOM), "%s%d" % (_POW, e.exponent)]
+        elif kind in _NAMES:
+            parts = [_NAMES[kind] + "(", (e.arg, 0), ")"]
+        elif kind is Const:
+            parts = [_CONSTANT_NAMES.get(e.value) or repr(e.value)]
+        elif kind is Var or kind is ParamRef:
+            parts = [e.name]
+        else:
+            raise TypeError("not an expression node: %r" % (e,))
+        if _PRECEDENCE.get(kind, _ATOM) < min_prec:
+            parts = ["(", *parts, ")"]
+        todo.extend(reversed(parts))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

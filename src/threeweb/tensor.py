@@ -55,9 +55,12 @@ vanishing trace of a4 hold for any gamma and D gamma; the tests hold
 
 All of it runs on N points at once as arrays with a leading axis of N (a
 SnapshotBatch); one point is a batch of one.  Both defining functions are
-lifted in one `jet_lift` call, the partials are read off with one gather,
-and gamma and D gamma come from batched matrix products.  Each row records
-what makes it unusable: a singular Jacobian block or non-finite values.
+lifted in one `jet_lift` call, the partials are read off with two gathers
+(the gradient, then the rest), and gamma and D gamma come from batched
+matrix products.  Each row records what makes it unusable: a singular
+Jacobian block or non-finite values.  `jacobian_blocks` reads the blocks,
+their determinants and the singular test off lifted coefficients alone,
+so a sampler can judge rows before the rest of the pipeline runs on them.
 """
 
 from __future__ import annotations
@@ -194,17 +197,6 @@ class SnapshotBatch:
         self.fields = fields
         self.__dict__.update(fields)
 
-    @classmethod
-    def concat(cls, batches):
-        """One batch of the rows of `batches` in order; a lone batch is
-        returned as it is."""
-        if len(batches) == 1:
-            return batches[0]
-        return cls(np.concatenate([b.points for b in batches]),
-                   batches[0].params,
-                   {name: np.concatenate([b.fields[name] for b in batches])
-                    for name in batches[0].fields})
-
     def __len__(self):
         return len(self.points)
 
@@ -246,13 +238,17 @@ def sym3_lower(b):
                for perm in itertools.permutations(range(3))) / 6.0
 
 
-def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True):
+def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True,
+             coeffs=None):
     """Compute every invariant of the web at one admissible point.
 
     Given an (N, 4) array of points instead, return their SnapshotBatch.
     The domain gate names the first inadmissible row; past it no row is
     judged: the caller decides from the batch's per-row `degenerate` and
-    `finite` flags which rows to keep.
+    `finite` flags which rows to keep.  A caller that has lifted the
+    points already passes their coefficients,
+    `jet_lift(web.lift_program, point, bound).c`, as `coeffs`, and the
+    lift is not repeated.
     """
     bound = web.bind(params)
     point = np.asarray(point, dtype=float)
@@ -264,7 +260,8 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True):
                 "at" if point.ndim == 2 else tuple(point.tolist()), broken))
     # one point lifts as a single jet, which raises EvalError outside the
     # domain of ln or of a division
-    coeffs = jet_lift(web.lift_program, point, bound).c
+    if coeffs is None:
+        coeffs = jet_lift(web.lift_program, point, bound).c
     with np.errstate(all="ignore"):
         batch = _invariants(points, bound, coeffs)
     if point.ndim == 2:
@@ -363,12 +360,15 @@ UNIT_FIELDS = SimpleNamespace(gamma=_AT_UNITS.gamma,
                                  for name, columns, shape in _FIELD_COLUMNS})
 # a_cov, p, q and the asymmetries of p and q: the last 12 columns
 _SMALL = slice(_STARTS[_MAP_FIELDS.index("a_cov")], None)
-# the 36 partials a snapshot reads of each function, in a row of the lifted
-# coefficients of both (2 x 35), and the factorials that turn coefficients
-# into partials: per function the gradient, the Hessian, and the third
-# partials d3 f / dz^s dx^l dy^m, with z = (x1, x2, y1, y2)
+# the partials a snapshot reads of each function, in a row of the lifted
+# coefficients of both (2 x 35): the gradient, whose coefficients are the
+# partials, then the Hessian and the third partials d3 f / dz^s dx^l dy^m,
+# with z = (x1, x2, y1, y2), and the factorials that turn their
+# coefficients into partials
+_GRADIENT = np.add.outer([0, NCOEFF], partial_index(
+    [(v,) for v in range(4)])[0]).ravel()
 _INDEX, _FACTOR = partial_index(
-    [(v,) for v in range(4)] + list(itertools.product(range(4), repeat=2))
+    list(itertools.product(range(4), repeat=2))
     + [(z, l, 2 + m) for z in range(4) for l in range(2) for m in range(2)])
 _READ = np.add.outer([0, NCOEFF], _INDEX).ravel()
 _READ_FACTORIAL = np.tile(_FACTOR, 2)
@@ -390,19 +390,28 @@ def _minus_d_gamma(g, frame, hess_frame, third_frame):
                @ hess_frame.reshape(n, 8, 4)).reshape(n, 32))
 
 
-def _invariants(points, bound, coeffs):
-    n = len(points)
-    d = (coeffs.reshape(n, 2 * NCOEFF)[:, _READ]
-         * _READ_FACTORIAL).reshape(n, 2, 36)
-    # blocks[:, 0] is fbar and blocks[:, 1] ftilde; hess (N,2,4,4); third
-    # (N,2,4,2,2), axes (i, s, l, m) as in _READ
-    blocks = d[:, :, :4].reshape(n, 2, 2, 2).swapaxes(1, 2)
-    hess = d[:, :, 4:20].reshape(n, 2, 4, 4)
-    third = d[:, :, 20:].reshape(n, 2, 4, 2, 2)
+def jacobian_blocks(coeffs):
+    """The Jacobian blocks of N rows of lifted coefficients (N, 2, 35) of
+    both functions (or (2, 35) at one point): blocks (N, 2, 2, 2), where
+    blocks[:, 0] is fbar and blocks[:, 1] ftilde, their determinants (N, 2),
+    and whether each row is degenerate, a block singular by SINGULAR_TOL."""
+    blocks = coeffs.reshape(-1, 2 * NCOEFF)[:, _GRADIENT].reshape(
+        -1, 2, 2, 2).swapaxes(1, 2)
     det = (blocks[..., 0, 0] * blocks[..., 1, 1]
            - blocks[..., 0, 1] * blocks[..., 1, 0])
     scale = np.abs(blocks).max(axis=(2, 3))
     singular = np.abs(det) <= SINGULAR_TOL * scale * scale
+    return blocks, det, singular.any(axis=1)
+
+
+def _invariants(points, bound, coeffs):
+    n = len(points)
+    blocks, det, degenerate = jacobian_blocks(coeffs)
+    # hess (N,2,4,4); third (N,2,4,2,2), axes (i, s, l, m) as in _READ
+    d = (coeffs.reshape(n, 2 * NCOEFF)[:, _READ]
+         * _READ_FACTORIAL).reshape(n, 2, 32)
+    hess = d[:, :, :16].reshape(n, 2, 4, 4)
+    third = d[:, :, 16:].reshape(n, 2, 4, 2, 2)
     # the inverse is the adjugate over det: the block reversed on both axes,
     # transposed, with signs
     inv = (blocks[..., ::-1, ::-1].swapaxes(2, 3) * _COFACTOR_SIGN
@@ -445,4 +454,4 @@ def _invariants(points, bound, coeffs):
         gtilde=gtil, gamma=gamma, det_bar=det[:, 0], det_til=det[:, 1],
         t_ratio=t_ratio, non_isoclinic=non_isoclinic, x=x, frame=frame,
         hess_frame=hess_frame, third_frame=third_frame,
-        degenerate=singular.any(axis=1), finite=finite))
+        degenerate=degenerate, finite=finite))

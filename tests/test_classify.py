@@ -1,13 +1,14 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oracles import hexagonality_polynomials
-from threeweb import classify
+from threeweb import classify, tensor
 from threeweb.classify import (
     RunConfig,
     SamplerExhausted,
@@ -623,22 +624,80 @@ def expected_sample(web, config):
     raise AssertionError("oracle found too few points")
 
 
+def rows_through(monkeypatch, owner, name, at=1):
+    """The number of rows in each call of owner.name, whose argument `at`
+    is an array of points, as a list that fills while the test runs."""
+    rows = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k:
+                        rows.append(len(a[at])) or real(*a, **k))
+    return rows
+
+
+def assert_same_batch(got, want):
+    assert got.points.tobytes() == want.points.tobytes()
+    assert got.params == want.params
+    assert set(got.fields) == set(want.fields)
+    for name, value in want.fields.items():
+        assert got.fields[name].dtype == value.dtype, name
+        assert got.fields[name].tobytes() == value.tobytes(), name
+
+
 @pytest.mark.parametrize("seed", [3, 17])
-@pytest.mark.parametrize("make_web", [narrow_window_web,
-                                      lambda: load_example(7).web])
+@pytest.mark.parametrize("make_web", [
+    narrow_window_web, lambda: load_example(7).web,
+    *(pytest.param(lambda i=i: load_example(i).web, id="example%02d" % i)
+      for i in range(1, 16) if i != 7)])
 def test_sample_matches_one_big_draw(seed, make_web, monkeypatch):
     web = make_web()
     config = RunConfig(points=32, seed=seed)
     expected = expected_sample(web, config)
-    calls = []
-    real = classify.snapshot
-    monkeypatch.setattr(classify, "snapshot",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
-    got = classify.collect_snapshots(web, config).points
-    assert got.tobytes() == expected.tobytes()
+    want = snapshot(web, expected, check_domain=False)
+    lifts = rows_through(monkeypatch, classify, "jet_lift")
+    tails = rows_through(monkeypatch, tensor, "_invariants", at=0)
+    got = classify.collect_snapshots(web, config)
+    # every field, bit for bit, as one batch snapshot at the oracle's points
+    assert_same_batch(got, want)
+    assert tails == [config.points]
     if web.name == "narrow":
-        # admissible rows are pooled across draw blocks, not sent per block
-        assert len(calls) <= 3
+        # admissible rows are pooled across draw blocks, not lifted per block
+        assert len(lifts) <= 3
+
+
+def test_rows_the_tail_rejects_are_replaced_in_draw_order(monkeypatch):
+    # the tail alone finds the planted rows not finite: the sample is the
+    # oracle's without them, the later rows moving up in draw order
+    web = load_example(7).web
+    config = RunConfig(points=32, seed=3)
+    candidates = expected_sample(web, replace(config, points=40))
+    # three runs of the tail reject rows: 0, 7 and 31 of the first 32, then
+    # two and one of the rows that replace them
+    planted = candidates[[0, 7, 31, 32, 33, 35]]
+    kept = np.array([row for row in candidates
+                     if not (row == planted).all(axis=1).any()])[:32]
+    want = snapshot(web, kept, check_domain=False)
+    real = tensor._invariants
+    tails = []
+
+    def tail(points, bound, coeffs):
+        tails.append(len(points))
+        batch = real(points, bound, coeffs)
+        batch.finite &= ~(points[:, None] == planted).all(axis=2).any(axis=1)
+        return batch
+
+    monkeypatch.setattr(tensor, "_invariants", tail)
+    got = collect_snapshots(web, config)
+    assert_same_batch(got, want)
+    assert tails == [config.points] * 4
+
+
+def test_the_tail_sees_exactly_the_sample(monkeypatch):
+    tails = rows_through(monkeypatch, tensor, "_invariants", at=0)
+    config = RunConfig(seed=42)
+    for entry in load_corpus():
+        tails.clear()
+        collect_snapshots(entry.web, config)
+        assert tails == [config.points], entry.name
 
 
 def test_draw_budget_is_spent_exactly(monkeypatch):
@@ -657,12 +716,9 @@ def test_draw_budget_is_spent_exactly(monkeypatch):
 
 
 def test_snapshot_rows_stay_near_the_rows_kept(monkeypatch):
-    # batches are sized by the acceptance seen so far, with 1/8 slack
-    rows = []
-    real = classify.snapshot
-    monkeypatch.setattr(classify, "snapshot",
-                        lambda w, pts, *a, **k: rows.append(len(pts))
-                        or real(w, pts, *a, **k))
+    # rounds are sized by the acceptance seen so far, with 1/8 slack, so
+    # few rows are lifted beyond the sample
+    rows = rows_through(monkeypatch, classify, "jet_lift")
     config = RunConfig(seed=42)
     corpus = list(load_corpus())
     for entry in corpus:
@@ -674,11 +730,8 @@ def test_admissible_rows_tried_are_capped(monkeypatch):
     # every point is degenerate: the Jacobian blocks have equal rows
     web = parse_web("u1 = x1 + x2 + y1\nu2 = x1 + x2 + y2\n",
                     name="degenerate")
-    rows = []
-    real = classify.snapshot
-    monkeypatch.setattr(classify, "snapshot",
-                        lambda w, pts, *a, **k: rows.append(len(pts))
-                        or real(w, pts, *a, **k))
+    rows = rows_through(monkeypatch, classify, "jet_lift")
+    tails = rows_through(monkeypatch, tensor, "_invariants", at=0)
     with pytest.raises(SamplerExhausted):
         collect_snapshots(web, RunConfig(points=8))
-    assert sum(rows) == 60 * 8
+    assert sum(rows) == 60 * 8 and not tails

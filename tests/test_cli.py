@@ -249,6 +249,19 @@ def test_snapshot_overflowing_constraint_is_an_error(capsys, tmp_path):
     assert err.startswith("error: ") and "exp(exp(x1)) > 0" in err
 
 
+def test_snapshot_names_a_deeply_nested_constraint(capsys, tmp_path):
+    # the domain line is a sum of 3000 terms, a tree 3000 levels deep
+    path = tmp_path / "deep.web"
+    path.write_text("u1 = x1 + y1\nu2 = x2 + y2\ndomain %s > 0\n"
+                    % " + ".join(["x1*y1"] * 3000))
+    code, out, err = run(capsys, "snapshot", str(path),
+                         "--point", "1", "1", "-1", "1")
+    assert code == 1 and not out
+    assert err.startswith("error: inadmissible point (1.0, 1.0, -1.0, 1.0): "
+                          "x1*y1 + x1*y1 + ")
+    assert "x1*y1 > 0 (value -3000, margin 0.001)" in err
+
+
 def test_snapshot_with_params(capsys):
     code, out, _ = run(capsys, "snapshot", "example08",
                        "--point", "1", "2", "1", "3", "--param", "a=0.5")

@@ -12,7 +12,6 @@ from threeweb.tensor import (
     UNIT_FIELDS,
     DegenerateWeb,
     InadmissiblePoint,
-    SnapshotBatch,
     _MAP,
     _tail,
     snapshot,
@@ -383,12 +382,3 @@ def test_frame_products_match_the_docstring_formulas(index):
     # the bound of -D gamma covers the same arithmetic on magnitudes
     assert np.all(batch.x_abs()[:, 8:40] >= np.abs(minus_d_gamma).reshape(
         -1, 32) * (1.0 - 1e-12))
-
-
-def test_concat_returns_a_lone_batch_as_it_is():
-    batch = snapshot(load_example(1).web, np.array(load_example(1).points))
-    assert SnapshotBatch.concat([batch]) is batch
-    both = SnapshotBatch.concat([batch[:2], batch[2:]])
-    assert np.array_equal(both.points, batch.points)
-    assert all(np.array_equal(both.fields[name], batch.fields[name])
-               for name in batch.fields)
