@@ -131,30 +131,6 @@ NDET_FLOOR = 0.05
 WITNESS_RTOL = 1e-9
 
 
-def _admissible_stream(web: Web, config: RunConfig, bound):
-    """The admissible rows of each draw block, in draw order, at most 60
-    per wanted point in all.
-
-    Blocks of 256, 512, 1024, ... draws exhaust the draw budget in a few
-    blocks however restrictive the domain is.  They continue one generator
-    stream, so the draws are those of one big draw.
-    """
-    rng = np.random.default_rng(config.seed)
-    lo, hi = config.box
-    budget = max(20000, 500 * config.points)
-    cap = 60 * config.points
-    draws = found = 0
-    size = 256
-    while draws < budget and found < cap:
-        block = rng.uniform(lo, hi, size=(min(size, budget - draws), 4))
-        draws += len(block)
-        size *= 2
-        rows = block[web.admissible(block, bound, config.margin)]
-        rows = rows[:cap - found]
-        found += len(rows)
-        yield rows
-
-
 def _well_conditioned(blocks, det):
     """Per row, whether both Jacobian blocks (N, 2, 2, 2) clear NDET_FLOOR:
     |det| at least the floor times the product of the rows' norms."""
@@ -169,42 +145,45 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
     """Snapshots at admissible, well-conditioned sample points, as one
     SnapshotBatch of `config.points` rows in draw order.
 
-    Admissible rows are pooled across draw blocks and lifted in rounds of
-    the rows still wanted over the accept rate seen so far in this call (1
-    at first), plus 1/8, so a restrictive domain costs about as many rounds
-    as an open one.  A lifted row is judged on its coefficients alone: it
-    is rejected when they are not finite, or when a Jacobian block is
-    singular or ill-conditioned.  Once `config.points` rows pass, `snapshot`
-    runs the tensor tail once, on exactly those rows and their
+    Points are drawn in rounds from one seeded stream, so the draws are
+    those of one big draw of the budget, max(20000, 500 points).  A round
+    draws the rows still wanted over the accept rate so far in this call
+    (rows passed over points drawn, 1 at first), plus 1/8.  While nothing
+    has passed, a round draws 9/8 `config.points` times the points drawn
+    so far, so a restrictive domain costs only a few rounds more than an
+    open one.  A round's admissible rows, at most 60 per wanted point in
+    all, are lifted and judged on their coefficients alone: a row is
+    rejected when they are not finite, or when a Jacobian block is
+    singular or ill-conditioned.  Once `config.points` rows pass,
+    `snapshot` runs the tensor tail once, on exactly those rows and their
     coefficients.  A row whose invariants are not finite is dropped and
     the next passing row in draw order takes its place, so the sample is
-    the first `config.points` admissible rows that pass every check.  Rows
-    after the one that completes the sample are never lifted.
+    the first `config.points` admissible rows that pass every check.
     """
     bound = web.bind(params)
-    stream = _admissible_stream(web, config, bound)
-    pool = np.empty((0, 4))  # admissible rows not yet lifted
+    rng = np.random.default_rng(config.seed)
+    n = config.points
+    budget, cap = max(20000, 500 * n), 60 * n
+    drawn = tried = 0  # points drawn, admissible rows lifted
     # the lifted rows that pass, in draw order, and their coefficients
     rows, coeffs = np.empty((0, 4)), np.empty((0, 2, NCOEFF))
-    n = config.points
-    judged = 0
     while True:
         while len(rows) < n:
             found = len(rows)
-            # no row accepted yet reads as a rate below 1/judged
-            need = (n - found) * max(judged, 1) / max(found, 1)
-            size = math.ceil(need * 9 / 8)
-            if len(pool) < size:
-                admissible = next(stream, None)
-                if admissible is not None:
-                    pool = np.concatenate([pool, admissible])
-                    continue
-                if not len(pool):
-                    raise SamplerExhausted(
-                        "only %d of %d well-conditioned admissible points "
-                        "found" % (found, n))
-            lifted, pool = pool[:size], pool[size:]
-            judged += len(lifted)
+            if drawn == budget or tried == cap:
+                raise SamplerExhausted(
+                    "only %d of %d well-conditioned admissible points "
+                    "found" % (found, n))
+            # no row passed yet reads as a rate below 1/drawn
+            need = (n - found) * max(drawn, 1) / max(found, 1)
+            size = min(math.ceil(need * 9 / 8), budget - drawn)
+            draws = rng.uniform(*config.box, size=(size, 4))
+            drawn += size
+            lifted = draws[web.admissible(draws, bound, config.margin)]
+            lifted = lifted[:cap - tried]
+            tried += len(lifted)
+            if not len(lifted):
+                continue
             c = jet_lift(web.lift_program, lifted, bound).c
             with np.errstate(all="ignore"):
                 blocks, det, degenerate = jacobian_blocks(c)

@@ -351,20 +351,22 @@ def build_parser():
         description="Differential invariants and classification of "
                     "four-dimensional three-webs.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--points", type=int, default=64,
+    defaults = RunConfig()
+    common.add_argument("--points", type=int, default=defaults.points,
                         help="admissible sample points per verdict "
-                             "(default 64)")
-    common.add_argument("--tol", type=float, default=1e-7,
+                             "(default %(default)d)")
+    common.add_argument("--tol", type=float, default=defaults.tol,
                         help="relative tolerance for zero tests "
-                             "(default 1e-7)")
-    common.add_argument("--seed", type=int, default=42,
-                        help="sampler seed (default 42)")
-    common.add_argument("--box", type=float, nargs=2, default=(-3.0, 3.0),
+                             "(default %(default)g)")
+    common.add_argument("--seed", type=int, default=defaults.seed,
+                        help="sampler seed (default %(default)d)")
+    common.add_argument("--box", type=float, nargs=2, default=defaults.box,
                         metavar=("LO", "HI"),
-                        help="coordinate box to sample (default -3 3)")
-    common.add_argument("--margin", type=float, default=1e-3,
+                        help="coordinate box to sample (default %g %g)"
+                             % defaults.box)
+    common.add_argument("--margin", type=float, default=defaults.margin,
                         help="distance kept from the singular set "
-                             "(default 1e-3)")
+                             "(default %(default)g)")
     common.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
 

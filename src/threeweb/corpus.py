@@ -109,7 +109,7 @@ def load_example(index):
     return load_corpus()[index - 1]
 
 
-def golden_check(entry, snapshot_fn=None):
+def golden_check(entry):
     """Compare every frozen reference record against the pipeline.
 
     Returns one GoldenResult per record.  ``verified`` records pass when
@@ -117,13 +117,11 @@ def golden_check(entry, snapshot_fn=None):
     an absolute floor of 1); ``printed-only`` records always come back as
     "logged-discrepancy" carrying both numbers, they cannot fail.
     """
-    if snapshot_fn is None:
-        snapshot_fn = snapshot
     snaps = {}
     results = []
     for rec in entry.golden:
         if rec.point not in snaps:
-            snaps[rec.point] = snapshot_fn(entry.web, rec.point)
+            snaps[rec.point] = snapshot(entry.web, rec.point)
         actual = snaps[rec.point].lookup(rec.path)
         if rec.reliability == "verified":
             status = ("pass" if abs(actual - rec.value)

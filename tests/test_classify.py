@@ -17,7 +17,6 @@ from threeweb.classify import (
     collect_snapshots,
     first_match,
     _Tester,
-    _admissible_stream,
 )
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import EvalError, Web, format_web, parse_web
@@ -73,8 +72,8 @@ def test_overflowing_row_norms_reject_their_rows_quietly():
 def test_sampler_respects_domain():
     web = load_example(1).web          # needs x1 - y1 != 0
     cfg = RunConfig(points=32, seed=5)
-    rows = np.concatenate(list(_admissible_stream(web, cfg, web.bind())))
-    assert len(rows) >= cfg.points
+    rows = collect_snapshots(web, cfg).points
+    assert len(rows) == cfg.points
     assert np.all(np.abs(rows[:, 0] - rows[:, 2]) > cfg.margin)
     assert np.all((cfg.box[0] <= rows) & (rows <= cfg.box[1]))
 
@@ -660,7 +659,8 @@ def test_sample_matches_one_big_draw(seed, make_web, monkeypatch):
     assert_same_batch(got, want)
     assert tails == [config.points]
     if web.name == "narrow":
-        # admissible rows are pooled across draw blocks, not lifted per block
+        # rounds are sized by the accept rate so far, so a domain that
+        # admits about 1 draw in 81 needs only a few of them
         assert len(lifts) <= 3
 
 
@@ -719,6 +719,17 @@ def test_snapshot_rows_stay_near_the_rows_kept(monkeypatch):
     # rounds are sized by the acceptance seen so far, with 1/8 slack, so
     # few rows are lifted beyond the sample
     rows = rows_through(monkeypatch, classify, "jet_lift")
+    config = RunConfig(seed=42)
+    corpus = list(load_corpus())
+    for entry in corpus:
+        collect_snapshots(entry.web, config)
+    assert sum(rows) <= 1.3 * len(corpus) * config.points
+
+
+def test_draws_stay_near_the_rows_kept(monkeypatch):
+    # every corpus web admits nearly every draw, so few points are drawn
+    # beyond the sample
+    rows = rows_through(monkeypatch, Web, "admissible")
     config = RunConfig(seed=42)
     corpus = list(load_corpus())
     for entry in corpus:

@@ -1,5 +1,6 @@
 import pytest
 
+from threeweb import corpus
 from threeweb.classify import classify_web
 from threeweb.corpus import (
     N_EXAMPLES,
@@ -124,15 +125,12 @@ def test_printed_only_records_disagree_with_pipeline():
     assert "logged-discrepancy" in statuses
 
 
-def test_golden_check_accepts_custom_snapshots():
+def test_golden_check_snapshots_each_point_once(monkeypatch):
     entry = load_example(2)
     calls = []
-
-    def counting(web, point):
-        calls.append(point)
-        return snapshot(web, point)
-
-    results = golden_check(entry, snapshot_fn=counting)
+    monkeypatch.setattr(corpus, "snapshot", lambda web, point:
+                        calls.append(point) or snapshot(web, point))
+    results = golden_check(entry)
     assert all(r.status == "pass" for r in results
                if r.status != "logged-discrepancy")
     # one snapshot per distinct point, not per record

@@ -7,9 +7,11 @@ BASE_SRC_DIR is the `src` directory of another checkout, for example one
 made with `git archive`.  For every workload of `BENCHMARK.json`, each of
 10 pairs runs `perfbench/run.py --trace 0` for the benchmark's
 `run_seconds` once in that checkout and once in this one, at the same
-seed, and switches which side runs first from one pair to the next.  Pair
-p uses seed FIRST_SEED + p, so pick seeds that were not used while the
-change was written.  Each run's last output line is its JSON result.
+seed, and switches which side runs first from one pair to the next.
+Pair p uses seed FIRST_SEED + p, so pick seeds that were not used while
+the change was written.  Each run's last output line is its JSON result.
+Before the first pair, both trees' `src` and `perfbench` are compiled to
+bytecode, so neither side pays for a stale cache.
 
 For each workload and end-to-end metric the tool prints each side's median
 and quartiles over the pairs, how many pairs the working tree won and
@@ -90,6 +92,12 @@ def main(argv=None):
            "host": {"python": platform.python_version(),
                     "machine": platform.machine()},
            "workloads": {}}
+    # the interpreter may be told not to write bytecode, so a stale cache
+    # would be compiled again in every run of one side only
+    for root in (base_root, ROOT):
+        subprocess.run([sys.executable, "-m", "compileall", "-q",
+                        str(root / "src"), str(root / "perfbench")],
+                       check=True)
     ok = True
     for workload in WORKLOADS:
         runs = {"base": [], "work": []}

@@ -16,6 +16,11 @@ classify reports into buckets:
              above 1e-3, and the largest absolute change below it
   other      anything else (`t_value`, `frame_alignment_residual`, ...)
 
+The corpus webs admit nearly every draw, so the same classify comparison
+also runs on each bundled web confined to NARROW_WINDOWS, where about 1
+draw in 81 is admissible and the sampler's rounds show; a difference in
+such a run's exit status counts in the labels bucket.
+
 It also runs `threeweb snapshot --format json` in both trees, at each
 bundled web's stored points and at 20 seeded admissible points per web
 (drawn once, by the first tree, and given to both).  For each field it
@@ -45,26 +50,50 @@ LABEL_KEYS = {"labels", "classes", "holds", "inconclusive", "generic",
 WHOLE_KEYS = LABEL_KEYS | {"witness"}
 EXAMPLES = 5
 
-# runs in the child: every output of one tree, as JSON on stdout
+# the windows of the test suite's narrow-window web: each coordinate lies in
+# one of two width-1 windows, one in each half of the (-3, 3) box
+NARROW_WINDOWS = {"x1": (-2.6, 0.3), "x2": (-1.2, 1.9),
+                  "y1": (-2.9, 1.1), "y2": (-0.7, 0.4)}
+
+# runs in the child: every output of one tree, as JSON on stdout; the
+# narrow windows come on stdin
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys, tempfile
 from threeweb import cli
 from threeweb.corpus import load_corpus
+from threeweb.expr import format_web
 
 def run(argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli.main(argv)
-    return out.getvalue()
+    with contextlib.redirect_stdout(out), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return out.getvalue(), code
 
+windows = json.load(sys.stdin)
 webs = [entry.name for entry in load_corpus()]
 doc = {}
-for seed in sys.argv[1:]:
-    doc[seed] = {
-        "table": run(["table", "--format", "json", "--seed", seed]),
-        "classify": run(["classify", *webs, "--format", "json",
-                         "--seed", seed]),
-    }
+with tempfile.TemporaryDirectory() as tmp:
+    narrow = []
+    for entry in load_corpus():
+        lines = [format_web(entry.web)]
+        for var, (a, b) in windows.items():
+            lines.append("domain -(%s - (%r)) * (%s - (%r)) * (%s - (%r))"
+                         " * (%s - (%r)) > 0\\n"
+                         % (var, a, var, a + 1, var, b, var, b + 1))
+        name = entry.name + "-narrow"
+        narrow.append((name, os.path.join(tmp, name + ".web")))
+        with open(narrow[-1][1], "w") as f:
+            f.write("".join(lines))
+    for seed in sys.argv[1:]:
+        doc[seed] = {
+            "table": run(["table", "--format", "json", "--seed", seed])[0],
+            "classify": run(["classify", *webs, "--format", "json",
+                             "--seed", seed])[0],
+            "narrow": {name: run(["classify", path, "--format", "json",
+                                  "--seed", seed])
+                       for name, path in narrow},
+        }
 json.dump(doc, sys.stdout)
 """
 
@@ -171,7 +200,8 @@ def show_largest(diffs, kind, size):
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
-    old, new = (run_child(src, CHILD, SEEDS) for src in argv)
+    old, new = (run_child(src, CHILD, SEEDS, json.dumps(NARROW_WINDOWS))
+                for src in argv)
     old_snaps = run_child(argv[0], SNAPSHOT_CHILD, [SNAPSHOT_POINTS], "null")
     given = {web: runs["points"] for web, runs in old_snaps.items()}
     new_snaps = run_child(argv[1], SNAPSHOT_CHILD, [SNAPSHOT_POINTS],
@@ -179,6 +209,7 @@ def main(argv):
     buckets = defaultdict(list)
     same_tables = 0
     reports = changed = 0
+    narrow_reports = narrow_changed = narrow_failed = 0
     for seed in map(str, SEEDS):
         same_tables += old[seed]["table"] == new[seed]["table"]
         for a, b in zip(json.loads(old[seed]["classify"]),
@@ -187,11 +218,26 @@ def main(argv):
             compare(a, b, ("seed %s" % seed, a["web"]), buckets)
             reports += 1
             changed += sum(map(len, buckets.values())) > before
+        for web, (a, code_a) in old[seed]["narrow"].items():
+            b, code_b = new[seed]["narrow"][web]
+            before = sum(map(len, buckets.values()))
+            where = ("seed %s" % seed, web)
+            if code_a != code_b:
+                buckets["labels"].append((where + ("exit status",),
+                                          code_a, code_b))
+            if a and b:
+                compare(json.loads(a), json.loads(b), where, buckets)
+            narrow_reports += 1
+            narrow_failed += not a
+            narrow_changed += sum(map(len, buckets.values())) > before
 
     print("table --format json: byte-identical at %d of %d seeds"
           % (same_tables, len(SEEDS)))
     print("classify --format json: %d of %d reports differ"
           % (changed, reports))
+    print("classify --format json, narrow windows: %d of %d reports differ, "
+          "%d without a report in the first tree"
+          % (narrow_changed, narrow_reports, narrow_failed))
     for name in ("labels", "witness", "residual", "other"):
         diffs = buckets[name]
         print("  %-9s %d differences" % (name, len(diffs)))
