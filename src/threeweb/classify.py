@@ -101,6 +101,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class IdentityVerdict:
+    """One zero test's outcome over the sample, with its worst residual."""
+
     holds: bool
     max_residual: float
     points_tested: int
@@ -130,6 +132,11 @@ NDET_FLOOR = 0.05
 # otherwise pick which of them is the witness.
 WITNESS_RTOL = 1e-9
 
+# The most points one sampler round draws: the budget at the default 64
+# points, so a default run draws as if there were no cap.  It bounds the
+# memory of a round, which would otherwise grow with `points`.
+ROUND_DRAWS = 32000
+
 
 def _well_conditioned(blocks, det):
     """Per row, whether both Jacobian blocks (N, 2, 2, 2) clear NDET_FLOOR:
@@ -151,14 +158,15 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
     (rows passed over points drawn, 1 at first), plus 1/8.  While nothing
     has passed, a round draws 9/8 `config.points` times the points drawn
     so far, so a restrictive domain costs only a few rounds more than an
-    open one.  A round's admissible rows, at most 60 per wanted point in
-    all, are lifted and judged on their coefficients alone: a row is
-    rejected when they are not finite, or when a Jacobian block is
-    singular or ill-conditioned.  Once `config.points` rows pass,
-    `snapshot` runs the tensor tail once, on exactly those rows and their
-    coefficients.  A row whose invariants are not finite is dropped and
-    the next passing row in draw order takes its place, so the sample is
-    the first `config.points` admissible rows that pass every check.
+    open one; no round draws more than ROUND_DRAWS.  A round's admissible
+    rows, at most 60 per wanted point in all, are lifted and judged on
+    their coefficients alone: a row is rejected when they are not finite,
+    or when a Jacobian block is singular or ill-conditioned.  Once
+    `config.points` rows pass, `snapshot` runs the tensor tail once, on
+    exactly those rows and their coefficients.  A row whose invariants are
+    not finite is dropped and the next passing row in draw order takes its
+    place, so the sample is the first `config.points` admissible rows that
+    pass every check.
     """
     bound = web.bind(params)
     rng = np.random.default_rng(config.seed)
@@ -176,7 +184,7 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
                     "found" % (found, n))
             # no row passed yet reads as a rate below 1/drawn
             need = (n - found) * max(drawn, 1) / max(found, 1)
-            size = min(math.ceil(need * 9 / 8), budget - drawn)
+            size = min(math.ceil(need * 9 / 8), budget - drawn, ROUND_DRAWS)
             draws = rng.uniform(*config.box, size=(size, 4))
             drawn += size
             lifted = draws[web.admissible(draws, bound, config.margin)]
@@ -429,6 +437,8 @@ class _Tester:
 
 @dataclass
 class ClassificationReport:
+    """A web's labels, class letters and the verdicts they rest on."""
+
     web_name: str
     labels: tuple
     class_a: str

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .expr import Web, parse_web
@@ -28,10 +29,13 @@ from .tensor import snapshot
 
 N_EXAMPLES = 15
 GOLDEN_REL_TOL = 1e-7
+_CORPUS = resources.files(__package__) / "corpus"
 
 
 @dataclass(frozen=True)
 class GoldenRecord:
+    """One frozen reference value: an invariant component at a point."""
+
     point: tuple  # (x1, x2, y1, y2)
     path: str  # snapshot lookup path, e.g. "b.2111"
     value: float  # the transcribed closed form evaluated at the point
@@ -41,6 +45,8 @@ class GoldenRecord:
 
 @dataclass(frozen=True)
 class GoldenResult:
+    """One GoldenRecord checked against the live pipeline."""
+
     path: str
     point: tuple
     expected: float
@@ -50,42 +56,51 @@ class GoldenResult:
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """One bundled web with its expected labels and reference values."""
+
     index: int  # 1-based position in the published table
     name: str  # "example01" .. "example15"
     web: Web
     expected_labels: tuple  # class labels the web must classify to
     fg: str | None  # asserted F/G metadata; never computed
     points: tuple  # stored admissible sample points
-    golden: tuple  # GoldenRecord rows
     notes: tuple  # human annotations about known discrepancies
+
+    @cached_property
+    def golden(self):
+        """The GoldenRecord rows, read from the sidecar again on first use:
+        classifying an entry needs none of them, and the entry keeps no
+        copy of the parsed records meanwhile."""
+        return tuple(
+            GoldenRecord(
+                point=self.points[rec["point"]],
+                path=rec["path"],
+                value=rec["value"],
+                reliability=rec["reliability"],
+                recomputed=rec.get("recomputed"),
+            )
+            for rec in _sidecar(self.name)["records"]
+        )
+
+
+def _sidecar(name):
+    """The parsed golden sidecar of the corpus web `name`."""
+    return json.loads((_CORPUS / (name + ".golden.json")).read_text())
 
 
 def _load_entry(index):
     name = "example%02d" % index
-    base = resources.files(__package__) / "corpus"
-    web = parse_web((base / (name + ".web")).read_text(), name=name)
-    doc = json.loads((base / (name + ".golden.json")).read_text())
+    web = parse_web((_CORPUS / (name + ".web")).read_text(), name=name)
+    doc = _sidecar(name)
     if doc["schema"] != 1 or doc["index"] != index:
         raise ValueError("golden sidecar for %s is inconsistent" % name)
-    points = tuple(tuple(c) for c in doc["points"])
-    golden = tuple(
-        GoldenRecord(
-            point=points[rec["point"]],
-            path=rec["path"],
-            value=rec["value"],
-            reliability=rec["reliability"],
-            recomputed=rec.get("recomputed"),
-        )
-        for rec in doc["records"]
-    )
     return CorpusEntry(
         index=index,
         name=name,
         web=web,
         expected_labels=tuple(doc["expected_labels"]),
         fg=doc["fg"],
-        points=points,
-        golden=golden,
+        points=tuple(tuple(c) for c in doc["points"]),
         notes=tuple(doc["notes"]),
     )
 

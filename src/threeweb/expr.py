@@ -28,10 +28,11 @@ ParseError with its line and column.  The module writes this grammar down
 once, as the table under "the grammar" below, which the tokenizer, the
 parser, the printer and parse_web's reserved names all read.
 
-AST nodes are frozen dataclasses, so structural equality works and trees
-can be shared freely.  `format_expr` prints with minimal parentheses, and
-`parse_web` reads a printed expression back as a tree equal to it, so
-`parse_web(format_web(web))` equals `web`.
+AST nodes are immutable records on one slotted base class, `Node`: they
+compare, hash and print like frozen dataclasses, by class and fields, and
+trees can be shared freely.  `format_expr` prints with minimal
+parentheses, and `parse_web` reads a printed expression back as a tree
+equal to it, so `parse_web(format_web(web))` equals `web`.
 
 Nothing walks a tree to evaluate it.  `compile_program` turns a tuple of
 expressions into one flat Program, in which structurally equal subtrees
@@ -49,7 +50,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -71,65 +72,166 @@ class EvalError(ValueError):
 
 VARIABLES = ("x1", "x2", "y1", "y2")
 
-
-@dataclass(frozen=True)
-class Const:
-    value: float
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Node:
+    """The base of the expression nodes: an immutable record of the fields
+    its class names in `__slots__`.
+
+    Nodes compare equal when they are of one class and their fields are
+    equal; equal trees hash alike; the repr is that of a dataclass, such as
+    `Add(left=Var(name='x1'), right=Const(value=1.0))`; assigning to a
+    field raises dataclasses.FrozenInstanceError; pickle and copy rebuild a
+    node from its fields.  Equality, hashing and the repr walk the tree with
+    their own stack, so no depth of nesting exhausts Python's.  Each class
+    writes its own positional `__init__`, which is faster than one generic
+    constructor here.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name)
+                                     for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            for name in a.__slots__:
+                x, y = getattr(a, name), getattr(b, name)
+                if x is y:
+                    continue
+                if x.__class__ is y.__class__ and isinstance(x, Node):
+                    todo.append((x, y))
+                elif not x == y:
+                    return False
+        return True
+
+    def __hash__(self):
+        # each node's class and then its fields in a walk of the tree, with
+        # a subtree standing for itself: equal trees give equal keys
+        key, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            key.append(node.__class__)
+            for name in node.__slots__:
+                value = getattr(node, name)
+                if isinstance(value, Node):
+                    todo.append(value)
+                else:
+                    key.append(value)
+        return hash(tuple(key))
+
+    def __repr__(self):
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:
+                out.append(item)
+                continue
+            parts = [item.__class__.__qualname__ + "("]
+            for i, name in enumerate(item.__slots__):
+                value = getattr(item, name)
+                parts.append((", %s=" if i else "%s=") % name)
+                parts.append(value if isinstance(value, Node) else repr(value))
+            parts.append(")")
+            todo.extend(reversed(parts))
+        return "".join(out)
 
 
-@dataclass(frozen=True)
-class ParamRef:
-    name: str
+class Const(Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        _setattr(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+class Var(Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _setattr(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Exp:
-    arg: "Expr"
+class ParamRef(Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _setattr(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Ln:
-    arg: "Expr"
+class Neg(Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        _setattr(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Exp(Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        _setattr(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Ln(Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        _setattr(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Add(Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Sub(Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Mul(Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+
+
+class Div(Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+
+
+class Pow(Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base, exponent):
+        _setattr(self, "base", base)
+        _setattr(self, "exponent", exponent)
 
 
 Expr = Const | Var | ParamRef | Neg | Exp | Ln | Add | Sub | Mul | Div | Pow

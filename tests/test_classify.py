@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -83,6 +84,32 @@ def test_sampler_exhaustion():
                     "domain x1 > 0\ndomain -x1 > 0\n", name="empty-domain")
     with pytest.raises(SamplerExhausted):
         classify_web(web, RunConfig(points=8))
+
+
+def test_a_sampler_round_draws_a_bounded_number_of_points():
+    # an empty domain at 2000 points: without a cap on a round, the second
+    # round would draw nearly the whole budget of a million points at once
+    web = parse_web("u1 = x1 + y1\nu2 = x2 + y2\ndomain -(x1^2) - 1 > 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SamplerExhausted):
+            collect_snapshots(web, RunConfig(points=2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, "peak %.1f MB" % (peak / 1e6)
+
+
+@pytest.mark.parametrize("index, points", [(1, 64), (7, 40), (12, 200)])
+def test_the_round_cap_leaves_the_sample_unchanged(index, points,
+                                                   monkeypatch):
+    """The draws are one seeded stream however they are split into
+    rounds, so a smaller cap gives the same sample."""
+    web = load_example(index).web
+    config = RunConfig(points=points, seed=index)
+    want = collect_snapshots(web, config).points
+    monkeypatch.setattr(classify, "ROUND_DRAWS", 23)
+    assert np.array_equal(collect_snapshots(web, config).points, want)
 
 
 def test_predicate_implication_chain():

@@ -1,9 +1,13 @@
+import json
+from importlib import resources
+
 import pytest
 
 from threeweb import corpus
 from threeweb.classify import classify_web
 from threeweb.corpus import (
     N_EXAMPLES,
+    GoldenRecord,
     golden_check,
     load_corpus,
     load_example,
@@ -53,6 +57,23 @@ def test_load_example_validates_index():
 def test_load_corpus_is_cached():
     assert load_corpus() is load_corpus()
     assert load_example(5) is load_corpus()[4]
+
+
+def test_golden_records_are_built_on_first_read(monkeypatch):
+    monkeypatch.setattr(corpus, "_cache", None)
+    entries = load_corpus()
+    assert not any("golden" in vars(entry) for entry in entries)
+    for entry in entries:
+        # the rows as the sidecar states them, built here without the entry
+        doc = json.loads((resources.files("threeweb") / "corpus" / (
+            entry.name + ".golden.json")).read_text())
+        points = tuple(tuple(p) for p in doc["points"])
+        want = tuple(GoldenRecord(points[r["point"]], r["path"], r["value"],
+                                  r["reliability"], r.get("recomputed"))
+                     for r in doc["records"])
+        assert entry.golden == want, entry.name
+        assert entry.golden is entry.golden  # built once
+    assert sum(len(entry.golden) for entry in entries) == 1746
 
 
 def test_stored_points_are_admissible():

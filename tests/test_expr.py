@@ -20,6 +20,7 @@ from threeweb.expr import (
     Ln,
     Mul,
     Neg,
+    Node,
     ParamRef,
     ParseError,
     Pow,
@@ -245,3 +246,75 @@ def test_each_web_compiles_its_own_programs():
         assert copied.lift_program is not web.lift_program
     assert dataclasses.replace(moved, u1=web.u1, constraints=web.constraints) \
         == web
+
+
+def _dataclass_repr(e):
+    """e's repr as a frozen dataclass of its fields writes it."""
+    if not isinstance(e, Node):
+        return repr(e)
+    return "%s(%s)" % (type(e).__qualname__, ", ".join(
+        "%s=%s" % (name, _dataclass_repr(getattr(e, name)))
+        for name in type(e).__slots__))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expr_strategy(with_params=True))
+def test_nodes_compare_hash_and_print_as_dataclasses(expr):
+    again = copy.deepcopy(expr)
+    assert again == expr and not again != expr
+    assert hash(again) == hash(expr)
+    assert repr(expr) == _dataclass_repr(expr)
+    assert pickle.loads(pickle.dumps(expr)) == expr
+    assert copy.copy(expr) == expr
+
+
+def test_node_semantics():
+    a, b = Var("x1"), Const(2.5)
+    assert Add(left=a, right=b) == Add(a, right=b) == Add(a, b)
+    assert Pow(base=a, exponent=-3) == Pow(a, -3)
+    assert Add(a, b) != Sub(a, b) and Add(a, b) != Add(b, a)
+    assert Var("x1") != ParamRef("x1") and Const(1.0) != 1.0
+    assert Const(1.0) == Const(1) and hash(Const(1.0)) == hash(Const(1))
+    assert hash(Mul(Add(a, b), Neg(a))) == hash(Mul(Add(Var("x1"), b),
+                                                   Neg(Var("x1"))))
+    assert len({Add(a, b), Add(Var("x1"), Const(2.5)), Sub(a, b)}) == 2
+    assert (repr(Div(Exp(ParamRef("k")), Pow(Ln(a), 2)))
+            == "Div(left=Exp(arg=ParamRef(name='k')), "
+               "right=Pow(base=Ln(arg=Var(name='x1')), exponent=2))")
+    node = Add(a, b)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.left = b
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del node.right
+    assert node == Add(a, b)
+    with pytest.raises(TypeError):
+        Add(a)
+    with pytest.raises(TypeError):
+        Neg(arg=a, left=b)
+    match node:
+        case Add(left, Const(value)):
+            assert (left, value) == (a, 2.5)
+        case _:
+            pytest.fail("Add(a, b) did not match its fields")
+
+
+def test_webs_pickle_and_copy():
+    for entry in load_corpus():
+        web = entry.web
+        for again in (pickle.loads(pickle.dumps(web)), copy.copy(web),
+                      copy.deepcopy(web)):
+            assert again == web and hash(again) == hash(web), entry.name
+            assert repr(again) == repr(web)
+            assert format_web(again) == format_web(web)
+
+
+def test_a_long_sum_compares_hashes_and_prints():
+    text = "u1 = %s\nu2 = x2*y2\n" % " + ".join(["x1*y1"] * 3000)
+    web, again = parse_web(text), parse_web(text)
+    assert web == again and web is not again
+    assert web != parse_web(text.replace("y2\n", "y1\n"))
+    assert hash(web) == hash(again)
+    printed = repr(web)
+    assert printed.startswith("Web(u1=" + "Add(left=" * 2999 + "Mul(")
+    assert printed.count("Mul(left=Var(name='x1'), right=Var(name='y1'))") \
+        == 3000
