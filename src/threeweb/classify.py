@@ -57,6 +57,7 @@ The label lattice, with the defining predicate of each label:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,6 +83,12 @@ class RunConfig:
     margin: float = 1e-3
 
     def __post_init__(self):
+        if not isinstance(self.points, numbers.Integral):
+            raise ValueError("points must be an integer, got %r"
+                             % (self.points,))
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer, got %r"
+                             % (self.seed,))
         if self.points < 8:
             raise ValueError("need at least 8 sample points, got %d"
                              % self.points)
@@ -95,7 +102,8 @@ class RunConfig:
             raise ValueError("margin must be positive, got %r" % self.margin)
 
     def to_dict(self):
-        return {"points": self.points, "tol": self.tol, "seed": self.seed,
+        return {"points": int(self.points), "tol": self.tol,
+                "seed": int(self.seed),
                 "box": [self.box[0], self.box[1]], "margin": self.margin}
 
 

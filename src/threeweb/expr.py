@@ -30,9 +30,13 @@ parser, the printer and parse_web's reserved names all read.
 
 AST nodes are immutable records on one slotted base class, `Node`: they
 compare, hash and print like frozen dataclasses, by class and fields, and
-trees can be shared freely.  `format_expr` prints with minimal
-parentheses, and `parse_web` reads a printed expression back as a tree
-equal to it, so `parse_web(format_web(web))` equals `web`.
+trees can be shared freely.  One post-order walk, `_postorder`, serves
+every structural operation: equality and hashing compare a tree's flat
+shape, pickle and copy carry that shape, and `compile_program` reads its
+trees through the walk.  The repr and `format_expr`, which write text
+parent first, keep a stack of their own, so no depth of nesting exhausts
+Python's.  `format_expr` prints with minimal parentheses, and `parse_web`
+reads a printed expression back as a tree equal to it.
 
 Nothing walks a tree to evaluate it.  `compile_program` turns a tuple of
 expressions into one flat Program, in which structurally equal subtrees
@@ -77,22 +81,23 @@ _setattr = object.__setattr__
 
 class Node:
     """The base of the expression nodes: an immutable record of the fields
-    its class names in `__slots__`.
+    its class names in `__slots__`, the first `arity` of them (given in the
+    class statement) its operands.
 
     Nodes compare equal when they are of one class and their fields are
     equal; equal trees hash alike; the repr is that of a dataclass, such as
     `Add(left=Var(name='x1'), right=Const(value=1.0))`; assigning to a
-    field raises dataclasses.FrozenInstanceError; pickle and copy rebuild a
-    node from its fields.  Equality, hashing and the repr walk the tree with
-    their own stack, so no depth of nesting exhausts Python's.  Each class
+    field raises dataclasses.FrozenInstanceError.  Equality, hashing,
+    pickle and copy go through the tree's flat shape, `_shape`.  Each class
     writes its own positional `__init__`, which is faster than one generic
     constructor here.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
+    def __init_subclass__(cls, arity=0):
         cls.__match_args__ = cls.__slots__
+        cls._arity = arity
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError("cannot assign to field %r" % name)
@@ -100,40 +105,24 @@ class Node:
     def __delattr__(self, name):
         raise FrozenInstanceError("cannot delete field %r" % name)
 
+    def _shape(self):
+        """The tree in post-order as a flat list: each node as its class and
+        its fields after the operands, a non-node operand as (None, itself).
+        Equal trees, and only they, have equal shapes."""
+        return [(type(e), *[getattr(e, f) for f in e.__slots__[e._arity:]])
+                if isinstance(e, Node) else (None, e)
+                for e, _ in _postorder((self,))]
+
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name)
-                                     for name in self.__slots__)
+        return _rebuild, (self._shape(),)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            for name in a.__slots__:
-                x, y = getattr(a, name), getattr(b, name)
-                if x is y:
-                    continue
-                if x.__class__ is y.__class__ and isinstance(x, Node):
-                    todo.append((x, y))
-                elif not x == y:
-                    return False
-        return True
+        return self._shape() == other._shape()
 
     def __hash__(self):
-        # each node's class and then its fields in a walk of the tree, with
-        # a subtree standing for itself: equal trees give equal keys
-        key, todo = [], [self]
-        while todo:
-            node = todo.pop()
-            key.append(node.__class__)
-            for name in node.__slots__:
-                value = getattr(node, name)
-                if isinstance(value, Node):
-                    todo.append(value)
-                else:
-                    key.append(value)
-        return hash(tuple(key))
+        return hash(tuple(self._shape()))
 
     def __repr__(self):
         out, todo = [], [self]
@@ -150,6 +139,37 @@ class Node:
             parts.append(")")
             todo.extend(reversed(parts))
         return "".join(out)
+
+
+def _postorder(roots):
+    """(node, operands) for each node of the trees `roots`: operands first
+    and left to right, then the node.  A node's operands are its first
+    `arity` fields; anything in their place that is not a node comes as
+    (itself, ()).  The walk keeps its own stack."""
+    todo = [(e, None) for e in reversed(roots)]
+    while todo:
+        e, operands = todo.pop()
+        if operands is None:
+            operands = (tuple(getattr(e, f) for f in e.__slots__[:e._arity])
+                        if isinstance(e, Node) else ())
+            if operands:
+                todo.append((e, operands))
+                todo.extend((x, None) for x in reversed(operands))
+                continue
+        yield e, operands
+
+
+def _rebuild(shape):
+    """The tree whose flat shape (`Node._shape`) is `shape`."""
+    done = []  # the finished subtrees not yet an operand
+    for cls, *rest in shape:
+        if cls is None:
+            done += rest
+        else:
+            n = len(done) - cls._arity
+            done[n:] = [cls(*done[n:], *rest)]
+    (tree,) = done
+    return tree
 
 
 class Const(Node):
@@ -173,28 +193,28 @@ class ParamRef(Node):
         _setattr(self, "name", name)
 
 
-class Neg(Node):
+class Neg(Node, arity=1):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
         _setattr(self, "arg", arg)
 
 
-class Exp(Node):
+class Exp(Node, arity=1):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
         _setattr(self, "arg", arg)
 
 
-class Ln(Node):
+class Ln(Node, arity=1):
     __slots__ = ("arg",)
 
     def __init__(self, arg):
         _setattr(self, "arg", arg)
 
 
-class Add(Node):
+class Add(Node, arity=2):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
@@ -202,7 +222,7 @@ class Add(Node):
         _setattr(self, "right", right)
 
 
-class Sub(Node):
+class Sub(Node, arity=2):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
@@ -210,7 +230,7 @@ class Sub(Node):
         _setattr(self, "right", right)
 
 
-class Mul(Node):
+class Mul(Node, arity=2):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
@@ -218,7 +238,7 @@ class Mul(Node):
         _setattr(self, "right", right)
 
 
-class Div(Node):
+class Div(Node, arity=2):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
@@ -226,7 +246,7 @@ class Div(Node):
         _setattr(self, "right", right)
 
 
-class Pow(Node):
+class Pow(Node, arity=1):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base, exponent):
@@ -485,18 +505,6 @@ _OPS = {Const: "const", Var: "var", ParamRef: "param", Neg: "neg",
         Div: "div", Pow: "pow"}
 
 
-def _operands(e):
-    """The subtrees of node e, left to right."""
-    kind = type(e)
-    if kind in _INFIX:
-        return e.left, e.right
-    if kind is Pow:
-        return (e.base,)
-    if kind in _NAMES or kind is Neg:
-        return (e.arg,)
-    return ()
-
-
 def compile_program(exprs, lower, reciprocals=False):
     """The expressions `exprs` as one Program, whose code `lower(steps)`
     writes.
@@ -505,8 +513,7 @@ def compile_program(exprs, lower, reciprocals=False):
     u1 and u2, or two constraints, have in common is computed once.  With
     `reciprocals`, as the jet runner wants, a / b is a * (1/b) and a^-k is
     (1/a)^k, where 1/b is a step of its own: every division by b, and every
-    negative power of it, shares one reciprocal.  The walk keeps its own
-    stack, so no depth of nesting exhausts Python's.
+    negative power of it, shares one reciprocal.
     """
     steps, slots = [], {}
 
@@ -518,19 +525,11 @@ def compile_program(exprs, lower, reciprocals=False):
             steps.append(Step(op, args, value, node, scalar))
         return slots[key]
 
-    done = []  # the slot of each finished subtree not yet an operand
-    todo = [(e, False) for e in reversed(exprs)]
-    while todo:
-        e, ready = todo.pop()
+    done = {}  # the slot of each finished node, by its id
+    for e, operands in _postorder(exprs):
         if type(e) not in _OPS:
             raise TypeError("not an expression node: %r" % (e,))
-        operands = _operands(e)
-        if operands and not ready:
-            todo.append((e, True))
-            todo.extend((x, False) for x in reversed(operands))
-            continue
-        args = tuple(done[len(done) - len(operands):])
-        del done[len(done) - len(operands):]
+        args = tuple(done[id(x)] for x in operands)
         op = _OPS[type(e)]
         value = (e.value if op == "const" else e.name if not operands
                  else getattr(e, "exponent", None))
@@ -540,8 +539,9 @@ def compile_program(exprs, lower, reciprocals=False):
         elif (reciprocals and op == "pow" and isinstance(value, int)
               and value < 0):
             args, value = (emit("reciprocal", args, None, None),), -value
-        done.append(emit(op, args, value, e))
-    return Program(tuple(steps), tuple(done), lower(steps))
+        done[id(e)] = emit(op, args, value, e)
+    return Program(tuple(steps), tuple(done[id(e)] for e in exprs),
+                   lower(steps))
 
 
 def _apply(fn, args):

@@ -141,7 +141,8 @@ class TensorSnapshot:
         """Resolve a dotted component path like "b.2111" or "a_cov.1".
 
         Indices are 1-based, upper index first, matching the order the
-        tensors are written in.  "s" resolves to f2 + g2 + h2.  Scalar
+        tensors are written in; each is the ASCII digit 1 or 2, and any
+        other path raises KeyError.  "s" resolves to f2 + g2 + h2.  Scalar
         fields ("t_ratio", "det_bar", "det_til") take no index part.
         """
         if "." not in path:
@@ -157,13 +158,12 @@ class TensorSnapshot:
             rank = self._FIELDS[name]
         else:
             raise KeyError("unknown snapshot field %r" % name)
-        if len(digits) != rank or not digits.isdigit():
+        if len(digits) != rank:
             raise KeyError("field %r needs %d indices, got %r"
                            % (name, rank, digits))
-        idx = tuple(int(d) - 1 for d in digits)
-        if any(i not in (0, 1) for i in idx):
+        if digits.strip("12"):
             raise KeyError("indices in %r must be 1 or 2" % path)
-        return float(arr[idx])
+        return float(arr[tuple(int(d) - 1 for d in digits)])
 
     def to_dict(self):
         """JSON-ready dict; arrays become nested lists."""
@@ -243,13 +243,16 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True,
     """Compute every invariant of the web at one admissible point.
 
     Given an (N, 4) array of points instead, return their SnapshotBatch.
-    The domain gate names the first inadmissible row; past it no row is
-    judged: the caller decides from the batch's per-row `degenerate` and
-    `finite` flags which rows to keep.  A caller that has lifted the
-    points already passes their coefficients,
-    `jet_lift(web.lift_program, point, bound).c`, as `coeffs`, and the
-    lift is not repeated.
+    The domain gate keeps every constraint `margin` away from 0, and
+    `margin` must be positive, as `RunConfig.margin` must.  The gate names
+    the first inadmissible row; past it no row is judged: the caller
+    decides from the batch's per-row `degenerate` and `finite` flags which
+    rows to keep.  A caller that has lifted the points already passes
+    their coefficients, `jet_lift(web.lift_program, point, bound).c`, as
+    `coeffs`, and the lift is not repeated.
     """
+    if not margin > 0:
+        raise ValueError("margin must be positive, got %r" % (margin,))
     bound = web.bind(params)
     point = np.asarray(point, dtype=float)
     points = np.atleast_2d(point)

@@ -47,6 +47,15 @@ def test_run_config_validation():
         RunConfig(box=(2.0, -2.0))
     with pytest.raises(ValueError):
         RunConfig(margin=0.0)
+    with pytest.raises(ValueError, match="points must be an integer"):
+        RunConfig(points=64.5)
+    with pytest.raises(ValueError, match="seed must be a non-negative"):
+        RunConfig(seed=1.5)
+    with pytest.raises(ValueError, match="seed must be a non-negative"):
+        RunConfig(seed=-1)
+    numpy_ints = RunConfig(points=np.int64(16), seed=np.int64(3))
+    assert json.dumps(numpy_ints.to_dict()).startswith(
+        '{"points": 16, "tol": 1e-07, "seed": 3,')
     cfg = RunConfig()
     assert cfg.points == 64 and cfg.tol == 1e-7 and cfg.seed == 42
 

@@ -309,6 +309,13 @@ def test_non_finite_box_or_margin_is_an_error(capsys, flags):
     assert err.startswith("error: ") and flags[0][2:] in err
 
 
+def test_snapshot_rejects_a_margin_that_is_not_positive(capsys):
+    code, out, err = run(capsys, "snapshot", "example01",
+                         "--point", "1", "2", "0.5", "1.5", "--margin", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: margin must be positive, got -1.0\n"
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     src = str(Path(threeweb.__file__).resolve().parents[1])
     env = dict(os.environ)

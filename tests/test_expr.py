@@ -27,6 +27,7 @@ from threeweb.expr import (
     Sub,
     Var,
     Web,
+    compile_program,
     evaluate,
     format_expr,
     format_web,
@@ -296,6 +297,25 @@ def test_node_semantics():
             assert (left, value) == (a, 2.5)
         case _:
             pytest.fail("Add(a, b) did not match its fields")
+    # a NaN constant equals only itself
+    nan = Const(float("nan"))
+    assert nan == nan and nan != Const(float("nan"))
+    # a non-node in an operand's place compares, hashes and prints by its
+    # own value, and does not compile
+    odd = Add(1.0, Var("x1"))
+    assert odd == Add(1.0, Var("x1")) and odd != Add(Var("x1"), 1.0)
+    assert odd != Add(Const(1.0), Var("x1"))
+    assert hash(odd) == hash(Add(1, Var("x1")))
+    assert repr(odd) == "Add(left=1.0, right=Var(name='x1'))"
+    assert pickle.loads(pickle.dumps(odd)) == odd
+    with pytest.raises(TypeError, match="not an expression node: 1.0"):
+        compile_program((odd,), lambda steps: ())
+    # a shared subtree pickles and copies to an equal tree
+    shared = Mul(a, Neg(b))
+    tree = Add(shared, Sub(shared, shared))
+    for again in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree)):
+        assert again == tree and hash(again) == hash(tree)
+        assert repr(again) == repr(tree)
 
 
 def test_webs_pickle_and_copy():
@@ -318,3 +338,6 @@ def test_a_long_sum_compares_hashes_and_prints():
     assert printed.startswith("Web(u1=" + "Add(left=" * 2999 + "Mul(")
     assert printed.count("Mul(left=Var(name='x1'), right=Var(name='y1'))") \
         == 3000
+    for copied in (pickle.loads(pickle.dumps(web)), copy.deepcopy(web)):
+        assert copied == web and copied.u1 is not web.u1
+        assert hash(copied) == hash(web)

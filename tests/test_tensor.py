@@ -73,6 +73,10 @@ def test_lookup_paths(ref):
         ref.lookup("b.2131")      # index out of range
     with pytest.raises(KeyError):
         ref.lookup("b")           # missing indices
+    with pytest.raises(KeyError):
+        ref.lookup("p.1\u00b2")    # a superscript two is no index
+    with pytest.raises(KeyError):
+        ref.lookup("p.\uff11\uff11")  # nor are fullwidth digits
 
 
 def test_to_dict_is_json_ready(ref):
@@ -270,6 +274,13 @@ def test_margin_wider_than_default_rejects_more():
     assert snapshot(web, pt) is not None
     with pytest.raises(InadmissiblePoint):
         snapshot(web, pt, margin=0.1)
+
+
+@pytest.mark.parametrize("margin", [-1.0, 0.0, float("nan")])
+def test_margin_must_be_positive(margin):
+    # a point on the singular set x1 = y1 is not let through
+    with pytest.raises(ValueError, match="margin must be positive, got"):
+        snapshot(load_example(1).web, (1.0, 1.0, 1.0, 1.0), margin=margin)
 
 
 def test_identities_hold_at_random_points_too():

@@ -8,6 +8,9 @@ script loads `threeweb/expr.py` from each and compares, on seeded inputs:
   format_web   each bundled web's file, parsed and printed
   format_expr  20000 random expression trees, printed; then the printed
                text parsed back, compared as the trees' repr
+  compiled     each such tree e, compiled by compile_program as (e, e*e)
+               with and without `reciprocals`: each step's op, operand
+               slots, value and scalar flag, and the outputs
   _tokenize    250000 random lines of up to 24 pieces: the grammar's
                symbols, digits, letters and names, spaces and tabs, `#`,
                `é`, `\\r`, a no-break space, `½`, and one piece in ten a
@@ -82,6 +85,15 @@ def build(expr, tree):
     return node(*(build(expr, child) for child in tree[1:]))
 
 
+def compiled(expr, e, reciprocals):
+    """compile_program of e and e*e as (op, args, value, scalar) per step
+    and the output slots."""
+    program = expr.compile_program((e, expr.Mul(e, e)), lambda steps: (),
+                                   reciprocals)
+    return ([(s.op, s.args, s.value, s.scalar) for s in program.steps],
+            program.outputs)
+
+
 def random_line(rng):
     line = "".join(rng.choice(PIECES) if rng.random() < 0.9
                    else chr(rng.randrange(0x20, 0x3000))
@@ -113,15 +125,20 @@ def main(argv):
         for path in webs])
 
     rng = random.Random(20261018)
-    printed, parsed = [], []
+    printed, parsed, programs = [], [], []
     for _ in range(TREES):
         tree = random_tree(rng, rng.randint(1, 7))
         texts = [m.format_expr(build(m, tree)) for m in trees]
         printed.append((tree, *texts))
         text = PARAMS + "u1 = %s\nu2 = x2\n" % texts[1]
         parsed.append((text, *(outcome(m.parse_web, text) for m in trees)))
+        for reciprocals in (False, True):
+            programs.append(((tree, reciprocals), *(
+                outcome(compiled, m, build(m, tree), reciprocals)
+                for m in trees)))
     ok &= report("format_expr", printed)
     ok &= report("parsed back", parsed)
+    ok &= report("compiled", programs)
 
     rng = random.Random(7)
     lines = [random_line(rng) for _ in range(LINES)]
