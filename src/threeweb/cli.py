@@ -7,20 +7,26 @@
                                        dump every invariant at one point
 
 FILE is a path to a .web definition; the bundled webs can also be named
-directly ("example07" or just "7").  Exit codes: 0 clean, 2 when any
-verdict landed in the ambiguity band (or parameter bindings disagreed),
-1 on errors or mismatches.
+directly ("example07" or just "7").
+
+Each command builds one document, the schema-1 JSON value that
+`--format json` prints; the text format is rendered from that document
+alone.  One rule of the document sets the exit status: 1 when a row's
+labels differ from the expected ones or its golden values fail, else 2
+when a verdict landed in the ambiguity band or parameter bindings
+disagreed, else 0.  Errors, usage errors included, exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from .classify import (
     RunConfig,
@@ -33,6 +39,7 @@ from .expr import EvalError, ParseError, parse_web
 from .tensor import (
     DegenerateWeb,
     InadmissiblePoint,
+    TensorSnapshot,
     snapshot,
 )
 
@@ -86,19 +93,13 @@ def _load_web(spec):
         name = path.name[:-4] if path.name.endswith(".web") else path.name
         web = parse_web(path.read_text(), name=name)
         return web, _corpus_entry_for(name, web)
-    m = re.fullmatch(r"example(\d{1,2})", spec)
-    if m or spec.isdigit():
-        index = int(m.group(1)) if m else int(spec)
-        try:
-            entry = load_example(index)
-        except ValueError:
-            raise OSError("file not found: %s" % spec)
-        return entry.web, entry
-    raise OSError("file not found: %s" % spec)
-
-
-def _emit(doc):
-    print(json.dumps(doc, indent=1, sort_keys=True))
+    # a bundled name has ASCII digits only; index 0 names no web
+    m = re.fullmatch(r"example([0-9]{1,2})|([0-9]+)", spec)
+    try:
+        entry = load_example(int(m.group(1) or m.group(2)) if m else 0)
+    except ValueError:
+        raise OSError("file not found: %s" % spec)
+    return entry.web, entry
 
 
 def _fmt(v):
@@ -109,51 +110,14 @@ def _fmt(v):
     return str(v)
 
 
-def _print_report(report):
-    print("web: %s" % report.web_name)
-    if report.params:
-        joined = ", ".join("%s=%s" % (k, _fmt(v))
-                           for k, v in sorted(report.params.items()))
-        print("params: %s" % joined)
-    print("labels: %s" % (" ".join(report.labels) if report.labels else "-"))
-    print("classes: A=%s  B=%s  C=%s  D=%s  E=%s"
-          % tuple(c or "-" for c in (report.class_a, report.class_b,
-                                     report.class_c, report.class_d,
-                                     report.class_e)))
-    if report.fg_metadata:
-        print("asserted metadata: %s (from the stored table, not computed)"
-              % " ".join(report.fg_metadata))
-    if report.class_d:
-        print("summary: %s (%s)"
-              % (_D_SUMMARY[report.class_d], report.class_d))
-    print("predicates (%d points, tol %g):"
-          % (report.config.points, report.config.tol))
-    for name, verdict in report.predicates.items():
-        print("  %-24s %-3s  max residual %.3g"
-              % (name.replace("_", " "), "yes" if verdict.holds else "no",
-                 verdict.max_residual))
-    if report.inconclusive:
-        print("inconclusive: %s" % ", ".join(report.inconclusive))
-    if report.generic is not None:
-        print("parameter bindings agree: %s"
-              % ("yes" if report.generic else "NO"))
-        for pb in report.per_binding:
-            joined = ", ".join("%s=%.3g" % (k, v)
-                               for k, v in sorted(pb["params"].items()))
-            print("  [%s] -> %s" % (joined, " ".join(pb["labels"])))
-
-
-def _report_exit(report):
-    if report.inconclusive or report.generic is False:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+def _joined(params):
+    return ", ".join("%s=%s" % (k, _fmt(v)) for k, v in params.items())
 
 
 def cmd_classify(args):
     config = _config_from_args(args)
     overrides = _parse_params(args.param)
-    reports = []
-    code = EXIT_OK
+    docs = []
     for spec in args.web:
         web, entry = _load_web(spec)
         metadata = (entry.fg,) if entry is not None and entry.fg else ()
@@ -162,158 +126,133 @@ def cmd_classify(args):
         else:
             report = classify_web(web, config, params=overrides or None,
                                   metadata=metadata)
-        reports.append(report)
-        code = max(code, _report_exit(report))
-    if args.format == "json":
-        docs = [{"schema": 1, **r.to_dict()} for r in reports]
-        _emit(docs[0] if len(docs) == 1 else docs)
-    else:
-        for i, report in enumerate(reports):
-            if i:
-                print()
-            _print_report(report)
-    return code
+        docs.append({"schema": 1, **report.to_dict()})
+    return docs[0] if len(docs) == 1 else docs
 
 
-def _classify_entries(entries, config):
-    """Each corpus entry with its report, and the exit code the reports
-    call for when nothing else failed."""
-    rows = [(entry, classify_web(entry.web, config,
-                                 metadata=(entry.fg,) if entry.fg else ()))
-            for entry in entries]
-    return rows, max(_report_exit(report) for _, report in rows)
+def render_classify(doc):
+    for i, report in enumerate(doc if isinstance(doc, list) else [doc]):
+        if i:
+            print()
+        print("web: %s" % report["web"])
+        if report["params"]:
+            print("params: %s" % _joined(report["params"]))
+        print("labels: %s" % (" ".join(report["labels"]) or "-"))
+        print("classes: A=%s  B=%s  C=%s  D=%s  E=%s"
+              % tuple(report["classes"][c] or "-" for c in "ABCDE"))
+        if report.get("asserted_metadata"):
+            print("asserted metadata: %s (from the stored table, not "
+                  "computed)" % " ".join(report["asserted_metadata"]))
+        class_d = report["classes"]["D"]
+        if class_d:
+            print("summary: %s (%s)" % (_D_SUMMARY[class_d], class_d))
+        print("predicates (%d points, tol %g):"
+              % (report["config"]["points"], report["config"]["tol"]))
+        for name, verdict in report["predicates"].items():
+            print("  %-24s %-3s  max residual %.3g"
+                  % (name.replace("_", " "),
+                     "yes" if verdict["holds"] else "no",
+                     verdict["max_residual"]))
+        if report["inconclusive"]:
+            print("inconclusive: %s" % ", ".join(report["inconclusive"]))
+        if "generic" in report:
+            print("parameter bindings agree: %s"
+                  % ("yes" if report["generic"] else "NO"))
+            for pb in report["per_binding"]:
+                print("  [%s] -> %s"
+                      % (", ".join("%s=%.3g" % kv
+                                   for kv in pb["params"].items()),
+                         " ".join(pb["labels"])))
+
+
+def _entry_rows(entries, config):
+    """Each corpus entry with its report and the row fields that `table`
+    and `corpus` share."""
+    for entry in entries:
+        report = classify_web(entry.web, config,
+                              metadata=(entry.fg,) if entry.fg else ())
+        yield entry, report, {
+            "web": entry.name,
+            "labels": list(report.labels),
+            "expected_labels": list(entry.expected_labels),
+            "match": report.labels == entry.expected_labels,
+            "inconclusive": list(report.inconclusive),
+        }
 
 
 def cmd_corpus(args):
     config = _config_from_args(args)
     entries = ([load_example(args.index)] if args.index is not None
-               else list(load_corpus()))
-    reports, code = _classify_entries(entries, config)
+               else load_corpus())
     rows = []
-    for entry, report in reports:
+    for entry, _report, row in _entry_rows(entries, config):
         results = golden_check(entry)
         counts = Counter(r.status for r in results)
-        failures = [r for r in results if r.status == "fail"]
-        rows.append((entry, report, counts, failures,
-                     report.labels == entry.expected_labels))
+        row["golden"] = {"pass": counts["pass"], "fail": counts["fail"],
+                         "logged_discrepancy": counts["logged-discrepancy"]}
+        row["failures"] = [
+            {"path": r.path, "point": list(r.point),
+             "expected": r.expected, "actual": r.actual}
+            for r in results if r.status == "fail"]
+        rows.append(row)
+    return {"schema": 1, "config": config.to_dict(), "entries": rows}
 
-    if args.format == "json":
-        doc = {
-            "schema": 1,
-            "config": config.to_dict(),
-            "entries": [
-                {
-                    "web": entry.name,
-                    "labels": list(report.labels),
-                    "expected_labels": list(entry.expected_labels),
-                    "match": match,
-                    "inconclusive": list(report.inconclusive),
-                    "golden": {
-                        "pass": counts.get("pass", 0),
-                        "fail": counts.get("fail", 0),
-                        "logged_discrepancy":
-                            counts.get("logged-discrepancy", 0),
-                    },
-                    "failures": [
-                        {"path": r.path, "point": list(r.point),
-                         "expected": r.expected, "actual": r.actual}
-                        for r in failures
-                    ],
-                }
-                for entry, report, counts, failures, match in rows
-            ],
-        }
-        _emit(doc)
-    else:
-        for entry, report, counts, failures, match in rows:
-            print("%-10s %-18s expected %-18s %-8s golden: %d pass, "
-                  "%d fail, %d noted"
-                  % (entry.name, " ".join(report.labels),
-                     " ".join(entry.expected_labels),
-                     "ok" if match else "MISMATCH",
-                     counts.get("pass", 0), counts.get("fail", 0),
-                     counts.get("logged-discrepancy", 0)))
-            for r in failures[:8]:
-                print("    FAIL %s at %s: expected %.10g, got %.10g"
-                      % (r.path, r.point, r.expected, r.actual))
-        total_fail = sum(c.get("fail", 0) for _, _, c, _, _ in rows)
-        mismatches = sum(1 for _, _, _, _, m in rows if not m)
-        print("%d webs checked: %d label mismatches, %d golden failures"
-              % (len(rows), mismatches, total_fail))
-    if any(failures or not match for _, _, _, failures, match in rows):
-        return EXIT_ERROR
-    return code
+
+def render_corpus(doc):
+    rows = doc["entries"]
+    for row in rows:
+        golden = row["golden"]
+        print("%-10s %-18s expected %-18s %-8s golden: %d pass, "
+              "%d fail, %d noted"
+              % (row["web"], " ".join(row["labels"]),
+                 " ".join(row["expected_labels"]),
+                 "ok" if row["match"] else "MISMATCH",
+                 golden["pass"], golden["fail"],
+                 golden["logged_discrepancy"]))
+        for failure in row["failures"][:8]:
+            print("    FAIL %s at %s: expected %.10g, got %.10g"
+                  % (failure["path"], tuple(failure["point"]),
+                     failure["expected"], failure["actual"]))
+    print("%d webs checked: %d label mismatches, %d golden failures"
+          % (len(rows), sum(not row["match"] for row in rows),
+             sum(row["golden"]["fail"] for row in rows)))
 
 
 def cmd_table(args):
     config = _config_from_args(args)
-    rows, code = _classify_entries(load_corpus(), config)
-    diffs = [(entry.name, entry.expected_labels, report.labels)
-             for entry, report in rows
-             if report.labels != entry.expected_labels]
-
-    if args.format == "json":
-        doc = {
-            "schema": 1,
-            "config": config.to_dict(),
-            "fg_source": "stored table metadata (asserted, not computed)",
-            "rows": [
-                {
-                    "index": entry.index,
-                    "web": entry.name,
-                    "A": report.class_a or None,
-                    "B": report.class_b or None,
-                    "C": report.class_c or None,
-                    "D": report.class_d or None,
-                    "E": report.class_e or None,
-                    "F": entry.fg if entry.fg in ("F1", "F2") else None,
-                    "G": entry.fg if entry.fg == "G" else None,
-                    "labels": list(report.labels),
-                    "expected_labels": list(entry.expected_labels),
-                    "match": report.labels == entry.expected_labels,
-                    "inconclusive": list(report.inconclusive),
-                }
-                for entry, report in rows
-            ],
-            "diffs": [
-                {"web": name, "expected": list(exp), "computed": list(got)}
-                for name, exp, got in diffs
-            ],
-        }
-        _emit(doc)
-    else:
-        print(" #  web        A      B  C    D     E    F    G")
-        for entry, report in rows:
-            f_cell = entry.fg + "*" if entry.fg in ("F1", "F2") else "-"
-            g_cell = "G*" if entry.fg == "G" else "-"
-            print("%2d  %-9s  %-5s  %-1s  %-3s  %-4s  %-3s  %-3s  %-3s"
-                  % (entry.index, entry.name,
-                     report.class_a or "-", report.class_b or "-",
-                     report.class_c or "-", report.class_d or "-",
-                     report.class_e or "-", f_cell, g_cell))
-        print("* F/G cells are stored table metadata "
-              "(asserted, not computed)")
-        if diffs:
-            for name, exp, got in diffs:
-                print("DIFF %s: expected %s, computed %s"
-                      % (name, " ".join(exp), " ".join(got)))
-        else:
-            print("diffs: none")
-    return EXIT_ERROR if diffs else code
+    rows = [
+        {"index": entry.index, **row,
+         "A": report.class_a or None, "B": report.class_b or None,
+         "C": report.class_c or None, "D": report.class_d or None,
+         "E": report.class_e or None,
+         "F": entry.fg if entry.fg in ("F1", "F2") else None,
+         "G": entry.fg if entry.fg == "G" else None}
+        for entry, report, row in _entry_rows(load_corpus(), config)]
+    return {
+        "schema": 1,
+        "config": config.to_dict(),
+        "fg_source": "stored table metadata (asserted, not computed)",
+        "rows": rows,
+        "diffs": [{"web": row["web"], "expected": row["expected_labels"],
+                   "computed": row["labels"]}
+                  for row in rows if not row["match"]],
+    }
 
 
-def _dump_components(name, arr):
-    rank = arr.ndim
-    cells = []
-    for idx in itertools.product(*(range(2),) * rank):
-        label = "%s.%s" % (name, "".join(str(i + 1) for i in idx))
-        value = float(arr[idx])
-        if value == 0:
-            value = 0.0
-        cells.append("%-10s = %-14.10g" % (label, value))
-    width = 2 if rank >= 3 else rank
-    for i in range(0, len(cells), width):
-        print("  " + "  ".join(cells[i:i + width]))
+def render_table(doc):
+    print(" #  web        A      B  C    D     E    F    G")
+    for row in doc["rows"]:
+        print("%2d  %-9s  %-5s  %-1s  %-3s  %-4s  %-3s  %-3s  %-3s"
+              % (row["index"], row["web"],
+                 *(row[c] or "-" for c in "ABCDE"),
+                 *(row[c] + "*" if row[c] else "-" for c in "FG")))
+    print("* F/G cells are stored table metadata (asserted, not computed)")
+    for diff in doc["diffs"]:
+        print("DIFF %s: expected %s, computed %s"
+              % (diff["web"], " ".join(diff["expected"]),
+                 " ".join(diff["computed"])))
+    if not doc["diffs"]:
+        print("diffs: none")
 
 
 def cmd_snapshot(args):
@@ -321,27 +260,48 @@ def cmd_snapshot(args):
     web, _entry = _load_web(args.web)
     snap = snapshot(web, tuple(args.point), params=overrides or None,
                     margin=args.margin)
-    if args.format == "json":
-        _emit({"schema": 1, "web": web.name, **snap.to_dict()})
-        return EXIT_OK
-    print("web: %s" % web.name)
-    print("point: x1=%s x2=%s y1=%s y2=%s" % tuple(_fmt(c) for c in
-                                                   snap.point))
-    if snap.params:
-        joined = ", ".join("%s=%s" % (k, _fmt(v))
-                           for k, v in sorted(snap.params.items()))
-        print("params: %s" % joined)
+    return {"schema": 1, "web": web.name, **snap.to_dict()}
+
+
+def _dump_components(name, values):
+    arr = np.asarray(values) + 0.0  # -0.0 prints as 0
+    cells = ["%-10s = %-14.10g"
+             % ("%s.%s" % (name, "".join(str(i + 1) for i in idx)), arr[idx])
+             for idx in np.ndindex(arr.shape)]
+    width = min(arr.ndim, 2)
+    for i in range(0, len(cells), width):
+        print("  " + "  ".join(cells[i:i + width]))
+
+
+def render_snapshot(doc):
+    print("web: %s" % doc["web"])
+    print("point: x1=%s x2=%s y1=%s y2=%s" % tuple(map(_fmt, doc["point"])))
+    if doc["params"]:
+        print("params: %s" % _joined(doc["params"]))
     print("det fbar = %.10g    det ftilde = %.10g"
-          % (snap.det_bar, snap.det_til))
-    print("t ratio (a_cov.2 / a_cov.1) = %s" % _fmt(snap.t_ratio))
+          % (doc["det_bar"], doc["det_til"]))
+    print("t ratio (a_cov.2 / a_cov.1) = %s" % _fmt(doc["t_ratio"]))
     print("isoclinic at this point: %s"
-          % ("no" if snap.non_isoclinic else "yes"))
-    for name in ("fbar", "ftilde", "gbar", "gtilde", "gamma", "torsion",
-                 "a_cov", "b", "p", "q", "f2", "g2", "h2", "a4"):
+          % ("no" if doc["non_isoclinic"] else "yes"))
+    for name in TensorSnapshot._FIELDS:
         print("%s:" % name)
-        _dump_components(name, getattr(snap, name))
+        _dump_components(name, doc[name])
     print("omega_coeffs (connection form coefficients; [frame][i][j][k]):")
-    _dump_components("omega_coeffs", snap.omega_coeffs)
+    _dump_components("omega_coeffs", doc["omega_coeffs"])
+
+
+def exit_status(doc):
+    """The exit status a command's document calls for: 1 when a row's
+    labels differ from the expected ones or its golden values fail, else
+    2 when a row has an inconclusive verdict or its parameter bindings
+    disagree, else 0."""
+    rows = (doc if isinstance(doc, list)
+            else doc.get("rows", doc.get("entries", [doc])))
+    if any(row.get("match") is False or row.get("failures") for row in rows):
+        return EXIT_ERROR
+    if any(row.get("inconclusive") or row.get("generic") is False
+           for row in rows):
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -350,20 +310,21 @@ def build_parser():
         prog="threeweb",
         description="Differential invariants and classification of "
                     "four-dimensional three-webs.")
-    common = argparse.ArgumentParser(add_help=False)
     defaults = RunConfig()
-    common.add_argument("--points", type=int, default=defaults.points,
-                        help="admissible sample points per verdict "
-                             "(default %(default)d)")
-    common.add_argument("--tol", type=float, default=defaults.tol,
-                        help="relative tolerance for zero tests "
-                             "(default %(default)g)")
-    common.add_argument("--seed", type=int, default=defaults.seed,
-                        help="sampler seed (default %(default)d)")
-    common.add_argument("--box", type=float, nargs=2, default=defaults.box,
-                        metavar=("LO", "HI"),
-                        help="coordinate box to sample (default %g %g)"
-                             % defaults.box)
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--points", type=int, default=defaults.points,
+                          help="admissible sample points per verdict "
+                               "(default %(default)d)")
+    sampling.add_argument("--tol", type=float, default=defaults.tol,
+                          help="relative tolerance for zero tests "
+                               "(default %(default)g)")
+    sampling.add_argument("--seed", type=int, default=defaults.seed,
+                          help="sampler seed (default %(default)d)")
+    sampling.add_argument("--box", type=float, nargs=2, default=defaults.box,
+                          metavar=("LO", "HI"),
+                          help="coordinate box to sample (default %g %g)"
+                               % defaults.box)
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--margin", type=float, default=defaults.margin,
                         help="distance kept from the singular set "
                              "(default %(default)g)")
@@ -372,7 +333,7 @@ def build_parser():
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[sampling, common],
                        help="classify web definition files")
     p.add_argument("web", nargs="+",
                    help=".web file path, or a bundled name like example07")
@@ -381,17 +342,17 @@ def build_parser():
                    help="bind one web parameter (repeatable); without it, "
                         "parameterized webs are classified under several "
                         "random bindings")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, render=render_classify)
 
-    p = sub.add_parser("corpus", parents=[common],
+    p = sub.add_parser("corpus", parents=[sampling, common],
                        help="check the bundled webs against frozen values")
     p.add_argument("--index", type=int, default=None,
                    help="check a single bundled web (1..15)")
-    p.set_defaults(func=cmd_corpus)
+    p.set_defaults(func=cmd_corpus, render=render_corpus)
 
-    p = sub.add_parser("table", parents=[common],
+    p = sub.add_parser("table", parents=[sampling, common],
                        help="recompute the bundled classification table")
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, render=render_table)
 
     p = sub.add_parser("snapshot", parents=[common],
                        help="dump every invariant of a web at one point")
@@ -402,21 +363,32 @@ def build_parser():
                    help="evaluation point")
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=VALUE", help="bind one web parameter")
-    p.set_defaults(func=cmd_snapshot)
+    p.set_defaults(func=cmd_snapshot, render=render_snapshot)
     for p in (parser, *sub.choices.values()):
         p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: print its document as JSON or rendered as text,
+    and return the exit status the document calls for."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 0 after --help and 2 on a usage error, the status
+        # of an inconclusive verdict
+        return EXIT_ERROR if stop.code else EXIT_OK
+    try:
+        doc = args.func(args)
     except (ParseError, EvalError, DegenerateWeb, InadmissiblePoint,
             SamplerExhausted, OSError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_ERROR
+    if args.format == "json":
+        print(json.dumps(doc, indent=1, sort_keys=True))
+    else:
+        args.render(doc)
+    return exit_status(doc)
 
 
 if __name__ == "__main__":

@@ -174,9 +174,7 @@ class TensorSnapshot:
                "t_ratio": None if self.t_ratio is None
                           else float(self.t_ratio),
                "non_isoclinic": bool(self.non_isoclinic)}
-        for name in ("fbar", "ftilde", "gbar", "gtilde", "gamma",
-                     "omega_coeffs", "torsion", "a_cov", "b", "p", "q",
-                     "f2", "g2", "h2", "a4"):
+        for name in (*self._FIELDS, "omega_coeffs"):
             out[name] = getattr(self, name).tolist()
         return out
 

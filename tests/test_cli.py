@@ -9,7 +9,7 @@ import pytest
 
 import threeweb
 from threeweb.classify import RunConfig, classify_web
-from threeweb.cli import main
+from threeweb.cli import exit_status, main
 from threeweb.corpus import load_example
 
 
@@ -153,15 +153,50 @@ def test_parameterized_web_without_binding_runs_generic(capsys):
     assert "parameter bindings agree: yes" in out
 
 
-def test_inconclusive_exit_code(capsys):
-    # drive one verdict into the ambiguity band by matching the tolerance
-    # to its known tiny residual
+@pytest.fixture(scope="module")
+def tiny_tol():
+    """example09's tiny transversally-geodesic residual as a tolerance: it
+    drives that verdict into the ambiguity band."""
     r = classify_web(load_example(9).web).predicates[
         "transversally_geodesic"].max_residual
     assert r > 0
-    code, out, _ = run(capsys, "classify", "example09", "--tol", repr(r))
+    return repr(r)
+
+
+def test_inconclusive_exit_code(capsys, tiny_tol):
+    code, out, _ = run(capsys, "classify", "example09", "--tol", tiny_tol)
     assert code == 2
     assert "inconclusive" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,expected", [
+    (("classify", "example09", "--tol", None), 2),
+    (("table", "--tol", None), 1),
+    (("corpus", "--index", "9", "--tol", None), 1),
+    (("snapshot", "example09", "--point", "1", "2", "0.5", "1.5"), 0),
+])
+def test_exit_status_is_the_same_in_both_formats(capsys, tiny_tol, fmt,
+                                                 argv, expected):
+    argv = [tiny_tol if a is None else a for a in argv]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (expected, "")
+    assert out.endswith("\n")
+
+
+@pytest.mark.parametrize("row,expected", [
+    ({"match": True, "failures": [], "inconclusive": []}, 0),
+    ({"match": False, "inconclusive": ["group"]}, 1),
+    ({"match": True, "failures": [{"path": "b.2111"}]}, 1),
+    ({"inconclusive": ["Bol"]}, 2),
+    ({"inconclusive": [], "generic": False}, 2),
+    ({"inconclusive": [], "generic": True}, 0),
+])
+def test_one_rule_sets_the_exit_status(row, expected):
+    assert exit_status(row) == expected
+    assert exit_status([{"inconclusive": []}, row]) == expected
+    assert exit_status({"schema": 1, "rows": [row]}) == expected
+    assert exit_status({"schema": 1, "entries": [row]}) == expected
 
 
 def test_corpus_command(capsys):
@@ -187,14 +222,31 @@ def test_corpus_json(capsys):
     assert all(e["golden"]["fail"] == 0 for e in doc["entries"])
 
 
+TABLE_TEXT = "".join(line + "\n" for line in (
+    " #  web        A      B  C    D     E    F    G",
+    " 1  example01  A121   -  C11  -     E71  F2*  -  ",
+    " 2  example02  A121   -  C2   -     E7   F2*  -  ",
+    " 3  example03  A131   -  -    D231  E1   -    G* ",
+    " 4  example04  A1     -  -    D231  E1   F1*  -  ",
+    " 5  example05  A1     -  -    D231  E1   F1*  -  ",
+    " 6  example06  A1121  -  -    D231  E1   -    G* ",
+    " 7  example07  A2     -  -    D21   E8   F1*  -  ",
+    " 8  example08  -      B  -    D232  E1   -    -  ",
+    " 9  example09  -      B  -    D232  E1   F1*  -  ",
+    "10  example10  A131   -  C2   -     E2   -    G* ",
+    "11  example11  A131   -  C12  -     E1   -    -  ",
+    "12  example12  -      B  C2   -     E1   -    -  ",
+    "13  example13  -      B  C2   -     E1   -    -  ",
+    "14  example14  A131   -  C2   -     E3   -    -  ",
+    "15  example15  A131   -  C2   -     E4   -    -  ",
+    "* F/G cells are stored table metadata (asserted, not computed)",
+    "diffs: none",
+))
+
+
 def test_table_has_zero_diffs(capsys):
-    code, out, _ = run(capsys, "table")
-    assert code == 0
-    assert "diffs: none" in out
-    assert "stored table metadata" in out
-    for fragment in ("example01  A121", "example07  A2",
-                     "example09  -", "example15  A131"):
-        assert fragment in out
+    # labels only, no residuals: the whole text is the same on every host
+    assert run(capsys, "table") == (0, TABLE_TEXT, "")
 
 
 def test_table_json(capsys):
@@ -231,6 +283,40 @@ def test_snapshot_json(capsys):
     assert doc["schema"] == 1 and doc["web"] == "example01"
     assert doc["b"][1][0][0][0] == pytest.approx(-16.0)
     assert doc["non_isoclinic"] is False
+
+
+@pytest.mark.parametrize("flags", [("--points", "3"), ("--tol", "7"),
+                                   ("--seed", "-5"), ("--box", "inf", "-inf")])
+def test_snapshot_rejects_the_sampling_flags(capsys, flags):
+    code, out, err = run(capsys, "snapshot", "example01",
+                         "--point", "1", "2", "0.5", "1.5", *flags)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: %s" % " ".join(flags) in err
+
+
+@pytest.mark.parametrize("argv", [("table", "--points", "abc"),
+                                  ("classify",), ("snapshot", "example01"),
+                                  ("frobnicate",), ()])
+def test_usage_errors_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: threeweb") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("table", "--help"),
+                                  ("snapshot", "-h")])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: threeweb")
+
+
+@pytest.mark.parametrize("name", ["\uff17", "example\uff10\uff19", "\u00b2",
+                                  "example\u0669", "0", "16", "example123"])
+def test_bundled_names_take_ascii_digits_only(capsys, name):
+    code, out, err = run(capsys, "classify", name)
+    assert (code, out) == (1, "")
+    assert err == "error: file not found: %s\n" % name
 
 
 def test_snapshot_rejects_inadmissible_point(capsys):

@@ -1,4 +1,5 @@
-"""Compare threeweb's JSON reports between two source trees.
+"""Compare threeweb's reports, text output and exit statuses between two
+source trees.
 
     python3 tools/diff_reports.py OLD_SRC NEW_SRC
 
@@ -30,7 +31,16 @@ holds only roundoff), and where that change is, after one summary line:
 at how many points the two outputs are byte-identical.  Snapshot changes
 are reported only; they do not set the exit status.
 
-Exit status 1 when a table differs or the labels bucket is not empty.
+The text format is compared too: `threeweb table` at every seed, and
+`threeweb corpus` and `threeweb classify` on all bundled webs at the
+default seed, byte for byte; `threeweb snapshot` at each bundled web's
+stored points.  So is the exit status of every run above.  A difference
+in the classify or snapshot text is printed only, since its residual
+digits may move with the arithmetic.
+
+Exit status 1 when a table differs, as JSON or as text, when the corpus
+text differs, when any exit status differs, or when the labels bucket is
+not empty.
 Wall time is not measured; this compares outputs only.
 """
 
@@ -55,10 +65,10 @@ EXAMPLES = 5
 NARROW_WINDOWS = {"x1": (-2.6, 0.3), "x2": (-1.2, 1.9),
                   "y1": (-2.9, 1.1), "y2": (-0.7, 0.4)}
 
-# runs in the child: every output of one tree, as JSON on stdout; the
-# narrow windows come on stdin
-CHILD = """
+# the start of each child: `run` gives a CLI run's stdout and exit status
+RUN = """
 import contextlib, io, json, os, sys, tempfile
+import numpy as np
 from threeweb import cli
 from threeweb.corpus import load_corpus
 from threeweb.expr import format_web
@@ -69,10 +79,15 @@ def run(argv):
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     return out.getvalue(), code
+"""
 
+# runs in the child: every output of one tree, as JSON on stdout; the
+# narrow windows come on stdin
+CHILD = RUN + """
 windows = json.load(sys.stdin)
 webs = [entry.name for entry in load_corpus()]
-doc = {}
+doc = {"seeds": {}, "corpus text": run(["corpus"]),
+       "classify text": run(["classify", *webs])}
 with tempfile.TemporaryDirectory() as tmp:
     narrow = []
     for entry in load_corpus():
@@ -86,10 +101,11 @@ with tempfile.TemporaryDirectory() as tmp:
         with open(narrow[-1][1], "w") as f:
             f.write("".join(lines))
     for seed in sys.argv[1:]:
-        doc[seed] = {
-            "table": run(["table", "--format", "json", "--seed", seed])[0],
+        doc["seeds"][seed] = {
+            "table": run(["table", "--format", "json", "--seed", seed]),
+            "table text": run(["table", "--seed", seed]),
             "classify": run(["classify", *webs, "--format", "json",
-                             "--seed", seed])[0],
+                             "--seed", seed]),
             "narrow": {name: run(["classify", path, "--format", "json",
                                   "--seed", seed])
                        for name, path in narrow},
@@ -101,13 +117,9 @@ SNAPSHOT_POINTS = 20
 # runs in the child: the snapshot JSON text of every bundled web at the points
 # given on stdin (web name -> list of points), or, given null, at its
 # stored points and SNAPSHOT_POINTS seeded admissible ones; null where
-# `threeweb snapshot` fails
-SNAPSHOT_CHILD = """
-import contextlib, io, json, sys
-import numpy as np
-from threeweb import cli
-from threeweb.corpus import load_corpus
-
+# `threeweb snapshot` fails; and the exit status of each run, and the text
+# output and exit status at the stored points, which come first
+SNAPSHOT_CHILD = RUN + """
 given = json.load(sys.stdin)
 doc = {}
 for index, entry in enumerate(load_corpus()):
@@ -121,15 +133,14 @@ for index, entry in enumerate(load_corpus()):
                 points.append(p.tolist())
     else:
         points = given[entry.name]
-    snaps = []
-    for p in points:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), \\
-                contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(["snapshot", entry.name, "--format", "json",
-                             "--point", *map(repr, p)])
-        snaps.append(out.getvalue() if code == 0 else None)
-    doc[entry.name] = {"points": points, "snapshots": snaps}
+    runs = [run(["snapshot", entry.name, "--format", "json",
+                 "--point", *map(repr, p)]) for p in points]
+    doc[entry.name] = {
+        "points": points,
+        "snapshots": [out if code == 0 else None for out, code in runs],
+        "codes": [code for _, code in runs],
+        "texts": [run(["snapshot", entry.name, "--point", *map(repr, p)])
+                  for p in points[:len(entry.points)]]}
 json.dump(doc, sys.stdout)
 """
 # snapshot keys that are not invariants
@@ -207,19 +218,29 @@ def main(argv):
     new_snaps = run_child(argv[1], SNAPSHOT_CHILD, [SNAPSHOT_POINTS],
                           json.dumps(given))
     buckets = defaultdict(list)
-    same_tables = 0
+    # (where, exit status in the first tree, in the second) of every run
+    codes = [(name, old[name][1], new[name][1])
+             for name in ("corpus text", "classify text")]
+    same_tables = same_table_texts = 0
     reports = changed = 0
     narrow_reports = narrow_changed = narrow_failed = 0
     for seed in map(str, SEEDS):
-        same_tables += old[seed]["table"] == new[seed]["table"]
-        for a, b in zip(json.loads(old[seed]["classify"]),
-                        json.loads(new[seed]["classify"])):
+        old_runs, new_runs = old["seeds"][seed], new["seeds"][seed]
+        codes += [("seed %s / %s" % (seed, name), old_runs[name][1],
+                   new_runs[name][1])
+                  for name in ("table", "table text", "classify")]
+        same_tables += old_runs["table"][0] == new_runs["table"][0]
+        same_table_texts += (old_runs["table text"][0]
+                             == new_runs["table text"][0])
+        for a, b in zip(json.loads(old_runs["classify"][0]),
+                        json.loads(new_runs["classify"][0])):
             before = sum(map(len, buckets.values()))
             compare(a, b, ("seed %s" % seed, a["web"]), buckets)
             reports += 1
             changed += sum(map(len, buckets.values())) > before
-        for web, (a, code_a) in old[seed]["narrow"].items():
-            b, code_b = new[seed]["narrow"][web]
+        for web, (a, code_a) in old_runs["narrow"].items():
+            b, code_b = new_runs["narrow"][web]
+            codes.append(("seed %s / %s" % (seed, web), code_a, code_b))
             before = sum(map(len, buckets.values()))
             where = ("seed %s" % seed, web)
             if code_a != code_b:
@@ -268,7 +289,36 @@ def main(argv):
                                   if change else ""))
     print("  failing in one tree only: %d%s" % (
         len(failed), "".join("\n    %s at %s" % f for f in failed[:EXAMPLES])))
-    return int(same_tables < len(SEEDS) or bool(buckets["labels"]))
+
+    same_snapshot_texts = stored = 0
+    for web, runs in old_snaps.items():
+        new_runs = new_snaps[web]
+        codes += [("snapshot %s at %s" % (web, point), a, b) for point, a, b
+                  in zip(runs["points"], runs["codes"], new_runs["codes"])]
+        codes += [("snapshot %s at %s, text" % (web, point), a[1], b[1])
+                  for point, a, b
+                  in zip(runs["points"], runs["texts"], new_runs["texts"])]
+        same_snapshot_texts += sum(a[0] == b[0] for a, b
+                                   in zip(runs["texts"], new_runs["texts"]))
+        stored += len(runs["texts"])
+    same_corpus = old["corpus text"][0] == new["corpus text"][0]
+    print("table text: byte-identical at %d of %d seeds"
+          % (same_table_texts, len(SEEDS)))
+    print("corpus text: %s" % ("byte-identical" if same_corpus
+                               else "DIFFERS"))
+    print("classify text, bundled webs: %s (printed only)"
+          % ("byte-identical"
+             if old["classify text"][0] == new["classify text"][0]
+             else "differs"))
+    print("snapshot text: byte-identical at %d of %d stored points "
+          "(printed only)" % (same_snapshot_texts, stored))
+    code_diffs = [c for c in codes if c[1] != c[2]]
+    print("exit status: %d of %d runs differ" % (len(code_diffs), len(codes)))
+    for where, a, b in code_diffs[:EXAMPLES]:
+        print("    %s: %r -> %r" % (where, a, b))
+    return int(same_tables < len(SEEDS) or same_table_texts < len(SEEDS)
+               or not same_corpus or bool(code_diffs)
+               or bool(buckets["labels"]))
 
 
 if __name__ == "__main__":
