@@ -19,7 +19,7 @@ once, on the sample (`collect_snapshots`).
 
 The sample is one SnapshotBatch, and each zero test reduces its residual
 over all rows at once.  A residual that is not finite fails the test.  The
-tests linear in the snapshot fields are data (LINEAR_TESTS), read off at
+tests linear in the snapshot fields are specs (LINEAR_TESTS), read off at
 import into one matrix on the snapshot map's input x (`tensor.read_off`).
 So are the joined predicates (JOINED), per row the largest residual of
 the tests each joins.  t_constant is the zero test a2 - t0 a1, t0 the mean
@@ -64,8 +64,8 @@ import numpy as np
 
 from .expr import EvalError, Web
 from .jet import NCOEFF, jet_lift
-from .tensor import (UNIT_FIELDS, jacobian_blocks, read_off, snapshot,
-                     sym3_lower)
+from .tensor import (UNIT_FIELDS, jacobian_blocks, read_off, read_spec,
+                     snapshot)
 
 
 class SamplerExhausted(RuntimeError):
@@ -215,77 +215,51 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
         rows, coeffs = rows[keep], coeffs[keep]
 
 
-def _hexagonality_coefficients(snap):
-    """The coefficients of the two cubic hexagonality polynomials in t, each
-    a list from t^0 up.  `snap` is a TensorSnapshot, or a SnapshotBatch for
-    per-row values."""
-    # the tensor indices first: b[i, j, k, l] is then a number, or an array
-    # over the rows of a batch
-    sym, b = (np.moveaxis(x, range(-4, 0), range(4))
-              for x in (sym3_lower(snap.b), snap.b))
-    return [[b[i, 1, 1, 1], -3.0 * sym[i, 0, 1, 1], 3.0 * sym[i, 0, 0, 1],
-             -b[i, 0, 0, 0]] for i in (0, 1)]
-
-
-def _horner(coeffs, t):
-    """sum_k coeffs[k] t^k by Horner's rule."""
-    out = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        out = out * t + c
-    return out
-
-
-# The zero tests that are linear in the snapshot fields, as data: each name
-# maps to its residual components, written over the fields of a batch.  In
-# report order: the lattice, the torsion-direction branch, the p/q vanishing
-# patterns.
+# The zero tests linear in the snapshot fields: each name maps to the spec
+# of its residual components (`tensor.read_spec`).  In report order: the
+# lattice, the torsion-direction branch (omega_balance: gamma summed over
+# its upper index is the same in either lower index), the p/q patterns.
 LATTICE = {
-    "isoclinic": lambda s: [s.p[:, 0, 1] - s.p[:, 1, 0],
-                            s.q[:, 0, 1] - s.q[:, 1, 0]],
-    "isoclinicly_geodesic": lambda s: [s.a_cov],
-    "transversally_geodesic": lambda s: [s.a4],
-    "almost_algebraizable": lambda s: [s.f2 + s.g2 + s.h2],
-    "almost_Bol": lambda s: [s.f2 + s.g2, s.h2],
-    "almost_parallelizable": lambda s: [s.f2, s.g2, s.h2],
+    "isoclinic": "p.12 - p.21, q.12 - q.21",
+    "isoclinicly_geodesic": "a_cov",
+    "transversally_geodesic": "a4",
+    "almost_algebraizable": "f2 + g2 + h2",
+    "almost_Bol": "f2 + g2, h2",
+    "almost_parallelizable": "f2, g2, h2",
 }
 
-
-def _balance(s):
-    # A1121's balanced connection forms: gamma summed over its upper index
-    # is the same in either lower index
-    g = s.gamma[:, 0] + s.gamma[:, 1]
-    return [g[:, :, 0] - g[:, :, 1], g[:, 0] - g[:, 1]]
-
-
 BRANCH = {
-    "a1_zero": lambda s: [s.a_cov[:, 0]],
-    "a2_zero": lambda s: [s.a_cov[:, 1]],
-    "a1_eq_a2": lambda s: [s.a_cov[:, 0] - s.a_cov[:, 1]],
-    "omega21_zero": lambda s: [s.gamma[:, 0, 0, 1], s.gamma[:, 0, 1]],
-    "omega12_zero": lambda s: [s.gamma[:, 1, 0], s.gamma[:, 1, 1, 0]],
-    "p22_q22_zero": lambda s: [s.p[:, 1, 1], s.q[:, 1, 1]],
-    "p11_q11_zero": lambda s: [s.p[:, 0, 0], s.q[:, 0, 0]],
-    "pq_quadsum_zero": lambda s: [m[:, 0, 0] - m[:, 0, 1] - m[:, 1, 0]
-                                  + m[:, 1, 1] for m in (s.p, s.q)],
-    "b_222_zero": lambda s: [s.b[:, :, 1, 1, 1]],
-    "b_111_zero": lambda s: [s.b[:, :, 0, 0, 0]],
-    "omega_balance": _balance,
-    "hex_at_1": lambda s: [_horner(cubic, 1.0)
-                           for cubic in _hexagonality_coefficients(s)],
+    "a1_zero": "a_cov.1",
+    "a2_zero": "a_cov.2",
+    "a1_eq_a2": "a_cov.1 - a_cov.2",
+    "omega21_zero": "gamma.112, gamma.12",
+    "omega12_zero": "gamma.21, gamma.221",
+    "p22_q22_zero": "p.22, q.22",
+    "p11_q11_zero": "p.11, q.11",
+    "pq_quadsum_zero": "p.11 - p.12 - p.21 + p.22, q.11 - q.12 - q.21 + q.22",
+    "b_222_zero": "b.1222, b.2222",
+    "b_111_zero": "b.1111, b.2111",
+    "omega_balance": "gamma.111 + gamma.211 - gamma.112 - gamma.212, "
+                     "gamma.121 + gamma.221 - gamma.122 - gamma.222, "
+                     "gamma.111 + gamma.211 - gamma.121 - gamma.221, "
+                     "gamma.112 + gamma.212 - gamma.122 - gamma.222",
+    "hex_at_1": "b.1222 - b.1122 - b.1212 - b.1221 + b.1112 + b.1121 + b.1211"
+                " - b.1111, b.2222 - b.2122 - b.2212 - b.2221 + b.2112"
+                " + b.2121 + b.2211 - b.2111",
 }
 
 E_TESTS = {
-    "e_p_zero": lambda s: [s.p],
-    "e_q_zero": lambda s: [s.q],
-    "e_p11": lambda s: [s.p[:, 0, 0]],
-    "e_p12": lambda s: [s.p[:, 0, 1], s.p[:, 1, 0]],
-    "e_p22": lambda s: [s.p[:, 1, 1]],
-    "e_q11": lambda s: [s.q[:, 0, 0]],
-    "e_q12": lambda s: [s.q[:, 0, 1], s.q[:, 1, 0]],
-    "e_q22": lambda s: [s.q[:, 1, 1]],
-    "e_pq_sum": lambda s: [s.p + s.q],
-    "e_p22_plus_q22": lambda s: [s.p[:, 1, 1] + s.q[:, 1, 1]],
-    "e_p11_plus_q11": lambda s: [s.p[:, 0, 0] + s.q[:, 0, 0]],
+    "e_p_zero": "p",
+    "e_q_zero": "q",
+    "e_p11": "p.11",
+    "e_p12": "p.12, p.21",
+    "e_p22": "p.22",
+    "e_q11": "q.11",
+    "e_q12": "q.12, q.21",
+    "e_q22": "q.22",
+    "e_pq_sum": "p + q",
+    "e_p22_plus_q22": "p.22 + q.22",
+    "e_p11_plus_q11": "p.11 + q.11",
 }
 
 # The labels, as (label, verdicts that must hold, verdicts that must not)
@@ -352,35 +326,30 @@ _JOINED_STARTS = np.cumsum([0] + [len(tests.split())
                                   for tests in JOINED.values()])[:-1]
 
 
-def _tests_at_powers(s):
-    """The tests at a constant t, both linear in x and polynomials in t of
-    degree at most 3, by power of t: for each of t^0..t^3, the coefficients
-    of the frame-alignment identity, informational only (the connection
-    form omega_2^1 should equal t^2 omega_1^2 + t(omega_1^1 - omega_2^2)
-    coefficientwise, on either base form), then of hexagonality at t."""
-    ws = (s.gamma.swapaxes(2, 3), s.gamma)
-    frame = ([w[:, 0, 1] for w in ws], [w[:, 1, 1] - w[:, 0, 0] for w in ws],
-             [-w[:, 1, 0] for w in ws], [0.0 * w[:, 1, 0] for w in ws])
-    cubics = _hexagonality_coefficients(s)
-    return [frame[k] + [cubic[k] for cubic in cubics] for k in range(4)]
-
-
-# the matrices (104, 6) of the coefficients of t^0..t^3 of the tests at t,
-# taken once at the exact fields: frame alignment's four columns, then
-# hex_at_t's two
-_AT_T = [np.concatenate([np.reshape(c, (104, -1)) for c in power], 1)
-         for power in _tests_at_powers(UNIT_FIELDS)]
-_AT_T_STARTS = np.array([0, 4])
+# The tests at a constant t, cubic in t: the matrices (104, 6) of the
+# coefficients of t^0..t^3.  Four columns of the frame-alignment identity,
+# informational only (omega_2^1 should equal t^2 omega_1^2 + t(omega_1^1 -
+# omega_2^2) coefficientwise, on either base form), then hexagonality at t.
+_AT_T = [read_spec(spec, UNIT_FIELDS) for spec in (
+    "gamma.112, gamma.122, gamma.12, b.1222, b.2222",
+    "gamma.212 - gamma.111, gamma.222 - gamma.121, gamma.22 - gamma.11, "
+    "-b.1122 - b.1212 - b.1221, -b.2122 - b.2212 - b.2221",
+    "-gamma.211, -gamma.221, -gamma.21, "
+    "b.1112 + b.1121 + b.1211, b.2112 + b.2121 + b.2211",
+    "0*gamma.211, 0*gamma.221, 0*gamma.21, -b.1111, -b.2111")]
 
 
 def _tests_at(t):
     """The matrix of the tests at t, assembled by Horner's rule, and each
     test's first column."""
-    return _horner(_AT_T, t), _AT_T_STARTS
+    matrix = _AT_T[3]
+    for power in _AT_T[2::-1]:
+        matrix = matrix * t + power
+    return matrix, [0, 4]
 
 
 # |a|, |p| and |q| as functions of x, for the bound of integrability
-_APQ_ABS = np.abs(read_off({"apq": lambda s: [s.a_cov, s.p, s.q]})[0])
+_APQ_ABS = np.abs(read_spec("a_cov, p, q", UNIT_FIELDS))
 # every verdict, in the order the report lists inconclusive ones
 _ORDER = (*LATTICE, *JOINED, "integrability", *BRANCH, "t_constant",
           "hex_at_t", *E_TESTS)
@@ -538,8 +507,7 @@ def _branch_a(T, tests):
     if not t_vals.size or branch["a1_zero"].holds:
         return branch
     t0 = float(np.mean(t_vals))
-    # a2 - t0 a1 on the columns of a_cov
-    a1, a2 = UNIT_FIELDS.a_cov[:, :1], UNIT_FIELDS.a_cov[:, 1:]
+    a1, a2 = (read_spec(path, UNIT_FIELDS) for path in ("a_cov.1", "a_cov.2"))
     branch["t_constant"] = T.verdicts(
         ["t_constant"], T.worst(a2 - t0 * a1, [0]))[0]
     if branch["t_constant"].holds:

@@ -118,8 +118,7 @@ def cmd_classify(args):
     config = _config_from_args(args)
     overrides = _parse_params(args.param)
     docs = []
-    for spec in args.web:
-        web, entry = _load_web(spec)
+    for web, entry in [_load_web(spec) for spec in args.web]:
         metadata = (entry.fg,) if entry is not None and entry.fg else ()
         if web.params and not overrides:
             report = classify_generic(web, config, metadata=metadata)

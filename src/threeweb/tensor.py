@@ -65,7 +65,9 @@ so a sampler can judge rows before the rest of the pipeline runs on them.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -138,32 +140,27 @@ class TensorSnapshot:
         return np.stack([np.transpose(self.gamma, (0, 2, 1)), self.gamma])
 
     def lookup(self, path):
-        """Resolve a dotted component path like "b.2111" or "a_cov.1".
-
-        Indices are 1-based, upper index first, matching the order the
-        tensors are written in; each is the ASCII digit 1 or 2, and any
-        other path raises KeyError.  "s" resolves to f2 + g2 + h2.  Scalar
-        fields ("t_ratio", "det_bar", "det_til") take no index part.
+        """Resolve a dotted component path like "b.2111" or "a_cov.1", in
+        `read_spec`'s notation with every index given, each the ASCII digit
+        1 or 2; any other path raises KeyError.  "s" resolves to f2 + g2 +
+        h2.  Scalar fields ("t_ratio", "det_bar", "det_til") take no index.
         """
         if "." not in path:
             if path in ("t_ratio", "det_bar", "det_til"):
                 return getattr(self, path)
             raise KeyError("unknown snapshot path %r" % path)
         name, _, digits = path.partition(".")
-        if name == "s":
-            arr = self.f2 + self.g2 + self.h2
-            rank = 2
-        elif name in self._FIELDS:
-            arr = getattr(self, name)
-            rank = self._FIELDS[name]
-        else:
+        if name != "s" and name not in self._FIELDS:
             raise KeyError("unknown snapshot field %r" % name)
+        rank = self._FIELDS.get(name, 2)
         if len(digits) != rank:
             raise KeyError("field %r needs %d indices, got %r"
                            % (name, rank, digits))
         if digits.strip("12"):
             raise KeyError("indices in %r must be 1 or 2" % path)
-        return float(arr[tuple(int(d) - 1 for d in digits)])
+        if name == "s":
+            path = "f2.%s + g2.%s + h2.%s" % (digits, digits, digits)
+        return float(read_spec(path, self)[0])
 
     def to_dict(self):
         """JSON-ready dict; arrays become nested lists."""
@@ -324,33 +321,68 @@ def _tail(x):
                            h2=h2, a4=a4, a_cov=a_cov, p=p, q=q)
 
 
-def read_off(tests, fields=None):
-    """The matrix (104, C) that takes a row's x to the C components of
-    `tests`, and each test's first column.  A test maps fields to a list of
-    arrays linear in x.  It is read off `fields` at the unit vectors of x,
-    or by default off `_tail`'s, and then made exact: every coefficient of
-    the formulas is a multiple of 1/12, so every entry is one of 1/144, and
-    the two orders of a product of two gammas share one.  Averaging each
-    such pair of rows and rounding to 1/144 removes the roundoff of the
-    read-off (the tests hold the map to `_tail`)."""
-    blocks = [np.concatenate([np.reshape(c, (104, -1)) for c in components(
-                  _AT_UNITS if fields is None else fields)], 1)
-              for components in tests.values()]
+# a term of a spec's component, signed unless it comes first
+_TERM = re.compile(r"(^-?|[+-])(?:([0-9]+)\*)?([a-z]\w*)(?:\.([12]+))?")
+
+
+@functools.lru_cache(maxsize=256)
+def _parse(spec):
+    """Components of a spec: tuples of terms (k, field, indices, free)."""
+    components = []
+    for component in spec.split(","):
+        text = "".join(component.split())
+        hits = list(_TERM.finditer(text))
+        terms = tuple((float(sign + (k or "1")), name,
+                       tuple(int(i) - 1 for i in index),
+                       TensorSnapshot._FIELDS.get(name, -1) - len(index))
+                      for sign, k, name, index in (m.groups("") for m in hits))
+        free = {term[3] for term in terms}
+        if ("".join(m[0] for m in hits) != text or len(free) != 1
+                or min(free) < 0):
+            raise ValueError("malformed component %r in spec %r"
+                             % (component.strip(), spec))
+        components.append(terms)
+    return tuple(components)
+
+
+def read_spec(spec, fields):
+    """The components of `spec` read off `fields`, TensorSnapshot fields
+    with any leading axes, along a new last axis (maybe a view of a field).
+    A spec is a comma-separated list of components, each a signed sum of
+    terms `[k*]field[.indices]`, whitespace aside: indices are 1-based,
+    upper index first, and a path with fewer indices than its field's rank
+    stands for every component it begins, in C order ("gamma.12" is
+    gamma.121, gamma.122; "p" is all four of p)."""
+    columns = []
+    for terms in _parse(spec):
+        parts = [getattr(fields, name)[(..., *ix) + (slice(None),) * free]
+                 for _, name, ix, free in terms]
+        parts = [p if k == 1.0 else k * p for p, (k, *_) in zip(parts, terms)]
+        total, free = sum(parts[1:], parts[0]), terms[0][3]
+        columns.append(total.reshape(total.shape[:total.ndim - free] + (-1,)))
+    return np.concatenate(columns, -1) if len(columns) > 1 else columns[0]
+
+
+def read_off(tests):
+    """The matrix (104, C) that takes a row's x to the C components of the
+    specs `tests`, read off `_tail`'s fields at the unit vectors of x, and
+    each test's first column.  Every entry is a multiple of 1/144 and the
+    two orders of a product of two gammas share one, so averaging each such
+    pair of rows and rounding to 1/144 removes the roundoff of the read-off
+    (the tests hold the map to `_tail`)."""
+    blocks = [read_spec(spec, _AT_UNITS) for spec in tests.values()]
     starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
     matrix = np.concatenate(blocks, 1)
-    if fields is None:
-        pairs = matrix[40:].reshape(8, 8, -1)
-        matrix[40:] = ((pairs + pairs.swapaxes(0, 1)) / 2.0).reshape(64, -1)
-        matrix = np.round(matrix * 144.0) / 144.0
-    return matrix, starts
+    pairs = matrix[40:].reshape(8, 8, -1)
+    matrix[40:] = ((pairs + pairs.swapaxes(0, 1)) / 2.0).reshape(64, -1)
+    return np.round(matrix * 144.0) / 144.0, starts
 
 
 _AT_UNITS = _tail(np.eye(104))
 # the map's columns: the fields after gamma, then the asymmetries of p and q
 _MAP_FIELDS = ("torsion", "b", "f2", "g2", "h2", "a4", "a_cov", "p", "q")
-_MAP, _STARTS = read_off(
-    {**{name: lambda s, name=name: [getattr(s, name)] for name in _MAP_FIELDS},
-     "pq_asym": lambda s: [m[:, 0, 1] - m[:, 1, 0] for m in (s.p, s.q)]})
+_MAP, _STARTS = read_off({**{name: name for name in _MAP_FIELDS},
+                          "pq_asym": "p.12 - p.21, q.12 - q.21"})
 _FIELD_COLUMNS = [(name, slice(start, start + 2 ** rank), (-1,) + (2,) * rank)
                   for name, start in zip(_MAP_FIELDS, _STARTS)
                   for rank in [TensorSnapshot._FIELDS[name]]]

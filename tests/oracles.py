@@ -21,6 +21,13 @@ same EvalError messages.
 `hexagonality_polynomials` adds the quartic hexagonality polynomial to the
 two cubics that `threeweb.classify` tests, as their linear-dependence
 oracle.
+
+`threeweb` writes its zero tests as specs in the snapshot's component
+notation (`threeweb.tensor.read_spec`).  The lambda tables they replaced
+are kept here as the reference: LINEAR_FORMULAS, MAP_FORMULAS,
+APQ_FORMULAS and `formulas_at_powers`, each a function from the fields of a
+batch to a list of arrays linear in the map's input x, and `read_formulas`,
+the read-off of such functions as `threeweb.tensor.read_off` did it.
 """
 
 import itertools
@@ -29,13 +36,12 @@ import operator
 
 import numpy as np
 
-from threeweb.classify import _hexagonality_coefficients, _horner
 from threeweb.expr import (Add, Const, Div, EvalError, Exp, Ln, Mul, Neg,
                            ParamRef, Pow, Sub, Var, VARIABLES, _nan_where,
                            _overflow_to_nan, format_expr)
 from threeweb.jet import (DEGREE, INDEX, MULTI, NCOEFF, NVARS, Jet,
                           _FACTORIAL, _UNIT, _VARS, _jet, _power_bits)
-from threeweb.tensor import sym3_lower
+from threeweb.tensor import _AT_UNITS, sym3_lower
 
 BASE_STEP = 0.02
 
@@ -136,6 +142,26 @@ def dense_product(a, b):
                            _DENSE_START, axis=-1)
 
 
+def _horner(coeffs, t):
+    """sum_k coeffs[k] t^k by Horner's rule."""
+    out = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        out = out * t + c
+    return out
+
+
+def _hexagonality_coefficients(snap):
+    """The coefficients of the two cubic hexagonality polynomials in t, each
+    a list from t^0 up.  `snap` is a TensorSnapshot, or a SnapshotBatch for
+    per-row values."""
+    # the tensor indices first: b[i, j, k, l] is then a number, or an array
+    # over the rows of a batch
+    sym, b = (np.moveaxis(x, range(-4, 0), range(4))
+              for x in (sym3_lower(snap.b), snap.b))
+    return [[b[i, 1, 1, 1], -3.0 * sym[i, 0, 1, 1], 3.0 * sym[i, 0, 0, 1],
+             -b[i, 0, 0, 0]] for i in (0, 1)]
+
+
 def hexagonality_polynomials(snap, t):
     """The quartic and the two cubic hexagonality polynomials at t.
 
@@ -152,6 +178,84 @@ def hexagonality_polynomials(snap, t):
                b[0, 0, 0, 0] - 3.0 * sym[1, 0, 0, 1], b[1, 0, 0, 0]]
     return tuple(_horner(coeffs, t)
                  for coeffs in (quartic, *_hexagonality_coefficients(snap)))
+
+
+def _balance(s):
+    g = s.gamma[:, 0] + s.gamma[:, 1]
+    return [g[:, :, 0] - g[:, :, 1], g[:, 0] - g[:, 1]]
+
+
+LINEAR_FORMULAS = {
+    "isoclinic": lambda s: [s.p[:, 0, 1] - s.p[:, 1, 0],
+                            s.q[:, 0, 1] - s.q[:, 1, 0]],
+    "isoclinicly_geodesic": lambda s: [s.a_cov],
+    "transversally_geodesic": lambda s: [s.a4],
+    "almost_algebraizable": lambda s: [s.f2 + s.g2 + s.h2],
+    "almost_Bol": lambda s: [s.f2 + s.g2, s.h2],
+    "almost_parallelizable": lambda s: [s.f2, s.g2, s.h2],
+    "a1_zero": lambda s: [s.a_cov[:, 0]],
+    "a2_zero": lambda s: [s.a_cov[:, 1]],
+    "a1_eq_a2": lambda s: [s.a_cov[:, 0] - s.a_cov[:, 1]],
+    "omega21_zero": lambda s: [s.gamma[:, 0, 0, 1], s.gamma[:, 0, 1]],
+    "omega12_zero": lambda s: [s.gamma[:, 1, 0], s.gamma[:, 1, 1, 0]],
+    "p22_q22_zero": lambda s: [s.p[:, 1, 1], s.q[:, 1, 1]],
+    "p11_q11_zero": lambda s: [s.p[:, 0, 0], s.q[:, 0, 0]],
+    "pq_quadsum_zero": lambda s: [m[:, 0, 0] - m[:, 0, 1] - m[:, 1, 0]
+                                  + m[:, 1, 1] for m in (s.p, s.q)],
+    "b_222_zero": lambda s: [s.b[:, :, 1, 1, 1]],
+    "b_111_zero": lambda s: [s.b[:, :, 0, 0, 0]],
+    "omega_balance": _balance,
+    "hex_at_1": lambda s: [_horner(cubic, 1.0)
+                           for cubic in _hexagonality_coefficients(s)],
+    "e_p_zero": lambda s: [s.p],
+    "e_q_zero": lambda s: [s.q],
+    "e_p11": lambda s: [s.p[:, 0, 0]],
+    "e_p12": lambda s: [s.p[:, 0, 1], s.p[:, 1, 0]],
+    "e_p22": lambda s: [s.p[:, 1, 1]],
+    "e_q11": lambda s: [s.q[:, 0, 0]],
+    "e_q12": lambda s: [s.q[:, 0, 1], s.q[:, 1, 0]],
+    "e_q22": lambda s: [s.q[:, 1, 1]],
+    "e_pq_sum": lambda s: [s.p + s.q],
+    "e_p22_plus_q22": lambda s: [s.p[:, 1, 1] + s.q[:, 1, 1]],
+    "e_p11_plus_q11": lambda s: [s.p[:, 0, 0] + s.q[:, 0, 0]],
+}
+
+MAP_FORMULAS = {
+    **{name: lambda s, name=name: [getattr(s, name)]
+       for name in ("torsion", "b", "f2", "g2", "h2", "a4", "a_cov", "p",
+                    "q")},
+    "pq_asym": lambda s: [m[:, 0, 1] - m[:, 1, 0] for m in (s.p, s.q)]}
+
+APQ_FORMULAS = {"apq": lambda s: [s.a_cov, s.p, s.q]}
+
+
+def formulas_at_powers(s):
+    """The tests at a constant t by power of t: for each of t^0..t^3, the
+    coefficients of the frame-alignment identity, then of hexagonality at
+    t."""
+    ws = (s.gamma.swapaxes(2, 3), s.gamma)
+    frame = ([w[:, 0, 1] for w in ws], [w[:, 1, 1] - w[:, 0, 0] for w in ws],
+             [-w[:, 1, 0] for w in ws], [0.0 * w[:, 1, 0] for w in ws])
+    cubics = _hexagonality_coefficients(s)
+    return [frame[k] + [cubic[k] for cubic in cubics] for k in range(4)]
+
+
+def read_formulas(tests, fields=None):
+    """The matrix (104, C) of the formulas `tests` at `fields`, the fields
+    at the unit vectors of x, and each test's first column.  By default
+    they are read off the unit fields of `threeweb.tensor._tail` and made
+    exact: each pair of rows of the two orders of a product of two gammas
+    averaged, and every entry rounded to a multiple of 1/144."""
+    blocks = [np.concatenate([np.reshape(c, (104, -1)) for c in components(
+                  _AT_UNITS if fields is None else fields)], 1)
+              for components in tests.values()]
+    starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+    matrix = np.concatenate(blocks, 1)
+    if fields is None:
+        pairs = matrix[40:].reshape(8, 8, -1)
+        matrix[40:] = ((pairs + pairs.swapaxes(0, 1)) / 2.0).reshape(64, -1)
+        matrix = np.round(matrix * 144.0) / 144.0
+    return matrix, starts
 
 
 def naive_eval(e, env):

@@ -8,7 +8,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import hexagonality_polynomials
+from oracles import (APQ_FORMULAS, LINEAR_FORMULAS, MAP_FORMULAS,
+                     formulas_at_powers, hexagonality_polynomials,
+                     read_formulas)
 from threeweb import classify, tensor
 from threeweb.classify import (
     RunConfig,
@@ -21,7 +23,7 @@ from threeweb.classify import (
 )
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import EvalError, Web, format_web, parse_web
-from threeweb.tensor import UNIT_FIELDS, read_off, snapshot
+from threeweb.tensor import UNIT_FIELDS, read_off, snapshot, sym3_lower
 
 EX9_MUTATED_BILINEAR = (
     "u1 = x1*y1 + x2*y2 + 0.1*x1*y1\n"
@@ -355,14 +357,15 @@ def test_joined_predicates_match_the_conjunctions(seed):
 # --- the linear zero tests as one residual matrix ----------------------
 
 def assert_matrix_matches_formulas(x, fields, tests=None):
-    """x times the matrix of `tests` (_RESIDUALS when None), split per
-    test, against the tests' formulas evaluated on `fields`, to within
-    roundoff relative to the largest x of each row."""
+    """x times the matrix of `tests` (_RESIDUALS against the formulas its
+    specs replaced when None), split per test, against the tests' formulas
+    evaluated on `fields`, to within roundoff relative to the largest x of
+    each row."""
     if tests is None:
-        tests = classify.LINEAR_TESTS
+        tests = LINEAR_FORMULAS
         matrix, starts = classify._RESIDUALS, classify._TEST_STARTS
     else:
-        matrix, starts = read_off(tests, UNIT_FIELDS)
+        matrix, starts = read_formulas(tests, UNIT_FIELDS)
     got = np.split(x @ matrix, starts[1:], 1)
     assert len(got) == len(tests)
     bound = 1e-13 * np.abs(x).max(1, keepdims=True)
@@ -377,6 +380,26 @@ def fields_of(x):
     # the fields are linear in x
     return SimpleNamespace(**{name: np.tensordot(x, unit, 1)
                               for name, unit in vars(UNIT_FIELDS).items()})
+
+
+def test_specs_read_off_as_the_formulas_they_replaced():
+    # every matrix read off specs equals the one the lambda tables gave,
+    # read off the same fields and made exact the same way; the map also
+    # byte for byte
+    assert list(classify.LINEAR_TESTS) == list(LINEAR_FORMULAS)
+    matrix, starts = read_formulas(LINEAR_FORMULAS)
+    assert np.array_equal(classify._RESIDUALS, matrix)
+    assert np.array_equal(classify._TEST_STARTS, starts)
+    assert len(classify._AT_T) == 4
+    for k, got in enumerate(classify._AT_T):
+        want = read_formulas({"at_t": lambda s: formulas_at_powers(s)[k]},
+                             UNIT_FIELDS)[0]
+        assert np.array_equal(got, want), k
+    assert np.array_equal(classify._APQ_ABS,
+                          np.abs(read_formulas(APQ_FORMULAS)[0]))
+    matrix, starts = read_formulas(MAP_FORMULAS)
+    assert tensor._MAP.tobytes() == matrix.tobytes()
+    assert np.array_equal(tensor._STARTS, starts)
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
@@ -395,7 +418,7 @@ def formulas_at(t):
 
     def hex_at_t(s):
         sym, b = (np.moveaxis(x, range(-4, 0), range(4))
-                  for x in (classify.sym3_lower(s.b), s.b))
+                  for x in (sym3_lower(s.b), s.b))
         return [-b[i, 0, 0, 0] * t ** 3 + 3.0 * sym[i, 0, 0, 1] * t ** 2
                 - 3.0 * sym[i, 0, 1, 1] * t + b[i, 1, 1, 1] for i in (0, 1)]
 
@@ -413,7 +436,7 @@ def test_tests_at_t_assemble_their_read_off(t):
     # the matrix at t assembled from the per-power matrices by Horner's
     # rule, against the formulas read off at t
     matrix, starts = classify._tests_at(t)
-    want, want_starts = read_off(formulas_at(t), UNIT_FIELDS)
+    want, want_starts = read_formulas(formulas_at(t), UNIT_FIELDS)
     assert list(starts) == list(want_starts)
     assert np.all(np.abs(matrix - want) <= 1e-15 * max(1.0, abs(t)) ** 3)
 
@@ -584,19 +607,18 @@ def test_undefined_points_count_as_outside_the_domain():
     assert classify_web(web).labels == ("B", "D232", "E1")
 
 
-def zero_test(snaps, name, components):
+def zero_test(snaps, name, spec):
     T = _Tester(snaps, 1e-7)
-    matrix, starts = read_off({name: components})
+    matrix, starts = read_off({name: spec})
     return T.verdicts([name], T.worst(matrix, starts))[0]
 
 
 def test_zero_test_never_skips_a_nan_row():
     web = load_example(9).web
     snaps = collect_snapshots(web, RunConfig(points=8))
-    vanishing = lambda s: [s.a4]  # noqa: E731
-    assert zero_test(snaps, "a4", vanishing).holds
+    assert zero_test(snaps, "a4", "a4").holds
     snaps.x[3] = np.nan
-    verdict = zero_test(snaps, "a4", vanishing)
+    verdict = zero_test(snaps, "a4", "a4")
     assert not verdict.holds
     assert verdict.max_residual == np.inf
     assert verdict.witness == tuple(snaps.points[3])

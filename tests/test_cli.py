@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import threeweb
+from threeweb import cli
 from threeweb.classify import RunConfig, classify_web
 from threeweb.cli import exit_status, main
 from threeweb.corpus import load_example
@@ -25,6 +26,17 @@ def test_classify_text_report(capsys):
     assert "labels: B D232 E1" in out
     assert "parallelizable (D232)" in out
     assert "asserted metadata: F1" in out
+
+
+def test_classify_resolves_every_web_before_classifying(
+        capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "classify_web",
+                        lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, "classify", "example01", "missing.web")
+    assert (code, out, err) == (1, "", "error: file not found: missing.web\n")
+    assert calls == []
 
 
 def test_classify_json_round_trips(capsys):

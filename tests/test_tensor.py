@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from threeweb.tensor import (
     InadmissiblePoint,
     _MAP,
     _tail,
+    read_spec,
     snapshot,
     sym3_lower,
 )
@@ -77,6 +79,34 @@ def test_lookup_paths(ref):
         ref.lookup("p.1\u00b2")    # a superscript two is no index
     with pytest.raises(KeyError):
         ref.lookup("p.\uff11\uff11")  # nor are fullwidth digits
+
+
+def test_spec_paths_stand_for_the_components_they_begin(ref):
+    assert np.array_equal(read_spec("gamma.12", ref), ref.gamma[0, 1])
+    assert np.array_equal(read_spec("p", ref), ref.p.ravel())
+    assert np.array_equal(
+        read_spec("b.2, -a_cov, 3*p.1 - q.1, 0*gamma.211", ref),
+        np.concatenate([ref.b[1].ravel(), -ref.a_cov,
+                        3.0 * ref.p[0] - ref.q[0], [0.0]]))
+    # with leading axes, each row's components
+    batch = snapshot(load_example(1).web, np.array([REFERENCE_POINT] * 3))
+    assert read_spec("a4.2, f2.11 + h2.11", batch).shape == (3, 9)
+
+
+@pytest.mark.parametrize("spec", [
+    "p.11, nonsense.11",  # an unknown field
+    "p.12 - s.11",        # a path only `lookup` resolves
+    "b.2131",             # an index of 3
+    "p.111",              # more indices than the field's rank
+    "p.11, , q.11",       # an empty component
+    "",
+    "p.11 -",
+    "p.11 q.11",
+    "p.1 - q",            # terms of different sizes
+])
+def test_malformed_spec_raises_naming_it(ref, spec):
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
+        read_spec(spec, ref)
 
 
 def test_to_dict_is_json_ready(ref):

@@ -10,8 +10,11 @@ made with `git archive`.  For every workload of `BENCHMARK.json`, each of
 seed, and switches which side runs first from one pair to the next.
 Pair p uses seed FIRST_SEED + p, so pick seeds that were not used while
 the change was written.  Each run's last output line is its JSON result.
-Before the first pair, both trees' `src` and `perfbench` are compiled to
-bytecode, so neither side pays for a stale cache.
+Each side runs in a fresh copy of its tree's `src` and `perfbench`
+without bytecode, with PYTHONDONTWRITEBYTECODE=1, as in a fresh checkout:
+every interpreter compiles threeweb's sources, so `setup_s` includes
+that compilation, while numpy and the standard library keep their
+installed bytecode.
 
 For each workload and end-to-end metric the tool prints each side's median
 and quartiles over the pairs, how many pairs the working tree won and
@@ -27,10 +30,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,7 +52,8 @@ def run_once(root, workload, seed):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=root, capture_output=True, text=True)
+        cwd=root, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         return {"correct": False, "error": proc.stderr.strip()[-2000:]}
@@ -77,6 +84,16 @@ def compare(base_runs, work_runs):
     return out
 
 
+def fresh_copy(root, tmp, side):
+    """A copy of the tree's `src` and `perfbench` under `tmp`, without
+    bytecode or benchmark output."""
+    copy = Path(tmp, side)
+    for part in ("src", "perfbench"):
+        shutil.copytree(root / part, copy / part,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    return copy
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src", type=Path)
@@ -92,18 +109,19 @@ def main(argv=None):
            "host": {"python": platform.python_version(),
                     "machine": platform.machine()},
            "workloads": {}}
-    # the interpreter may be told not to write bytecode, so a stale cache
-    # would be compiled again in every run of one side only
-    for root in (base_root, ROOT):
-        subprocess.run([sys.executable, "-m", "compileall", "-q",
-                        str(root / "src"), str(root / "perfbench")],
-                       check=True)
+    # removed with its contents when the tool exits
+    tmp = tempfile.TemporaryDirectory()
+    base_root, work_root = (fresh_copy(root, tmp.name, side) for root, side
+                            in ((base_root, "base"), (ROOT, "work")))
+    print("bytecode: none in fresh copies of both trees, "
+          "PYTHONDONTWRITEBYTECODE=1; setup_s includes compiling threeweb",
+          flush=True)
     ok = True
     for workload in WORKLOADS:
         runs = {"base": [], "work": []}
         for pair in range(PAIRS):
             seed = args.first_seed + pair
-            order = (("base", base_root), ("work", ROOT))
+            order = (("base", base_root), ("work", work_root))
             for side, root in order if pair % 2 == 0 else order[::-1]:
                 result = run_once(root, workload, seed)
                 result["seed"] = seed

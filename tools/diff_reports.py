@@ -20,7 +20,9 @@ classify reports into buckets:
 The corpus webs admit nearly every draw, so the same classify comparison
 also runs on each bundled web confined to NARROW_WINDOWS, where about 1
 draw in 81 is admissible and the sampler's rounds show; a difference in
-such a run's exit status counts in the labels bucket.
+such a run's exit status counts in the labels bucket.  The same runs
+classify SPLIT_WEB, a parameterized web whose random bindings disagree,
+so each of its runs exits 2.
 
 It also runs `threeweb snapshot --format json` in both trees, at each
 bundled web's stored points and at 20 seeded admissible points per web
@@ -34,9 +36,11 @@ are reported only; they do not set the exit status.
 The text format is compared too: `threeweb table` at every seed, and
 `threeweb corpus` and `threeweb classify` on all bundled webs at the
 default seed, byte for byte; `threeweb snapshot` at each bundled web's
-stored points.  So is the exit status of every run above.  A difference
-in the classify or snapshot text is printed only, since its residual
-digits may move with the arithmetic.
+stored points.  So is the exit status of every run above, and of two
+runs that fail with exit status 1: `threeweb classify` on a missing file
+and `threeweb snapshot` at an inadmissible point.  A difference in the
+classify or snapshot text is printed only, since its residual digits may
+move with the arithmetic.
 
 Exit status 1 when a table differs, as JSON or as text, when the corpus
 text differs, when any exit status differs, or when the labels bucket is
@@ -50,7 +54,7 @@ import json
 import os
 import subprocess
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -64,6 +68,19 @@ EXAMPLES = 5
 # one of two width-1 windows, one in each half of the (-3, 3) box
 NARROW_WINDOWS = {"x1": (-2.6, 0.3), "x2": (-1.2, 1.9),
                   "y1": (-2.9, 1.1), "y2": (-0.7, 0.4)}
+
+# example09 with a term whose coefficient, c + |c|, is 0 for c < 0 and 2c
+# for c > 0: labelled B D232 E1 under a negative c, A2 C2 under a positive
+# one, so five random bindings disagree at every seed of SEEDS
+SPLIT_WEB = """\
+param c = 1
+u1 = x1*y1 + x2*y2
+u2 = x1*y2 + x2*y1 + (c + exp(0.5*ln(c^2)))*x1^2*y1
+domain x1 - x2 != 0
+domain x1 + x2 != 0
+domain y1 - y2 != 0
+domain y1 + y2 != 0
+"""
 
 # the start of each child: `run` gives a CLI run's stdout and exit status
 RUN = """
@@ -82,13 +99,18 @@ def run(argv):
 """
 
 # runs in the child: every output of one tree, as JSON on stdout; the
-# narrow windows come on stdin
+# narrow windows and the split web come on stdin
 CHILD = RUN + """
-windows = json.load(sys.stdin)
+given = json.load(sys.stdin)
+windows = given["windows"]
 webs = [entry.name for entry in load_corpus()]
 doc = {"seeds": {}, "corpus text": run(["corpus"]),
-       "classify text": run(["classify", *webs])}
+       "classify text": run(["classify", *webs]),
+       "snapshot at an inadmissible point": run(
+           ["snapshot", "example09", "--point", "1", "1", "0.5", "0.3"])}
 with tempfile.TemporaryDirectory() as tmp:
+    doc["classify a missing file"] = run(
+        ["classify", os.path.join(tmp, "missing.web")])
     narrow = []
     for entry in load_corpus():
         lines = [format_web(entry.web)]
@@ -100,6 +122,9 @@ with tempfile.TemporaryDirectory() as tmp:
         narrow.append((name, os.path.join(tmp, name + ".web")))
         with open(narrow[-1][1], "w") as f:
             f.write("".join(lines))
+    narrow.append(("split", os.path.join(tmp, "split.web")))
+    with open(narrow[-1][1], "w") as f:
+        f.write(given["split"])
     for seed in sys.argv[1:]:
         doc["seeds"][seed] = {
             "table": run(["table", "--format", "json", "--seed", seed]),
@@ -211,8 +236,8 @@ def show_largest(diffs, kind, size):
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
-    old, new = (run_child(src, CHILD, SEEDS, json.dumps(NARROW_WINDOWS))
-                for src in argv)
+    stdin = json.dumps({"windows": NARROW_WINDOWS, "split": SPLIT_WEB})
+    old, new = (run_child(src, CHILD, SEEDS, stdin) for src in argv)
     old_snaps = run_child(argv[0], SNAPSHOT_CHILD, [SNAPSHOT_POINTS], "null")
     given = {web: runs["points"] for web, runs in old_snaps.items()}
     new_snaps = run_child(argv[1], SNAPSHOT_CHILD, [SNAPSHOT_POINTS],
@@ -220,7 +245,9 @@ def main(argv):
     buckets = defaultdict(list)
     # (where, exit status in the first tree, in the second) of every run
     codes = [(name, old[name][1], new[name][1])
-             for name in ("corpus text", "classify text")]
+             for name in ("corpus text", "classify text",
+                          "classify a missing file",
+                          "snapshot at an inadmissible point")]
     same_tables = same_table_texts = 0
     reports = changed = 0
     narrow_reports = narrow_changed = narrow_failed = 0
@@ -256,8 +283,8 @@ def main(argv):
           % (same_tables, len(SEEDS)))
     print("classify --format json: %d of %d reports differ"
           % (changed, reports))
-    print("classify --format json, narrow windows: %d of %d reports differ, "
-          "%d without a report in the first tree"
+    print("classify --format json, narrow windows and split web: %d of %d "
+          "reports differ, %d without a report in the first tree"
           % (narrow_changed, narrow_reports, narrow_failed))
     for name in ("labels", "witness", "residual", "other"):
         diffs = buckets[name]
@@ -313,7 +340,10 @@ def main(argv):
     print("snapshot text: byte-identical at %d of %d stored points "
           "(printed only)" % (same_snapshot_texts, stored))
     code_diffs = [c for c in codes if c[1] != c[2]]
-    print("exit status: %d of %d runs differ" % (len(code_diffs), len(codes)))
+    print("exit status: %d of %d runs differ; in the first tree %s"
+          % (len(code_diffs), len(codes), ", ".join(
+              "%d exit %d" % (n, code)
+              for code, n in sorted(Counter(c[1] for c in codes).items()))))
     for where, a, b in code_diffs[:EXAMPLES]:
         print("    %s: %r -> %r" % (where, a, b))
     return int(same_tables < len(SEEDS) or same_table_texts < len(SEEDS)

@@ -8,9 +8,12 @@ rounds, the second in odd ones), one interpreter that times `import
 numpy`, `import threeweb` and `threeweb.load_corpus()` with a wall clock,
 and one that runs the same under `python -X importtime`, from which each
 threeweb module's own import time is read (its self time: the module's
-code, without the modules it imports).  Before the first round both
-trees are compiled to bytecode, so neither side pays for a stale cache.
-BLAS and OpenMP are pinned to one thread, as in the benchmark.
+code, without the modules it imports).  Each tree runs from a fresh copy
+without bytecode, with PYTHONDONTWRITEBYTECODE=1, as in a fresh
+checkout: every interpreter compiles threeweb's sources, as the
+benchmark's set-up does there, while numpy and the standard library keep
+their installed bytecode.  BLAS and OpenMP are pinned to one thread, as
+in the benchmark.
 
 The tool prints each side's median and quartiles of the three timings
 and the median self time of each module, in milliseconds.  It reports
@@ -23,9 +26,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROUNDS = 20
@@ -48,7 +53,7 @@ TRACED = "import numpy, threeweb; threeweb.load_corpus()"
 
 def run(src, *args):
     """The finished interpreter run with `src` first on the path."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         env[var] = "1"
@@ -84,8 +89,11 @@ def main(argv=None):
     for src in trees:
         if not (src / "threeweb" / "__init__.py").is_file():
             parser.error("no threeweb package in %s" % src)
-        subprocess.run([sys.executable, "-m", "compileall", "-q", str(src)],
-                       check=True)
+    # removed with its contents when the tool exits
+    tmp = tempfile.TemporaryDirectory()
+    trees = [shutil.copytree(src, Path(tmp.name, side, "src"),
+                             ignore=shutil.ignore_patterns("__pycache__"))
+             for side, src in zip(("base", "new"), trees)]
     timings = [{stage: [] for stage in STAGES} for _ in trees]
     modules = [{} for _ in trees]
     for r in range(ROUNDS):
@@ -103,6 +111,8 @@ def main(argv=None):
                 modules[side].setdefault(name, []).append(took)
 
     print("start-up over %d rounds of fresh interpreters, ms" % ROUNDS)
+    print("bytecode: none in fresh copies of both trees, "
+          "PYTHONDONTWRITEBYTECODE=1; threeweb compiles on every import")
     print("base: %s\nnew:  %s" % (args.base_src, args.new_src))
     print("%-18s %-25s %-25s %s" % ("", "base median [q1, q3]",
                                     "new median [q1, q3]", "change"))
