@@ -28,6 +28,10 @@ are kept here as the reference: LINEAR_FORMULAS, MAP_FORMULAS,
 APQ_FORMULAS and `formulas_at_powers`, each a function from the fields of a
 batch to a list of arrays linear in the map's input x, and `read_formulas`,
 the read-off of such functions as `threeweb.tensor.read_off` did it.
+
+`plant_group_without_bol` plants the lattice contradiction that a tol near
+roundoff can bring about, which no corpus web shows at a fixed tol on
+every BLAS build.
 """
 
 import itertools
@@ -36,6 +40,8 @@ import operator
 
 import numpy as np
 
+from threeweb import classify
+from threeweb.classify import IdentityVerdict
 from threeweb.expr import (Add, Const, Div, EvalError, Exp, Ln, Mul, Neg,
                            ParamRef, Pow, Sub, Var, VARIABLES, _nan_where,
                            _overflow_to_nan, format_expr)
@@ -415,3 +421,19 @@ def _eval_rows(e, cols, params):
         except KeyError:
             raise EvalError("parameter %r is unbound" % e.name) from None
     raise TypeError("not an expression node: %r" % (e,))
+
+
+def plant_group_without_bol(monkeypatch):
+    """Make every classification's almost_Bol, and so Bol, fail at twice
+    tol, beside its other verdicts.  f2, g2 and h2 can each be below tol
+    where f2 + g2 is not, so group can hold beside them."""
+    verdicts = classify._verdicts
+
+    def planted(snaps, tol):
+        table, t0, frame = verdicts(snaps, tol)
+        for name in ("almost_Bol", "Bol"):
+            table[name] = IdentityVerdict(False, 2 * tol, len(snaps),
+                                          tuple(snaps.points[0]))
+        return table, t0, frame
+
+    monkeypatch.setattr(classify, "_verdicts", planted)

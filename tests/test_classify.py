@@ -10,9 +10,10 @@ import pytest
 
 from oracles import (APQ_FORMULAS, LINEAR_FORMULAS, MAP_FORMULAS,
                      formulas_at_powers, hexagonality_polynomials,
-                     read_formulas)
+                     plant_group_without_bol, read_formulas)
 from threeweb import classify, tensor
 from threeweb.classify import (
+    IdentityVerdict,
     RunConfig,
     SamplerExhausted,
     classify_generic,
@@ -300,6 +301,46 @@ def test_ambiguity_band_is_reported():
     joined = ("hexagonal", "Bol", "group", "parallelizable")
     assert set(joined) <= set(again.inconclusive)
     assert not any(again.predicates[name].holds for name in joined)
+
+
+def test_an_e_test_in_the_ambiguity_band_is_listed():
+    # example04's p and q vanish, so its E tests hold with roundoff-sized
+    # residuals; the first such residual as tol puts that test in the band
+    web = load_example(4).web
+    first = classify_web(web).verdicts
+    name = next(n for n in classify.E_TESTS
+                if 0.0 < first[n].max_residual < 1e-9)
+    tol = first[name].max_residual
+    again = classify_web(web, RunConfig(tol=tol))
+    assert name in again.inconclusive
+    assert not again.verdicts[name].holds
+    assert again.inconclusive == tuple(
+        n for n, v in again.verdicts.items()
+        if tol <= v.max_residual < 10 * tol)
+
+
+def test_the_verdict_table_holds_every_verdict():
+    names = set()
+    for entry in load_corpus():
+        r = classify_web(entry.web)
+        names.update(r.verdicts)
+        assert list(r.verdicts) == [n for n in classify._ORDER
+                                    if n in r.verdicts]
+        for name, v in {**r.predicates, **r.branch_a}.items():
+            if isinstance(v, IdentityVerdict):
+                assert v is r.verdicts[name], (entry.name, name)
+            elif v is None:
+                assert name not in r.verdicts, (entry.name, name)
+        assert "verdicts" not in r.to_dict()
+    assert names == set(classify._ORDER)
+
+
+def test_group_without_almost_bol_is_an_error(monkeypatch):
+    plant_group_without_bol(monkeypatch)
+    with pytest.raises(ValueError, match="group holds but almost_Bol fails "
+                                         r"\(max_residual 2e-07\) at tol "
+                                         "1e-07"):
+        classify_web(load_example(9).web)
 
 
 # --- t_constant: the zero test a2 - t0 a1 ------------------------------
@@ -610,7 +651,7 @@ def test_undefined_points_count_as_outside_the_domain():
 def zero_test(snaps, name, spec):
     T = _Tester(snaps, 1e-7)
     matrix, starts = read_off({name: spec})
-    return T.verdicts([name], T.worst(matrix, starts))[0]
+    return T.verdicts([name], T.worst(matrix, starts))[name]
 
 
 def test_zero_test_never_skips_a_nan_row():
@@ -628,7 +669,8 @@ def test_zero_test_witness_is_the_last_worst_row():
     snaps = collect_snapshots(load_example(9).web, RunConfig(points=8))
     values = np.zeros(len(snaps))
     values[[2, 5]] = 1.0
-    verdict = _Tester(snaps, 1e-7).verdicts(["planted"], values[:, None])[0]
+    verdict = _Tester(snaps, 1e-7).verdicts(["planted"],
+                                            values[:, None])["planted"]
     assert verdict.max_residual == 1.0
     assert verdict.witness == tuple(snaps.points[5])
 
@@ -642,7 +684,7 @@ def test_zero_test_witness_survives_last_bit_changes():
             values[[2, 5]] = 1.0
             values[row] = np.nextafter(1.0, toward)
             verdict = _Tester(snaps, 1e-7).verdicts(["planted"],
-                                                    values[:, None])[0]
+                                                    values[:, None])["planted"]
             assert verdict.witness == tuple(snaps.points[5]), (row, toward)
 
 

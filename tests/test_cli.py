@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import threeweb
+from oracles import plant_group_without_bol
 from threeweb import cli
 from threeweb.classify import RunConfig, classify_web
 from threeweb.cli import exit_status, main
@@ -179,6 +180,15 @@ def test_inconclusive_exit_code(capsys, tiny_tol):
     code, out, _ = run(capsys, "classify", "example09", "--tol", tiny_tol)
     assert code == 2
     assert "inconclusive" in out
+
+
+def test_lattice_contradiction_is_an_error_not_a_traceback(
+        capsys, monkeypatch):
+    plant_group_without_bol(monkeypatch)
+    code, out, err = run(capsys, "classify", "example09")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: group holds but almost_Bol fails")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -7,10 +7,9 @@ the default settings otherwise, prints each label set that differs from the
 corpus's expected labels, then the number of wrong label sets and of
 reports with an `inconclusive` entry, and the margins: the largest
 `max_residual` of any verdict that holds and the smallest of any verdict
-that fails, each with its seed, web and test.  The margins cover the
-verdicts a report carries (`predicates` and `branch_a`), which leave out
-the E tests.  Exit status 1 on any wrong label set or any report with an
-`inconclusive` entry.
+that fails, each with its seed, web and test, over every verdict of each
+report (`verdicts`).  Exit status 1 on any wrong label set or any report
+with an `inconclusive` entry.
 The package comes from PYTHONPATH when that names one, else from the `src`
 directory of this checkout.
 """
@@ -23,8 +22,7 @@ from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
-from threeweb.classify import (  # noqa: E402
-    IdentityVerdict, RunConfig, classify_web)
+from threeweb.classify import RunConfig, classify_web  # noqa: E402
 from threeweb.corpus import load_corpus  # noqa: E402
 
 
@@ -42,9 +40,7 @@ def main(argv):
         config = RunConfig(seed=seed)
         for entry in corpus:
             report = classify_web(entry.web, config)
-            for test, v in {**report.predicates, **report.branch_a}.items():
-                if not isinstance(v, IdentityVerdict):
-                    continue
+            for test, v in report.verdicts.items():
                 margin = (v.max_residual, seed, entry.name, test)
                 if v.holds and margin[0] > held[0]:
                     held = margin
