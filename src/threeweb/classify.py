@@ -128,11 +128,11 @@ class IdentityVerdict:
 # Zero tests read third-order jet data, which turns into pure roundoff when
 # the chart is nearly degenerate: the error grows like a high power of the
 # reciprocal normalized determinant (measured: ~5th power on the corpus
-# webs).  Points whose Jacobian rows are closer to parallel than this floor
-# are rejected during classification sampling; 0.05 keeps residuals of true
-# identities below 4e-13 (the largest over the corpus at seeds 1000-1999 is
-# 3.2e-13) while discarding at most a third of the draws on the worst
-# corpus web.
+# webs).  Points where a Jacobian block's normalized determinant
+# (`tensor.jacobian_blocks`) is below this floor are rejected during
+# classification sampling; 0.05 keeps residuals of true identities below
+# 4e-13 (the largest over the corpus at seeds 1000-1999 is 3.2e-13) while
+# discarding at most a third of the draws on the worst corpus web.
 NDET_FLOOR = 0.05
 
 # A failing zero test's witness is the last row whose residual is within
@@ -145,16 +145,6 @@ WITNESS_RTOL = 1e-9
 # points, so a default run draws as if there were no cap.  It bounds the
 # memory of a round, which would otherwise grow with `points`.
 ROUND_DRAWS = 32000
-
-
-def _well_conditioned(blocks, det):
-    """Per row, whether both Jacobian blocks (N, 2, 2, 2) clear NDET_FLOOR:
-    |det| at least the floor times the product of the rows' norms."""
-    # a row whose norms overflow compares |det| with inf and fails, unless
-    # det overflows too, which makes the row degenerate
-    norms = np.hypot(blocks[..., 0], blocks[..., 1])
-    return (np.abs(det) >= NDET_FLOOR * norms[..., 0]
-            * norms[..., 1]).all(axis=1)
 
 
 def collect_snapshots(web: Web, config: RunConfig, params=None):
@@ -170,7 +160,8 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
     open one; no round draws more than ROUND_DRAWS.  A round's admissible
     rows, at most 60 per wanted point in all, are lifted and judged on
     their coefficients alone: a row is rejected when they are not finite,
-    or when a Jacobian block is singular or ill-conditioned.  Once
+    or when a Jacobian block's normalized determinant is below NDET_FLOOR
+    (or NaN).  Once
     `config.points` rows pass, `snapshot` runs the tensor tail once, on
     exactly those rows and their coefficients.  A row whose invariants are
     not finite is dropped and the next passing row in draw order takes its
@@ -203,9 +194,9 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
                 continue
             c = jet_lift(web.lift_program, lifted, bound).c
             with np.errstate(all="ignore"):
-                blocks, det, degenerate = jacobian_blocks(c)
-                ok = (np.isfinite(c).all(axis=(1, 2)) & ~degenerate
-                      & _well_conditioned(blocks, det))
+                ndet = jacobian_blocks(c)[2]
+                ok = (np.isfinite(c).all(axis=(1, 2))
+                      & (ndet >= NDET_FLOOR).all(axis=1))
             rows = np.concatenate([rows, lifted[ok]])
             coeffs = np.concatenate([coeffs, c[ok]])
         batch = snapshot(web, rows[:n], bound, check_domain=False,

@@ -41,11 +41,11 @@ reads a printed expression back as a tree equal to it.
 Nothing walks a tree to evaluate it.  `compile_program` turns a tuple of
 expressions into one flat Program, in which structurally equal subtrees
 are one step, and a runner writes each step's code once: the value runner
-here (`evaluate` and the domain constraints, with NaN where a value is
-undefined) and the jet runner in `jet.py`.  A Web compiles its constraints
-(`Web.domain_program`) and its two defining functions
-(`Web.lift_program`) on first use and keeps the programs beside its
-fields, so every snapshot, admissibility test and parameter binding of
+here (the domain constraints, with NaN where a value is undefined, and
+the constant steps of the jet runner) and the jet runner in `jet.py`.  A
+Web compiles its constraints (`Web.domain_program`) and its two defining
+functions (`Web.lift_program`) on first use and keeps the programs beside
+its fields, so every snapshot, admissibility test and parameter binding of
 that Web reuses them.
 """
 
@@ -460,7 +460,8 @@ class Step(NamedTuple):
     args: tuple    # the slots of the operands' steps
     value: object  # a Var's or a ParamRef's name, a Const's value, or a
                    # Pow's exponent
-    node: object   # the subtree the step computes; None for a reciprocal
+    node: object   # the subtree the step computes; Pow(b, -1) for the
+                   # reciprocal of b
     scalar: bool   # the step holds no variable
 
 
@@ -535,10 +536,11 @@ def compile_program(exprs, lower, reciprocals=False):
                  else getattr(e, "exponent", None))
         if reciprocals and op == "div":
             op, args = "mul", (args[0], emit("reciprocal", args[1:], None,
-                                             None))
+                                             Pow(operands[1], -1)))
         elif (reciprocals and op == "pow" and isinstance(value, int)
               and value < 0):
-            args, value = (emit("reciprocal", args, None, None),), -value
+            args, value = (emit("reciprocal", args, None,
+                                Pow(operands[0], -1)),), -value
         done[id(e)] = emit(op, args, value, e)
     return Program(tuple(steps), tuple(done[id(e)] for e in exprs),
                    lower(steps))
@@ -562,22 +564,7 @@ def _bound(name, params):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-def evaluate(e, point, params=None):
-    """Evaluate at point = (x1, x2, y1, y2); params maps names to floats.
-
-    Raises EvalError where the value runner gives NaN: outside the domain
-    of ln or of a division, where exp or a power overflows, or at inf - inf.
-    """
-    program = compile_program((e,), _value_code)
-    with np.errstate(all="ignore"):
-        (v,) = program.run(np.asarray(point, dtype=float), params or {})
-    if v != v:
-        raise EvalError("%s is undefined at %s" % (format_expr(e),
-                                                   tuple(point)))
-    return float(v)
-
+# the value runner
 
 def _nan_where(bad, v):
     """v, NaN where bad holds: np.where for arrays, a branch for one
@@ -614,6 +601,7 @@ def _power(k):
 # op -> how the values of its operands combine
 _VALUE_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
               "div": lambda a, b: a / _nan_where(b == 0.0, b),
+              "reciprocal": lambda b: 1.0 / _nan_where(b == 0.0, b),
               "neg": operator.neg,
               "exp": lambda v: _overflow_to_nan(np.exp(v), v),
               "ln": lambda v: np.log(_nan_where(v <= 0.0, v))}
@@ -635,6 +623,8 @@ def _value_code(steps):
 
 
 def _value_step(op, args, value):
+    """The value runner's code of one step; the jet runner runs it for the
+    steps that hold no variable."""
     if op == "var":
         v = VARIABLES.index(value)
         return lambda vals, cols, params: cols[v]

@@ -26,15 +26,19 @@ they have in common.  In the corpus, example04 takes the reciprocal of
 x1 + y1 once for both functions, and example06 that of x1 + x2.  A Web
 compiles its program on first use and keeps it (`Web.lift_program`); bare
 expressions are compiled on each call.  Steps that hold no variable
-(constant and parameter subtrees) compute Python floats from the binding
-on each run, which the jet steps take directly: the results equal those of
-the constant jets they replace bit for bit.  A folded `ln` of a
-non-positive value, a division by zero, or a fold to inf or NaN raises
-EvalError, at one point or a batch.  The other steps compute coefficient
-arrays, with the degree of each and the pair table of each product fixed
-at compile time, so a run does no dispatch on node types or degrees.  A
-power x^k is one step of binary powers, x*x for k = 2 and (x*x)*x for
-k = 3: at most 2 log2(k) products.
+(constant and parameter subtrees) compute their values from the binding
+on each run by the value runner's code for the same step
+(`expr._value_step`), as Python floats, which the jet steps take directly.
+One rule checks every such float: a constant that is not finite raises
+EvalError naming its subexpression, at one point or a batch.  So a folded
+`ln` of a non-positive value reads `the constant ln(0.0 - 1.0) is nan`, a
+division by zero `the constant (2.0 - 2.0)^-1 is nan` (a reciprocal step
+computes b^-1), and an overflowing product `the constant a*a is inf`; an
+overflowing exp or power is NaN, as the value runner makes it.  The other
+steps compute coefficient arrays, with the degree of each and the pair
+table of each product fixed at compile time, so a run does no dispatch on
+node types or degrees.  A power x^k of a jet is one step of binary powers,
+x*x for k = 2 and (x*x)*x for k = 3: at most 2 log2(k) products.
 
 Each Jet also carries `deg`, a bound on the total degree of its nonzero
 coefficients: 1 for a variable seed, the larger of the two for a sum or
@@ -57,7 +61,7 @@ import operator
 
 import numpy as np
 
-from .expr import (EvalError, Program, VARIABLES, _apply, _bound,
+from .expr import (EvalError, Program, VARIABLES, _apply, _value_step,
                    compile_program, format_expr)
 
 DEGREE = 3
@@ -293,8 +297,9 @@ def jet_lift(e, point, params=None):
 
 def _jet_code(steps):
     """The jet runner's code.  A step that holds no variable computes a
-    Python float from the binding, which Jet arithmetic would take
-    directly; any other a jet's coefficients, whose degree is fixed here."""
+    Python float by the value runner's code, which Jet arithmetic would
+    take directly; any other a jet's coefficients, whose degree is fixed
+    here."""
     degrees, code = [], []
     for step in steps:
         fn, deg = _jet_step(step, degrees)
@@ -303,22 +308,7 @@ def _jet_code(steps):
     return tuple(code)
 
 
-def _float_ln(x):
-    if not x > 0.0:
-        raise EvalError("ln of a jet with non-positive value %r" % float(x))
-    return float(np.log(x))
-
-
-def _float_reciprocal(x):
-    if x == 0.0:
-        raise EvalError("jet division by a jet with value %r" % float(x))
-    return 1.0 / x
-
-
-# op -> how the floats of its operands combine
-_FLOAT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-              "neg": operator.neg, "exp": lambda x: float(np.exp(x)),
-              "ln": _float_ln, "reciprocal": _float_reciprocal}
+# op -> its Taylor series on a jet's coefficients
 _SERIES = {"reciprocal": _reciprocal, "exp": _exp, "ln": _ln}
 
 
@@ -329,7 +319,7 @@ def _jet_step(step, degrees):
     if op == "pow" and not isinstance(value, int):
         raise EvalError("jet powers must have integer exponents")
     if scalar:
-        return _float_step(op, args, value, node), 0
+        return _constant_step(op, args, value, node), 0
     if op == "var":
         v = VARIABLES.index(value)
         return (lambda vals, seeds, params: seeds[..., v, :]), 1
@@ -381,39 +371,17 @@ def _jet_power(args, k, deg):
     return _apply(power, args), d
 
 
-def _float_step(op, args, value, node):
-    """The code of a step that holds no variable.  A float that an
-    operation makes inf or NaN raises EvalError naming its subexpression."""
-    if op == "const":
-        value = float(value)
-        return lambda vals, seeds, params: value
-    if op == "param":
-        return lambda vals, seeds, params: float(_bound(value, params))
-    if op == "pow":
-        if value == 0:
-            fn = _apply(lambda x: x * 0.0 + 1.0, args)
-        else:
-            bits = _power_bits(value)
+def _constant_step(op, args, value, node):
+    """The code of a step that holds no variable: the value runner's, its
+    result a Python float.  A constant that is not finite raises EvalError
+    naming its subexpression."""
+    fn = _value_step(op, args, value)
 
-            def power(x):
-                out = x
-                for times in bits:
-                    out = out * out
-                    if times:
-                        out = out * x
-                return out
-
-            fn = _apply(power, args)
-    else:
-        fn = _apply(_FLOAT_OPS[op], args)
-    if node is None:  # a reciprocal, which only feeds a checked step
-        return fn
-
-    def checked(vals, seeds, params):
-        out = fn(vals, seeds, params)
+    def constant(vals, seeds, params):
+        out = float(fn(vals, seeds, params))
         if not math.isfinite(out):
             raise EvalError("the constant %s is %r" % (format_expr(node),
                                                        out))
         return out
 
-    return checked
+    return constant

@@ -59,8 +59,9 @@ lifted in one `jet_lift` call, the partials are read off with two gathers
 (the gradient, then the rest), and gamma and D gamma come from batched
 matrix products.  Each row records what makes it unusable: a singular
 Jacobian block or non-finite values.  `jacobian_blocks` reads the blocks,
-their determinants and the singular test off lifted coefficients alone,
-so a sampler can judge rows before the rest of the pipeline runs on them.
+their determinants and their normalized determinants off lifted
+coefficients alone, so a sampler can judge rows before the rest of the
+pipeline runs on them.
 """
 
 from __future__ import annotations
@@ -77,14 +78,12 @@ from .expr import EvalError, Web
 from .jet import NCOEFF, jet_lift, partial_index
 
 # Pointwise thresholds, each relative to the magnitude of what it tests:
-# SINGULAR_TOL   a 2x2 Jacobian block is singular when |det| is at most this
-#                times its largest entry squared;
+# SINGULAR_TOL   a 2x2 Jacobian block is singular when its normalized
+#                determinant |det|/(|row 1| |row 2|) is at most this;
 # ISOCLINIC_TOL  a row is flagged non-isoclinic when p or q is asymmetric
 #                beyond this times max(1, |p|, |q|);
 # T_RATIO_FLOOR  t = a2/a1 is recorded only where |a1| exceeds this times
 #                max(1, |a2|).
-# Classification applies its own, coarser conditioning floor on top
-# (classify.NDET_FLOOR).
 SINGULAR_TOL = 1e-10
 ISOCLINIC_TOL = 1e-7
 T_RATIO_FLOOR = 1e-9
@@ -427,19 +426,22 @@ def jacobian_blocks(coeffs):
     """The Jacobian blocks of N rows of lifted coefficients (N, 2, 35) of
     both functions (or (2, 35) at one point): blocks (N, 2, 2, 2), where
     blocks[:, 0] is fbar and blocks[:, 1] ftilde, their determinants (N, 2),
-    and whether each row is degenerate, a block singular by SINGULAR_TOL."""
+    and their normalized determinants |det|/(|row 1| |row 2|) (N, 2): 1 for
+    orthogonal rows, 0 for parallel ones, and the same when a defining
+    function, and so a row, is rescaled.  NaN where that is 0/0 or inf/inf,
+    0 where only the norms overflow."""
     blocks = coeffs.reshape(-1, 2 * NCOEFF)[:, _GRADIENT].reshape(
         -1, 2, 2, 2).swapaxes(1, 2)
     det = (blocks[..., 0, 0] * blocks[..., 1, 1]
            - blocks[..., 0, 1] * blocks[..., 1, 0])
-    scale = np.abs(blocks).max(axis=(2, 3))
-    singular = np.abs(det) <= SINGULAR_TOL * scale * scale
-    return blocks, det, singular.any(axis=1)
+    norms = np.hypot(blocks[..., 0], blocks[..., 1])
+    return blocks, det, np.abs(det) / (norms[..., 0] * norms[..., 1])
 
 
 def _invariants(points, bound, coeffs):
     n = len(points)
-    blocks, det, degenerate = jacobian_blocks(coeffs)
+    blocks, det, ndet = jacobian_blocks(coeffs)
+    degenerate = ~(ndet > SINGULAR_TOL).all(axis=1)
     # hess (N,2,4,4); third (N,2,4,2,2), axes (i, s, l, m) as in _READ
     d = (coeffs.reshape(n, 2 * NCOEFF)[:, _READ]
          * _READ_FACTORIAL).reshape(n, 2, 32)

@@ -11,12 +11,16 @@ The jet helpers build and read `threeweb.jet.Jet`s from the test side: a
 checking constructor, constant jets, partials, and the dense product over
 all 165 pairs of coefficients, the oracle of the degree-aware product.
 
+`evaluate` evaluates one expression at one point by the value runner.
 `naive_eval` evaluates an expression with Python floats and the math
 module, independently of `threeweb.expr`.  `_lift` and `_eval_rows` are the
 recursive tree walkers that `threeweb` replaced with compiled programs,
 kept as references (`lift_reference` lifts by `_lift` as `jet_lift` did):
 the jet runner and the value runner must match them bit for bit, with the
-same EvalError messages.
+same EvalError messages.  Where `_lift` meets a float, a subtree that holds
+no variable, it follows the value runner's rules, as the jet runner does,
+and checks each such float as the jet runner does; it still divides as
+a * (1/b), and names the reciprocal of b as b^-1.
 
 `hexagonality_polynomials` adds the quartic hexagonality polynomial to the
 two cubics that `threeweb.classify` tests, as their linear-dependence
@@ -44,7 +48,8 @@ from threeweb import classify
 from threeweb.classify import IdentityVerdict
 from threeweb.expr import (Add, Const, Div, EvalError, Exp, Ln, Mul, Neg,
                            ParamRef, Pow, Sub, Var, VARIABLES, _nan_where,
-                           _overflow_to_nan, format_expr)
+                           _overflow_to_nan, _value_code, compile_program,
+                           format_expr)
 from threeweb.jet import (DEGREE, INDEX, MULTI, NCOEFF, NVARS, Jet,
                           _FACTORIAL, _UNIT, _VARS, _jet, _power_bits)
 from threeweb.tensor import _AT_UNITS, sym3_lower
@@ -264,6 +269,21 @@ def read_formulas(tests, fields=None):
     return matrix, starts
 
 
+def evaluate(e, point, params=None):
+    """Evaluate at point = (x1, x2, y1, y2); params maps names to floats.
+
+    Raises EvalError where the value runner gives NaN: outside the domain
+    of ln or of a division, where exp or a power overflows, or at inf - inf.
+    """
+    program = compile_program((e,), _value_code)
+    with np.errstate(all="ignore"):
+        (v,) = program.run(np.asarray(point, dtype=float), params or {})
+    if v != v:
+        raise EvalError("%s is undefined at %s" % (format_expr(e),
+                                                   tuple(point)))
+    return float(v)
+
+
 def naive_eval(e, env):
     """The value of e by Python float arithmetic and the math module, with
     env mapping variable and parameter names to floats: a second evaluator,
@@ -296,33 +316,33 @@ def naive_eval(e, env):
 def _reciprocal(x):
     if isinstance(x, Jet):
         return x.reciprocal()
-    if x == 0.0:
-        raise EvalError("jet division by a jet with value %r" % float(x))
-    return 1.0 / x
+    return 1.0 / _nan_where(x == 0.0, x)
 
 
 def _ln(x):
     if isinstance(x, Jet):
         return x.ln()
-    if not x > 0.0:
-        raise EvalError("ln of a jet with non-positive value %r" % float(x))
-    return float(np.log(x))
+    return np.log(_nan_where(x <= 0.0, x))
 
 
 def _exp(x):
-    return x.exp() if isinstance(x, Jet) else float(np.exp(x))
+    return x.exp() if isinstance(x, Jet) else _overflow_to_nan(np.exp(x), x)
 
 
 def _int_pow(x, k):
-    """x^k for an int k, on a Jet or a float: the constant 1 for k = 0,
-    NaN where x is not finite, else binary powers in the order of
-    `jet._power_bits`."""
+    """x^k for an int k, on a Jet by binary powers in the order of
+    `jet._power_bits`, the constant 1 for k = 0; on a float by numpy's **,
+    NaN where it overflows or, for k = 0, where x is NaN."""
     if not isinstance(k, int):
         raise EvalError("jet powers must have integer exponents")
-    if k == 0:
-        return x * 0.0 + 1.0
     if k < 0:
         x, k = _reciprocal(x), -k
+    if not isinstance(x, Jet):
+        if k == 0:
+            return _nan_where(x != x, 1.0)
+        return _overflow_to_nan(np.float64(x) ** k, x)
+    if k == 0:
+        return x * 0.0 + 1.0
     out = x
     for times in _power_bits(k):
         out = out * out
@@ -331,37 +351,51 @@ def _int_pow(x, k):
     return out
 
 
+def _checked(out, e):
+    """A Jet as it is; a float as a Python float, or EvalError naming the
+    constant `e` where it is not finite."""
+    if isinstance(out, Jet):
+        return out
+    out = float(out)
+    if not math.isfinite(out):
+        raise EvalError("the constant %s is %r" % (format_expr(e), out))
+    return out
+
+
 # node type -> how the lifts of its operands combine
-_LIFT_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-                Div: lambda a, b: a * _reciprocal(b)}
+_LIFT_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 _LIFT_UNARY = {Neg: operator.neg, Exp: _exp, Ln: _ln}
 
 
 def _lift(e, vars_, params):
     """The Jet of `e`, or a float where `e` holds no variable.  A float
-    that folds to inf or NaN raises EvalError naming its subexpression."""
+    that is not finite raises EvalError naming its subexpression."""
     kind = type(e)
     if kind in _LIFT_BINARY:
         out = _LIFT_BINARY[kind](_lift(e.left, vars_, params),
                                  _lift(e.right, vars_, params))
+    elif kind is Div:
+        out = _lift(e.left, vars_, params) * _checked(
+            _reciprocal(_lift(e.right, vars_, params)), Pow(e.right, -1))
     elif kind in _LIFT_UNARY:
         out = _LIFT_UNARY[kind](_lift(e.arg, vars_, params))
     elif kind is Var:
         return vars_[e.name]
     elif kind is Const:
-        return float(e.value)
+        out = e.value
     elif kind is Pow:
-        out = _int_pow(_lift(e.base, vars_, params), e.exponent)
+        base, k = _lift(e.base, vars_, params), e.exponent
+        if isinstance(k, int) and k < 0:
+            base, k = _checked(_reciprocal(base), Pow(e.base, -1)), -k
+        out = _int_pow(base, k)
     elif kind is ParamRef:
         try:
-            return float(params[e.name])
+            out = params[e.name]
         except KeyError:
             raise EvalError("parameter %r is unbound" % e.name) from None
     else:
         raise TypeError("not an expression node: %r" % (e,))
-    if type(out) is float and not math.isfinite(out):
-        raise EvalError("the constant %s is %r" % (format_expr(e), out))
-    return out
+    return _checked(out, e)
 
 
 def lift_reference(exprs, point, params=None):

@@ -15,7 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from oracles import hexagonality_polynomials, partial, partial_fd, rel_err
+from oracles import (evaluate, hexagonality_polynomials, partial, partial_fd,
+                     rel_err)
 from threeweb.classify import (
     RunConfig,
     classify_web,
@@ -23,7 +24,7 @@ from threeweb.classify import (
 )
 from threeweb.cli import main as cli_main
 from threeweb.corpus import golden_check, load_corpus, load_example
-from threeweb.expr import evaluate, parse_web
+from threeweb.expr import parse_web
 from threeweb.jet import MULTI, jet_lift
 from threeweb.tensor import snapshot
 

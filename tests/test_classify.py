@@ -24,6 +24,7 @@ from threeweb.classify import (
 )
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import EvalError, Web, format_web, parse_web
+from threeweb.jet import jet_lift
 from threeweb.tensor import UNIT_FIELDS, read_off, snapshot, sym3_lower
 
 EX9_MUTATED_BILINEAR = (
@@ -96,6 +97,22 @@ def test_sampler_exhaustion():
                     "domain x1 > 0\ndomain -x1 > 0\n", name="empty-domain")
     with pytest.raises(SamplerExhausted):
         classify_web(web, RunConfig(points=8))
+
+
+@pytest.mark.parametrize("scale", ["1e-30", "1e-12", "1e12", "1e30"])
+def test_rescaling_a_defining_function_keeps_the_web(scale):
+    # a constant times u2 defines the same web; a singular test against the
+    # block's largest entry squared made these rows degenerate, and the
+    # sampler ran out
+    text = ("u1 = x1*y1 + x2*y2\nu2 = %s*(x1*y2 + x2*y1)\n"
+            "domain x1 - x2 != 0\ndomain x1 + x2 != 0\n")
+    web, plain = parse_web(text % scale), parse_web(text % "1")
+    assert classify_web(web).labels == ("B", "D232", "E1")
+    point = (0.5, -1.2, 0.7, 0.3)
+    snapshot(web, point)  # no DegenerateWeb
+    ndet = [tensor.jacobian_blocks(jet_lift(w.lift_program, point).c)[2]
+            for w in (web, plain)]
+    np.testing.assert_allclose(*ndet, rtol=1e-15)
 
 
 def test_a_sampler_round_draws_a_bounded_number_of_points():

@@ -115,6 +115,20 @@ def test_constant_that_folds_to_inf_is_named(tmp_path, capsys):
     assert err == "error: the constant 1e+200*1e+200 is inf\n"
 
 
+@pytest.mark.parametrize("text,message", [
+    # at the parent the unchecked reciprocal made every row an inf jet:
+    # "only 0 of 8 well-conditioned admissible points found"
+    ("u1 = x1 / 1e-320 + y1\nu2 = x2 + y2\n", "1e-320^-1 is inf"),
+    ("u1 = x1 + ln(0 - 1)*y1\nu2 = x2 + y2\n", "ln(0.0 - 1.0) is nan"),
+])
+def test_undefined_constant_is_named(tmp_path, capsys, text, message):
+    bad = tmp_path / "fold.web"
+    bad.write_text(text)
+    code, out, err = run(capsys, "classify", str(bad), "--points", "8")
+    assert code == 1 and not out
+    assert err == "error: the constant %s\n" % message
+
+
 def test_parameter_that_folds_to_inf_is_named(tmp_path, capsys):
     bad = tmp_path / "fold.web"
     bad.write_text("param a = 1e200\nu1 = x1 + a*a*y1*x2\nu2 = x2 + y2\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_eval
+from oracles import evaluate, naive_eval
 from threeweb.corpus import load_corpus
 from threeweb.jet import jet_lift
 from threeweb.expr import (
@@ -28,7 +28,6 @@ from threeweb.expr import (
     Var,
     Web,
     compile_program,
-    evaluate,
     format_expr,
     format_web,
     parse_web,

@@ -36,11 +36,11 @@ are reported only; they do not set the exit status.
 The text format is compared too: `threeweb table` at every seed, and
 `threeweb corpus` and `threeweb classify` on all bundled webs at the
 default seed, byte for byte; `threeweb snapshot` at each bundled web's
-stored points.  So is the exit status of every run above, and of two
+stored points.  So is the exit status of every run above, and of four
 runs that fail with exit status 1: `threeweb classify` on a missing file
-and `threeweb snapshot` at an inadmissible point.  A difference in the
-classify or snapshot text is printed only, since its residual digits may
-move with the arithmetic.
+and on each web of CONSTANT_WEBS, and `threeweb snapshot` at an
+inadmissible point.  A difference in the classify or snapshot text is
+printed only, since its residual digits may move with the arithmetic.
 
 Exit status 1 when a table differs, as JSON or as text, when the corpus
 text differs, when any exit status differs, or when the labels bucket is
@@ -82,6 +82,14 @@ domain y1 - y2 != 0
 domain y1 + y2 != 0
 """
 
+# webs with a constant that is not finite, on each of which `threeweb
+# classify` exits 1
+CONSTANT_WEBS = {
+    "classify an undefined constant": "u1 = x1 + ln(0 - 1)*y1\nu2 = x2 + y2\n",
+    "classify an overflowing reciprocal":
+        "u1 = x1 / 1e-320 + y1\nu2 = x2 + y2\n",
+}
+
 # the start of each child: `run` gives a CLI run's stdout and exit status
 RUN = """
 import contextlib, io, json, os, sys, tempfile
@@ -99,7 +107,7 @@ def run(argv):
 """
 
 # runs in the child: every output of one tree, as JSON on stdout; the
-# narrow windows and the split web come on stdin
+# narrow windows, the split web and the constant webs come on stdin
 CHILD = RUN + """
 given = json.load(sys.stdin)
 windows = given["windows"]
@@ -111,6 +119,10 @@ doc = {"seeds": {}, "corpus text": run(["corpus"]),
 with tempfile.TemporaryDirectory() as tmp:
     doc["classify a missing file"] = run(
         ["classify", os.path.join(tmp, "missing.web")])
+    for name, text in given["constants"].items():
+        with open(os.path.join(tmp, "constant.web"), "w") as f:
+            f.write(text)
+        doc[name] = run(["classify", os.path.join(tmp, "constant.web")])
     narrow = []
     for entry in load_corpus():
         lines = [format_web(entry.web)]
@@ -236,7 +248,8 @@ def show_largest(diffs, kind, size):
 def main(argv):
     if len(argv) != 2:
         sys.exit(__doc__)
-    stdin = json.dumps({"windows": NARROW_WINDOWS, "split": SPLIT_WEB})
+    stdin = json.dumps({"windows": NARROW_WINDOWS, "split": SPLIT_WEB,
+                        "constants": CONSTANT_WEBS})
     old, new = (run_child(src, CHILD, SEEDS, stdin) for src in argv)
     old_snaps = run_child(argv[0], SNAPSHOT_CHILD, [SNAPSHOT_POINTS], "null")
     given = {web: runs["points"] for web, runs in old_snaps.items()}
@@ -246,7 +259,7 @@ def main(argv):
     # (where, exit status in the first tree, in the second) of every run
     codes = [(name, old[name][1], new[name][1])
              for name in ("corpus text", "classify text",
-                          "classify a missing file",
+                          "classify a missing file", *CONSTANT_WEBS,
                           "snapshot at an inadmissible point")]
     same_tables = same_table_texts = 0
     reports = changed = 0
