@@ -10,7 +10,7 @@ invariants define.
 """
 
 from .expr import ParseError, EvalError, Web, parse_web, format_web
-from .jet import Jet, jet_lift
+from .jet import jet_lift
 from .tensor import (
     TensorSnapshot,
     DegenerateWeb,
@@ -42,7 +42,6 @@ __all__ = [
     "Web",
     "parse_web",
     "format_web",
-    "Jet",
     "jet_lift",
     "TensorSnapshot",
     "DegenerateWeb",

@@ -192,7 +192,7 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
             tried += len(lifted)
             if not len(lifted):
                 continue
-            c = jet_lift(web.lift_program, lifted, bound).c
+            c = jet_lift(web.lift_program, lifted, bound)
             with np.errstate(all="ignore"):
                 ndet = jacobian_blocks(c)[2]
                 ok = (np.isfinite(c).all(axis=(1, 2))

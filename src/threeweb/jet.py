@@ -201,7 +201,8 @@ def _shift(c, x):
 class Jet:
     """Degree-3 truncated Taylor expansion of a scalar function, at one
     point or at a batch of points (the leading axes of `c`), whose nonzero
-    coefficients have total degree at most `deg`.  Built by `jet_lift`."""
+    coefficients have total degree at most `deg`: the reference arithmetic
+    that the jet runner's arrays are tested against."""
 
     __slots__ = ("c", "deg")
 
@@ -268,12 +269,12 @@ def compile_lift(exprs):
 
 
 def jet_lift(e, point, params=None):
-    """Expand an expression tree around `point` = (x1, x2, y1, y2), or
-    around every row of an (N, 4) array of points at once.
+    """The jet coefficients of an expression tree around `point` = (x1,
+    x2, y1, y2), (35,), or around each row of an (N, 4) array, (N, 35).
 
     Given a sequence of k expressions instead, or a Program that
     `compile_lift` compiled from one, lift them all with one set of seeds
-    into one Jet with an axis of k before the coefficients: (k, 35) at a
+    into one array with an axis of k before the coefficients: (k, 35) at a
     point, (N, k, 35) at N points.  Expressions are compiled on each call;
     a Web keeps its program (`Web.lift_program`)."""
     many = isinstance(e, (list, tuple, Program))
@@ -292,7 +293,7 @@ def jet_lift(e, point, params=None):
             out[..., i, 0] = v
         else:
             out[..., i, :] = v
-    return _jet(out if many else out[..., 0, :], DEGREE)
+    return out if many else out[..., 0, :]
 
 
 def _jet_code(steps):

@@ -101,7 +101,7 @@ class InadmissiblePoint(ValueError):
     """The point violates the web's domain constraints."""
 
 
-@dataclass
+@dataclass(eq=False)
 class TensorSnapshot:
     """Every differential invariant of the web at one point."""
 
@@ -242,7 +242,7 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True,
     the first inadmissible row; past it no row is judged: the caller
     decides from the batch's per-row `degenerate` and `finite` flags which
     rows to keep.  A caller that has lifted the points already passes
-    their coefficients, `jet_lift(web.lift_program, point, bound).c`, as
+    their coefficients, `jet_lift(web.lift_program, point, bound)`, as
     `coeffs`, and the lift is not repeated.
     """
     if not margin > 0:
@@ -258,7 +258,7 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True,
     # one point lifts as a single jet, which raises EvalError outside the
     # domain of ln or of a division
     if coeffs is None:
-        coeffs = jet_lift(web.lift_program, point, bound).c
+        coeffs = jet_lift(web.lift_program, point, bound)
     with np.errstate(all="ignore"):
         batch = _invariants(points, bound, coeffs)
     if point.ndim == 2:

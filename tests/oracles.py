@@ -8,7 +8,8 @@ extrapolation level brings the truncation error to O(h^4), which comfortably
 beats the 1e-5 relative tolerance the comparisons use.
 
 The jet helpers build and read `threeweb.jet.Jet`s from the test side: a
-checking constructor, constant jets, partials, and the dense product over
+checking constructor, constant jets, the partials of a coefficient array
+(as `jet_lift` returns), and the dense product over
 all 165 pairs of coefficients, the oracle of the degree-aware product.
 
 `evaluate` evaluates one expression at one point by the value runner.
@@ -130,10 +131,11 @@ def constant_jet(value):
     return _jet(c, 1)  # a bound: every jet has degree at least 1
 
 
-def partial(jet, alpha):
-    """The partial derivative d^alpha F of a jet at its expansion point."""
+def partial(c, alpha):
+    """The partial derivative d^alpha F at the expansion point of the jet
+    whose coefficients are c (..., 35)."""
     i = INDEX[tuple(alpha)]  # KeyError for |alpha| > 3 is right
-    return jet.c[..., i] * _FACTORIAL[i]
+    return c[..., i] * _FACTORIAL[i]
 
 
 # every (i, j) with |MULTI[i] + MULTI[j]| <= 3, sorted by the index k of the

@@ -110,7 +110,7 @@ def test_rescaling_a_defining_function_keeps_the_web(scale):
     assert classify_web(web).labels == ("B", "D232", "E1")
     point = (0.5, -1.2, 0.7, 0.3)
     snapshot(web, point)  # no DegenerateWeb
-    ndet = [tensor.jacobian_blocks(jet_lift(w.lift_program, point).c)[2]
+    ndet = [tensor.jacobian_blocks(jet_lift(w.lift_program, point))[2]
             for w in (web, plain)]
     np.testing.assert_allclose(*ndet, rtol=1e-15)
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import typing
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from threeweb.expr import (
     Div,
     EvalError,
     Exp,
+    Expr,
     Ln,
     Mul,
     Neg,
@@ -232,12 +234,12 @@ def test_each_web_compiles_its_own_programs():
     moved = dataclasses.replace(web, u1=Var("x1"),
                                 constraints=(web.constraints[0],) * 2)
     for w in (web, again, moved):
-        assert np.array_equal(jet_lift(w.lift_program, point).c,
-                              jet_lift((w.u1, w.u2), point).c)
+        assert np.array_equal(jet_lift(w.lift_program, point),
+                              jet_lift((w.u1, w.u2), point))
         assert (w.domain_program.run(np.array(point), {})
                 == [evaluate(c.expr, point) for c in w.constraints])
-    assert not np.array_equal(jet_lift(moved.lift_program, point).c,
-                              jet_lift(web.lift_program, point).c)
+    assert not np.array_equal(jet_lift(moved.lift_program, point),
+                              jet_lift(web.lift_program, point))
     # the programs are not fields: equality, printing and pickling ignore
     # them, and a copy compiles its own
     assert "program" not in repr(web)
@@ -268,10 +270,39 @@ def test_nodes_compare_hash_and_print_as_dataclasses(expr):
     assert copy.copy(expr) == expr
 
 
+# a value for each field name of the node classes
+_FIELD_VALUES = {"value": 2.5, "name": "x1", "arg": Var("x1"),
+                 "left": Var("x1"), "right": Const(2.5), "base": Var("x2"),
+                 "exponent": -3}
+
+
+@pytest.mark.parametrize("cls", typing.get_args(Expr),
+                         ids=lambda cls: cls.__name__)
+def test_node_constructor_binds_fields_in_order_or_by_name(cls):
+    names = cls.__slots__
+    values = tuple(_FIELD_VALUES[n] for n in names)
+    node = cls(*values)
+    assert tuple(getattr(node, n) for n in names) == values
+    by_name = dict(zip(names, values))
+    for k in range(len(names) + 1):  # the first k in order, the rest by name
+        rest = dict(reversed(list(by_name.items())[k:]))
+        assert cls(*values[:k], **rest) == node
+    bad = {"missing": lambda: cls(*values[:-1]),
+           "missing by name": lambda: cls(**dict(list(by_name.items())[1:])),
+           "none": lambda: cls(),
+           "unknown": lambda: cls(*values, unknown=1),
+           "repeated": lambda: cls(values[0], **{names[0]: values[0]}),
+           "repeated after all": lambda: cls(*values, **{names[-1]: 0}),
+           "extra": lambda: cls(*values, values[0])}
+    for case, build in bad.items():
+        with pytest.raises(TypeError, match=r"^%s\(\) takes the fields %s,"
+                           % (cls.__name__, ", ".join(names))):
+            build()
+            pytest.fail(case)
+
+
 def test_node_semantics():
     a, b = Var("x1"), Const(2.5)
-    assert Add(left=a, right=b) == Add(a, right=b) == Add(a, b)
-    assert Pow(base=a, exponent=-3) == Pow(a, -3)
     assert Add(a, b) != Sub(a, b) and Add(a, b) != Add(b, a)
     assert Var("x1") != ParamRef("x1") and Const(1.0) != 1.0
     assert Const(1.0) == Const(1) and hash(Const(1.0)) == hash(Const(1))
@@ -287,10 +318,6 @@ def test_node_semantics():
     with pytest.raises(dataclasses.FrozenInstanceError):
         del node.right
     assert node == Add(a, b)
-    with pytest.raises(TypeError):
-        Add(a)
-    with pytest.raises(TypeError):
-        Neg(arg=a, left=b)
     match node:
         case Add(left, Const(value)):
             assert (left, value) == (a, 2.5)

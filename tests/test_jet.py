@@ -37,9 +37,9 @@ def _close(a, b, tol=1e-10):
 def test_constant_and_variable_seeds():
     j = constant_jet(7.0)
     assert j.value == 7.0
-    assert partial(j, (1, 0, 0, 0)) == 0.0
+    assert partial(j.c, (1, 0, 0, 0)) == 0.0
     v = jet_lift(Var("y1"), (0.0, 0.0, 1.5, 0.0))
-    assert v.value == 1.5
+    assert v.shape == (NCOEFF,) and v[..., 0] == 1.5
     assert partial(v, (0, 0, 1, 0)) == 1.0
     assert partial(v, (0, 0, 2, 0)) == 0.0
 
@@ -49,7 +49,7 @@ def test_polynomial_partials_are_exact():
     web = parse_web("u1 = x1^2*x2 + 3*x1*y1*y2 - y2^3\nu2 = x2\n")
     x1, x2, y1, y2 = 1.5, -0.5, 2.0, 0.75
     j = jet_lift(web.u1, (x1, x2, y1, y2))
-    assert j.value == pytest.approx(x1 * x1 * x2 + 3 * x1 * y1 * y2
+    assert j[..., 0] == pytest.approx(x1 * x1 * x2 + 3 * x1 * y1 * y2
                                       - y2 ** 3, rel=1e-14)
     assert partial(j, (1, 0, 0, 0)) == pytest.approx(2 * x1 * x2 + 3 * y1 * y2)
     assert partial(j, (2, 0, 0, 0)) == pytest.approx(2 * x2)
@@ -155,12 +155,12 @@ def test_folded_constants_match_finite_differences(point):
     for expr in (_FOLDED.u1, _FOLDED.u2):
         j = jet_lift(expr, point, bound)
         batch = jet_lift(expr, np.array([point, point]), bound)
-        assert np.array_equal(batch.c, np.stack([j.c, j.c]))
+        assert np.array_equal(batch, np.stack([j, j]))
 
         def f(pt, _e=expr):
             return evaluate(_e, pt, bound)
 
-        assert j.value == pytest.approx(f(point), rel=1e-14)
+        assert j[..., 0] == pytest.approx(f(point), rel=1e-14)
         for alpha in MULTI[1:]:
             want = partial_fd(f, point, alpha)
             assert rel_err(partial(j, alpha), want) < 1e-5, (alpha, want)
@@ -180,8 +180,8 @@ def test_folded_constant_outside_its_domain_raises(text):
 def test_constant_expression_lifts_to_one_row_per_point():
     web = parse_web("u1 = 2*3 + exp(0)\nu2 = x2\n")
     j = jet_lift(web.u1, np.zeros((3, 4)))
-    assert j.c.shape == (3, NCOEFF)
-    assert np.all(j.c[:, 0] == 7.0) and not j.c[:, 1:].any()
+    assert j.shape == (3, NCOEFF)
+    assert np.all(j[:, 0] == 7.0) and not j[:, 1:].any()
 
 
 # No corpus web takes ln of a jet; these two, outside the corpus, put every
@@ -198,16 +198,16 @@ def test_series_match_finite_differences(text):
     web = parse_web(text)
     points = np.random.default_rng(7).uniform(-1.0, 1.0, (5, 4))
     batch = jet_lift((web.u1, web.u2), points)
-    assert batch.c.shape == (5, 2, NCOEFF)
+    assert batch.shape == (5, 2, NCOEFF)
     for row, point in enumerate(map(tuple, points)):
         j = jet_lift((web.u1, web.u2), point)
-        np.testing.assert_allclose(batch.c[row], j.c, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(batch[row], j, rtol=1e-14, atol=0.0)
         for i, expr in enumerate((web.u1, web.u2)):
 
             def f(pt, _e=expr):
                 return evaluate(_e, pt)
 
-            assert j.value[i] == pytest.approx(f(point), rel=1e-14)
+            assert j[i, 0] == pytest.approx(f(point), rel=1e-14)
             for alpha in MULTI[1:]:
                 want = partial_fd(f, point, alpha)
                 got = partial(j, alpha)[i]
@@ -300,12 +300,8 @@ def _assert_degree(c, deg):
 @contextlib.contextmanager
 def _checked_degrees():
     """Every step the jet runner compiles asserts its degree on the jet it
-    computes, and so does every Jet built."""
-    build, step = jet._jet, jet._jet_step
-
-    def checked_build(c, deg):
-        _assert_degree(c, deg)
-        return build(c, deg)
+    computes."""
+    step = jet._jet_step
 
     def checked_step(s, degrees):
         fn, deg = step(s, degrees)
@@ -319,11 +315,11 @@ def _checked_degrees():
 
         return checked, deg
 
-    jet._jet, jet._jet_step = checked_build, checked_step
+    jet._jet_step = checked_step
     try:
         yield
     finally:
-        jet._jet, jet._jet_step = build, step
+        jet._jet_step = step
 
 
 _PARAMS = {"k": 1.5, "mu": -2.0}
@@ -377,7 +373,7 @@ def test_lift_matches_the_lift_with_every_degree_three(exprs):
     # on them equals the lift that reads every pair
     def lift(points):
         try:
-            return jet_lift(exprs, points, _PARAMS).c
+            return jet_lift(exprs, points, _PARAMS)
         except EvalError:  # a folded constant outside its domain
             return None
 
@@ -402,7 +398,7 @@ def test_compiled_lift_matches_the_tree_walk_bit_for_bit(exprs):
     # at each point: the same coefficients or the same EvalError; on the
     # batch: the same coefficients, NaN rows included
     def compiled(points):
-        return jet_lift(exprs, points, _PARAMS).c
+        return jet_lift(exprs, points, _PARAMS)
 
     for point in _TREE_POINTS:
         assert (_outcome(compiled, point)
@@ -475,7 +471,7 @@ def test_unbound_parameter_is_the_first_error_met_in_the_walk():
     point = (0.0, 1.0, 2.0, 3.0)
     want = _outcome(lift_reference, exprs, point, {})
     assert want.startswith("EvalError: jet division")
-    assert _outcome(lambda: jet_lift(exprs, point, {}).c) == want
+    assert _outcome(lambda: jet_lift(exprs, point, {})) == want
     with pytest.raises(EvalError, match="parameter 'k' is unbound"):
         jet_lift(exprs[::-1], point, {})
 

@@ -7,7 +7,7 @@ import pytest
 from threeweb.classify import RunConfig, collect_snapshots
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import EvalError, parse_web
-from oracles import make_jet, partial
+from oracles import partial
 from threeweb.jet import jet_lift
 from threeweb.tensor import (
     UNIT_FIELDS,
@@ -116,6 +116,15 @@ def test_to_dict_is_json_ready(ref):
     back = json.loads(text)
     assert back["b"][1][0][0][0] == pytest.approx(-16.0)
     assert back["non_isoclinic"] is False
+
+
+def test_snapshots_compare_by_identity(ref):
+    # array fields have no single truth value, so two snapshots of one
+    # point are distinct objects that compare unequal without raising
+    again = snapshot(load_example(1).web, REFERENCE_POINT)
+    assert ref == ref and not ref != ref
+    assert ref != again and not ref == again
+    assert ref in [again, ref] and len({ref, again}) == 2
 
 
 # --- structural identities at the stored corpus points -------------------
@@ -390,7 +399,7 @@ def test_frame_products_match_the_docstring_formulas(index):
     # jets one at a time, against the batched products of the pipeline
     web = load_example(index).web
     batch = collect_snapshots(web, RunConfig(points=8, seed=3))
-    jets = jet_lift((web.u1, web.u2), batch.points, web.bind()).c
+    jets = jet_lift((web.u1, web.u2), batch.points, web.bind())
 
     def partials(*axes):
         out = np.zeros((len(batch), 2) + tuple(map(len, axes)))
@@ -399,8 +408,7 @@ def test_frame_products_match_the_docstring_formulas(index):
             for axis, w in zip(axes, where):
                 alpha[axis[w]] += 1
             for i in range(2):
-                out[(slice(None), i) + where] = partial(
-                    make_jet(jets[:, i]), alpha)
+                out[(slice(None), i) + where] = partial(jets[:, i], alpha)
         return out
 
     z, x, y = range(4), range(2), range(2, 4)
