@@ -318,17 +318,19 @@ _JOINED_STARTS = np.cumsum([0] + [len(tests.split())
                                   for tests in JOINED.values()])[:-1]
 
 
-# The tests at a constant t, cubic in t: the matrices (104, 6) of the
-# coefficients of t^0..t^3.  Four columns of the frame-alignment identity,
-# informational only (omega_2^1 should equal t^2 omega_1^2 + t(omega_1^1 -
-# omega_2^2) coefficientwise, on either base form), then hexagonality at t.
-_AT_T = [read_spec(spec, UNIT_FIELDS) for spec in (
+# The tests at a constant t, cubic in t: the specs of the coefficients of
+# t^0..t^3, and in _AT_T their matrices (104, 6).  Four columns of the
+# frame-alignment identity, informational only (omega_2^1 should equal
+# t^2 omega_1^2 + t(omega_1^1 - omega_2^2) coefficientwise, on either base
+# form), then hexagonality at t.
+AT_T = (
     "gamma.112, gamma.122, gamma.12, b.1222, b.2222",
     "gamma.212 - gamma.111, gamma.222 - gamma.121, gamma.22 - gamma.11, "
     "-b.1122 - b.1212 - b.1221, -b.2122 - b.2212 - b.2221",
     "-gamma.211, -gamma.221, -gamma.21, "
     "b.1112 + b.1121 + b.1211, b.2112 + b.2121 + b.2211",
-    "0*gamma.211, 0*gamma.221, 0*gamma.21, -b.1111, -b.2111")]
+    "0*gamma.211, 0*gamma.221, 0*gamma.21, -b.1111, -b.2111")
+_AT_T = [read_spec(spec, UNIT_FIELDS) for spec in AT_T]
 
 
 def _tests_at(t):
@@ -554,6 +556,9 @@ def classify_generic(web: Web, config: RunConfig | None = None,
     """
     if not web.params:
         raise ValueError("classify_generic needs a parameterized web")
+    if not (isinstance(bindings, numbers.Integral) and bindings >= 1):
+        raise ValueError("bindings must be an integer >= 1, got %r"
+                         % (bindings,))
     config = config or RunConfig()
     rng = np.random.default_rng(config.seed + 7919)
     reports = []

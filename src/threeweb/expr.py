@@ -613,6 +613,15 @@ def _value_step(op, args, value):
 # ---------------------------------------------------------------------------
 # web definition
 
+def check_shape(point):
+    """Raise ValueError unless the array `point` is one point, (4,), or N
+    points, (N, 4): one comparison, as the sampler's admissibility test
+    runs it on every round."""
+    if point.shape[point.ndim == 2:] != (4,):
+        raise ValueError("a point has shape (4,) and N points (N, 4), got "
+                         "shape %s" % (point.shape,))
+
+
 @dataclass(frozen=True)
 class Constraint:
     """A domain constraint: expr != 0 or expr > 0."""
@@ -645,13 +654,15 @@ class Web:
 
     def _checks(self, point, params, margin):
         """(constraint, value, holds) for each domain constraint at a point,
-        or at each row of an (N, 4) array of points, given as float64.
+        or at each row of an (N, 4) array of points, given as float64; any
+        other shape raises ValueError.
 
         The one domain rule: a constraint holds where its value is finite
         and exceeds margin, in magnitude for `expr != 0` and as it is for
         `expr > 0`.  So points hugging the singular set are rejected, and
         so are points where a constraint is undefined or infinite.
         """
+        check_shape(point)
         bound = self.bind(params)
         out = []
         with np.errstate(all="ignore"):

@@ -74,7 +74,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import EvalError, Web
+from .expr import EvalError, Web, check_shape
 from .jet import NCOEFF, jet_lift, partial_index
 
 # Pointwise thresholds, each relative to the magnitude of what it tests:
@@ -236,7 +236,8 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True,
              coeffs=None):
     """Compute every invariant of the web at one admissible point.
 
-    Given an (N, 4) array of points instead, return their SnapshotBatch.
+    Given an (N, 4) array of points instead, return their SnapshotBatch;
+    any other shape raises ValueError.
     The domain gate keeps every constraint `margin` away from 0, and
     `margin` must be positive, as `RunConfig.margin` must.  The gate names
     the first inadmissible row; past it no row is judged: the caller
@@ -250,11 +251,13 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True,
     bound = web.bind(params)
     point = np.asarray(point, dtype=float)
     points = np.atleast_2d(point)
-    if check_domain:
+    if check_domain:  # the gate checks the shape of `point` too
         broken = web.violated_constraint(point, bound, margin)
         if broken is not None:
             raise InadmissiblePoint("inadmissible point %s: %s" % (
                 "at" if point.ndim == 2 else tuple(point.tolist()), broken))
+    else:
+        check_shape(point)
     # one point lifts as a single jet, which raises EvalError outside the
     # domain of ln or of a division
     if coeffs is None:

@@ -252,6 +252,13 @@ def test_generic_classification_of_parameterized_web():
         assert pb["labels"] == ["B", "D232", "E1"]
 
 
+@pytest.mark.parametrize("bindings", [0, -1, 2.0])
+def test_generic_classification_needs_a_whole_number_of_bindings(bindings):
+    # no binding at all used to end in an IndexError
+    with pytest.raises(ValueError, match="bindings must be an integer >= 1"):
+        classify_generic(load_example(8).web, bindings=bindings)
+
+
 def test_generic_classification_skips_bindings_with_undefined_constants():
     # of the bindings drawn from [-2, 2], ln(a) is undefined at a <= 0 and
     # exp(700*a) overflows at a > 1.014

@@ -322,6 +322,26 @@ def test_margin_must_be_positive(margin):
         snapshot(load_example(1).web, (1.0, 1.0, 1.0, 1.0), margin=margin)
 
 
+@pytest.mark.parametrize("call,point", [
+    ("admissible", (1.0, 2.0, 0.5)),
+    ("snapshot", np.ones((5, 3))),
+    ("snapshot", np.ones((2, 2, 4))),
+    ("snapshot unchecked", np.ones((2, 2, 4))),
+])
+def test_points_of_any_other_shape_raise_naming_it(call, point):
+    # they read 0.5 as y1, blamed x1 - y1 != 0 and failed in numpy's "truth
+    # value of an array ... is ambiguous"; the unchecked snapshot skips the
+    # domain gate, which checks the shape too
+    web = load_example(1).web
+    calls = {"admissible": web.admissible,
+             "snapshot": lambda p: snapshot(web, p),
+             "snapshot unchecked": lambda p: snapshot(web, p,
+                                                      check_domain=False)}
+    with pytest.raises(ValueError,
+                       match="got shape " + re.escape(str(np.shape(point)))):
+        calls[call](point)
+
+
 def test_identities_hold_at_random_points_too():
     # cheap version of the full random-point sweep: 4 points, 3 webs
     config = RunConfig(points=8, seed=11)

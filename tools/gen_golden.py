@@ -9,7 +9,9 @@ rebuilds the whole tensor pipeline symbolically from the .web files,
 evaluates every transcribed form at the stored sample points, and
 adjudicates it against the recomputation: forms that agree to 25 digits
 at every point are tagged `verified`, the rest are tagged `printed-only`
-and keep both numbers.  The sidecars freeze the results as plain floats
+and keep both numbers.  A claim names its component by the path its
+record stores, in the snapshot's notation (`gamma.211`, `a4.2111`, see
+`tensor.read_spec`).  The sidecars freeze the results as plain floats
 so the test suite never needs sympy.
 
 Run from the repository root:
@@ -19,22 +21,24 @@ Run from the repository root:
 
 import json
 import math
+import operator
 import sys
 from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import sympy as sp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from threeweb import expr as we  # noqa: E402
+from threeweb.tensor import read_spec  # noqa: E402
 
 x1, x2, y1, y2 = sp.symbols("x1 x2 y1 y2")
-X = [x1, x2]
-Y = [y1, y2]
+X, Y = [x1, x2], [y1, y2]
 R = sp.Rational
-SYMS = {"x1": x1, "x2": x2, "y1": y1, "y2": y2}
 
 PREC = 40
 ZTOL = sp.Float(10) ** -25
@@ -42,32 +46,39 @@ ZTOL = sp.Float(10) ** -25
 CORPUS = SRC / "threeweb" / "corpus"
 
 
-def to_sympy(node, params):
-    if isinstance(node, we.Const):
-        if node.value == math.e:
-            return sp.E
-        return sp.Rational(node.value)
-    if isinstance(node, we.Var):
-        return SYMS[node.name]
-    if isinstance(node, we.ParamRef):
-        return params[node.name]
-    if isinstance(node, we.Neg):
-        return -to_sympy(node.arg, params)
-    if isinstance(node, we.Exp):
-        return sp.exp(to_sympy(node.arg, params))
-    if isinstance(node, we.Ln):
-        return sp.log(to_sympy(node.arg, params))
-    if isinstance(node, we.Add):
-        return to_sympy(node.left, params) + to_sympy(node.right, params)
-    if isinstance(node, we.Sub):
-        return to_sympy(node.left, params) - to_sympy(node.right, params)
-    if isinstance(node, we.Mul):
-        return to_sympy(node.left, params) * to_sympy(node.right, params)
-    if isinstance(node, we.Div):
-        return to_sympy(node.left, params) / to_sympy(node.right, params)
-    if isinstance(node, we.Pow):
-        return to_sympy(node.base, params) ** node.exponent
-    raise TypeError(node)
+# op -> how the sympy expressions of its operands combine
+SYMPY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+             "div": operator.truediv, "neg": operator.neg, "exp": sp.exp,
+             "ln": sp.log}
+
+
+def sympy_code(steps):
+    """The sympy runner's code for `expr.compile_program`, beside the value
+    and jet runners: cols holds the variables' symbols and params the
+    parameters' values.  e is sp.E and any other constant is exact."""
+    return tuple(sympy_step(op, args, value)
+                 for op, args, value, _, _ in steps)
+
+
+def sympy_step(op, args, value):
+    if op == "var":
+        v = we.VARIABLES.index(value)
+        return lambda vals, cols, params: cols[v]
+    if op == "param":
+        return lambda vals, cols, params: params[value]
+    if op == "const":
+        c = sp.E if value == math.e else R(value)
+        return lambda vals, cols, params: c
+    fn = (lambda base: base ** value) if op == "pow" else SYMPY_OPS[op]
+    return we._apply(fn, args)
+
+
+def to_sympy(web):
+    """u1 and u2 of `web` in sympy, by one program, each parameter at its
+    default as a rational.  The program is flat, so no depth of nesting
+    exhausts Python's stack."""
+    params = {name: R(default) for name, default in web.params}
+    return we.compile_program((web.u1, web.u2), sympy_code).run(X + Y, params)
 
 
 def inv2(m):
@@ -77,7 +88,8 @@ def inv2(m):
 
 
 def pipeline(u1, u2):
-    """Full symbolic tensor pipeline, mirroring threeweb.tensor."""
+    """Full symbolic tensor pipeline, mirroring threeweb.tensor: the fields
+    of a TensorSnapshot under its names, as object arrays of one point."""
     f = [u1, u2]
     fbar = [[sp.diff(f[i], X[j]) for j in range(2)] for i in range(2)]
     ftil = [[sp.diff(f[i], Y[j]) for j in range(2)] for i in range(2)]
@@ -131,34 +143,11 @@ def pipeline(u1, u2):
                           + s[l][j] * dlt(i, k))
              for l in range(2)] for k in range(2)] for j in range(2)]
           for i in range(2)]
-    return dict(G=G, a=a, b=b, p=p, q=q, f=fij, g=gij, h=h, s=s, a4=a4)
-
-
-def tensor_entry(P, path):
-    """Resolve a claim path in the table grammar (0-based indices)."""
-    if path.startswith("a4_"):
-        i, j, k, l = (int(c) for c in path[3:])
-        return P["a4"][i][j][k][l]
-    kind, digits = path[0], [int(c) for c in path[1:]]
-    if kind == "G":
-        return P["G"][digits[0]][digits[1]][digits[2]]
-    if kind == "a":
-        return P["a"][digits[0]]
-    if kind == "b":
-        return P["b"][digits[0]][digits[1]][digits[2]][digits[3]]
-    if kind in "pqfghs":
-        key = {"p": "p", "q": "q", "f": "f", "g": "g", "h": "h", "s": "s"}[kind]
-        return P[key][digits[0]][digits[1]]
-    raise ValueError(path)
-
-
-def package_path(path):
-    """Translate a claim path to the snapshot lookup grammar (1-based)."""
-    if path.startswith("a4_"):
-        return "a4." + "".join(str(int(c) + 1) for c in path[3:])
-    name = {"G": "gamma", "a": "a_cov", "b": "b", "p": "p", "q": "q",
-            "f": "f2", "g": "g2", "h": "h2", "s": "s"}[path[0]]
-    return name + "." + "".join(str(int(c) + 1) for c in path[1:])
+    fields = dict(gamma=G, a_cov=a, b=b, p=p, q=q, f2=fij, g2=gij, h2=h,
+                  a4=a4)
+    # a leading axis of one point, as `read_spec` reads a snapshot's fields
+    return SimpleNamespace(**{name: np.array(v, dtype=object)[None]
+                              for name, v in fields.items()})
 
 
 Z = sp.Integer(0)
@@ -166,26 +155,27 @@ Z = sp.Integer(0)
 
 def claims_01(P):
     return [
-        ("G100", 2 * (x2 + y2) / (x1 - y1)),
-        ("G110", 1 / (x1 - y1)),
-        ("G101", -1 / (x1 - y1)),
-        ("G111", Z), ("G000", Z), ("G001", Z), ("G010", Z), ("G011", Z),
-        ("a0", 2 / (y1 - x1)), ("a1", Z),
-        ("p00", 2 / (x1 - y1) ** 2), ("q00", -2 / (x1 - y1) ** 2),
-        ("p10", Z), ("p11", Z), ("q10", Z), ("q11", Z),
-        ("b1001", 2 / (x1 - y1) ** 2), ("b1010", -2 / (x1 - y1) ** 2),
-        ("b1000", -8 / ((x2 + y2) * (x1 - y1) ** 2)),
-        ("b0000", Z), ("b0111", Z), ("b1111", Z), ("b1100", Z),
-        ("b1011", Z), ("b1101", Z),
-        ("h00", Z), ("h01", Z), ("h11", Z),
-        ("f00", 2 / (x1 - y1) ** 2), ("g00", -2 / (x1 - y1) ** 2),
-        ("f01", Z), ("f11", Z), ("g01", Z), ("g11", Z),
-        ("a4_1000", -8 / ((x2 + y2) * (x1 - y1) ** 2)),
-        ("a4_0000", Z), ("a4_0001", Z), ("a4_1001", Z),
-        ("a4_1011", Z), ("a4_1111", Z),
+        ("gamma.211", 2 * (x2 + y2) / (x1 - y1)),
+        ("gamma.221", 1 / (x1 - y1)),
+        ("gamma.212", -1 / (x1 - y1)),
+        ("gamma.222", Z), ("gamma.111", Z), ("gamma.112", Z), ("gamma.121", Z),
+        ("gamma.122", Z),
+        ("a_cov.1", 2 / (y1 - x1)), ("a_cov.2", Z),
+        ("p.11", 2 / (x1 - y1) ** 2), ("q.11", -2 / (x1 - y1) ** 2),
+        ("p.21", Z), ("p.22", Z), ("q.21", Z), ("q.22", Z),
+        ("b.2112", 2 / (x1 - y1) ** 2), ("b.2121", -2 / (x1 - y1) ** 2),
+        ("b.2111", -8 / ((x2 + y2) * (x1 - y1) ** 2)),
+        ("b.1111", Z), ("b.1222", Z), ("b.2222", Z), ("b.2211", Z),
+        ("b.2122", Z), ("b.2212", Z),
+        ("h2.11", Z), ("h2.12", Z), ("h2.22", Z),
+        ("f2.11", 2 / (x1 - y1) ** 2), ("g2.11", -2 / (x1 - y1) ** 2),
+        ("f2.12", Z), ("f2.22", Z), ("g2.12", Z), ("g2.22", Z),
+        ("a4.2111", -8 / ((x2 + y2) * (x1 - y1) ** 2)),
+        ("a4.1111", Z), ("a4.1112", Z), ("a4.2112", Z),
+        ("a4.2122", Z), ("a4.2222", Z),
         # corrected readings of the two rows above
-        ("b1000", -8 * (x2 + y2) / (x1 - y1) ** 2),
-        ("a4_1000", -8 * (x2 + y2) / (x1 - y1) ** 2),
+        ("b.2111", -8 * (x2 + y2) / (x1 - y1) ** 2),
+        ("a4.2111", -8 * (x2 + y2) / (x1 - y1) ** 2),
     ]
 
 
@@ -193,53 +183,53 @@ def claims_02(P):
     quar = R(1, 4)
     dif = 1 / x1 ** 2 - 1 / y1 ** 2
     return [
-        ("a0", 1 / y1 - 1 / x1), ("a1", Z),
-        ("G101", -1 / x1), ("G110", -1 / y1),
-        ("G100", x2 / x1 - y2 / y1), ("G111", Z),
-        ("G000", Z), ("G011", Z),
-        ("p00", 1 / x1 ** 2), ("q00", -1 / y1 ** 2),
-        ("p10", Z), ("p11", Z), ("q10", Z), ("q11", Z),
-        ("b1000", (1 / y1 - 1 / x1) * (x2 / x1 - y2 / y1)),
-        ("b1010", -1 / y1 ** 2), ("b1001", 1 / x1 ** 2),
-        ("b0000", Z), ("b1100", Z), ("b1011", Z), ("b1101", Z),
-        ("b1110", Z), ("b1111", Z),
-        ("h00", quar * (1 / y1 ** 2 - 1 / x1 ** 2)),
-        ("f00", quar * (3 / x1 ** 2 + 1 / y1 ** 2)),
-        ("g00", -quar * (1 / x1 ** 2 + 3 / y1 ** 2)),
-        ("f01", Z), ("f11", Z), ("g01", Z), ("g11", Z),
-        ("h01", Z), ("h11", Z),
-        ("a4_0000", -quar * dif),
-        ("a4_1100", quar * dif), ("a4_1010", quar * dif),
-        ("a4_1001", quar * dif),
-        ("a4_1000", (1 / y1 - 1 / x1) * (x2 / x1 - y2 / y1)),
-        ("a4_0011", Z), ("a4_1011", Z), ("a4_1111", Z), ("a4_0111", Z),
-        ("s00", quar * dif),
+        ("a_cov.1", 1 / y1 - 1 / x1), ("a_cov.2", Z),
+        ("gamma.212", -1 / x1), ("gamma.221", -1 / y1),
+        ("gamma.211", x2 / x1 - y2 / y1), ("gamma.222", Z),
+        ("gamma.111", Z), ("gamma.122", Z),
+        ("p.11", 1 / x1 ** 2), ("q.11", -1 / y1 ** 2),
+        ("p.21", Z), ("p.22", Z), ("q.21", Z), ("q.22", Z),
+        ("b.2111", (1 / y1 - 1 / x1) * (x2 / x1 - y2 / y1)),
+        ("b.2121", -1 / y1 ** 2), ("b.2112", 1 / x1 ** 2),
+        ("b.1111", Z), ("b.2211", Z), ("b.2122", Z), ("b.2212", Z),
+        ("b.2221", Z), ("b.2222", Z),
+        ("h2.11", quar * (1 / y1 ** 2 - 1 / x1 ** 2)),
+        ("f2.11", quar * (3 / x1 ** 2 + 1 / y1 ** 2)),
+        ("g2.11", -quar * (1 / x1 ** 2 + 3 / y1 ** 2)),
+        ("f2.12", Z), ("f2.22", Z), ("g2.12", Z), ("g2.22", Z),
+        ("h2.12", Z), ("h2.22", Z),
+        ("a4.1111", -quar * dif),
+        ("a4.2211", quar * dif), ("a4.2121", quar * dif),
+        ("a4.2112", quar * dif),
+        ("a4.2111", (1 / y1 - 1 / x1) * (x2 / x1 - y2 / y1)),
+        ("a4.1122", Z), ("a4.2122", Z), ("a4.2222", Z), ("a4.1222", Z),
+        ("s.11", quar * dif),
     ]
 
 
 def claims_03(P):
     return [
-        ("a0", Z), ("a1", 1 / (x2 * y2)),
-        ("G010", -1 / (x2 * y2)), ("G111", -1 / (x2 * y2)),
-        ("G000", Z), ("G001", Z), ("G011", Z), ("G100", Z),
-        ("G101", Z), ("G110", Z),
-        ("p11", -1 / (x2 * y2) ** 2),
-        ("p00", Z), ("p01", Z), ("q00", Z), ("q01", Z), ("q11", Z),
-        ("b0010", -1 / (2 * (x2 * y2) ** 2)),
-        ("b0011", -1 / (2 * (x2 * y2) ** 2)),
-        ("b1110", 1 / (2 * (x2 * y2) ** 2)),
-        ("b0000", Z), ("b1111", Z), ("b1101", Z), ("b1100", Z),
-        ("b0001", Z),
-        ("f00", Z), ("f01", Z), ("g00", Z), ("g01", Z),
-        ("h00", Z), ("h01", Z),
-        ("g11", 1 / (3 * (x2 * y2) ** 2)),
-        ("h11", 1 / (3 * (x2 * y2) ** 2)),
-        ("f11", -2 / (3 * (x2 * y2) ** 2)),
-        ("a4_1011", 1 / (6 * (x2 * y2) ** 2)),
-        ("a4_0001", -1 / (6 * (x2 * y2) ** 2)),
-        ("a4_0011", -1 / (6 * (x2 * y2) ** 2)),
-        ("a4_0000", Z), ("a4_1111", Z), ("a4_1100", Z),
-        ("s11", Z),
+        ("a_cov.1", Z), ("a_cov.2", 1 / (x2 * y2)),
+        ("gamma.121", -1 / (x2 * y2)), ("gamma.222", -1 / (x2 * y2)),
+        ("gamma.111", Z), ("gamma.112", Z), ("gamma.122", Z), ("gamma.211", Z),
+        ("gamma.212", Z), ("gamma.221", Z),
+        ("p.22", -1 / (x2 * y2) ** 2),
+        ("p.11", Z), ("p.12", Z), ("q.11", Z), ("q.12", Z), ("q.22", Z),
+        ("b.1121", -1 / (2 * (x2 * y2) ** 2)),
+        ("b.1122", -1 / (2 * (x2 * y2) ** 2)),
+        ("b.2221", 1 / (2 * (x2 * y2) ** 2)),
+        ("b.1111", Z), ("b.2222", Z), ("b.2212", Z), ("b.2211", Z),
+        ("b.1112", Z),
+        ("f2.11", Z), ("f2.12", Z), ("g2.11", Z), ("g2.12", Z),
+        ("h2.11", Z), ("h2.12", Z),
+        ("g2.22", 1 / (3 * (x2 * y2) ** 2)),
+        ("h2.22", 1 / (3 * (x2 * y2) ** 2)),
+        ("f2.22", -2 / (3 * (x2 * y2) ** 2)),
+        ("a4.2122", 1 / (6 * (x2 * y2) ** 2)),
+        ("a4.1112", -1 / (6 * (x2 * y2) ** 2)),
+        ("a4.1122", -1 / (6 * (x2 * y2) ** 2)),
+        ("a4.1111", Z), ("a4.2222", Z), ("a4.2211", Z),
+        ("s.22", Z),
     ]
 
 
@@ -247,16 +237,17 @@ def claims_04(P):
     sig = (x1 + y1) / y2
     tau = (x1 + y1) / x2
     return [
-        ("G000", -sig), ("G101", -sig), ("G001", -tau), ("G111", -tau),
-        ("G010", Z), ("G011", Z), ("G100", Z), ("G110", Z),
-        ("a0", -sig), ("a1", tau),
-        ("p00", Z), ("p01", Z), ("p11", Z),
-        ("q00", Z), ("q01", Z), ("q11", Z),
-        ("b0000", Z), ("b1111", Z), ("b1000", Z), ("b0111", Z),
-        ("b0010", Z), ("b1101", Z),
-        ("f00", Z), ("g00", Z), ("h00", Z),
-        ("f11", Z), ("g11", Z), ("h11", Z),
-        ("a4_0000", Z), ("a4_1111", Z),
+        ("gamma.111", -sig), ("gamma.212", -sig), ("gamma.112", -tau),
+        ("gamma.222", -tau),
+        ("gamma.121", Z), ("gamma.122", Z), ("gamma.211", Z), ("gamma.221", Z),
+        ("a_cov.1", -sig), ("a_cov.2", tau),
+        ("p.11", Z), ("p.12", Z), ("p.22", Z),
+        ("q.11", Z), ("q.12", Z), ("q.22", Z),
+        ("b.1111", Z), ("b.2222", Z), ("b.2111", Z), ("b.1222", Z),
+        ("b.1121", Z), ("b.2212", Z),
+        ("f2.11", Z), ("g2.11", Z), ("h2.11", Z),
+        ("f2.22", Z), ("g2.22", Z), ("h2.22", Z),
+        ("a4.1111", Z), ("a4.2222", Z),
     ]
 
 
@@ -264,38 +255,40 @@ def claims_05(P):
     sig = (x1 + x2) / (x2 - y1)
     tau = (y1 + y2) / (x2 - y1)
     return [
-        ("G000", sig), ("G110", -sig), ("G010", tau), ("G111", -tau),
-        ("G001", Z), ("G011", Z), ("G100", Z),
-        ("a0", sig), ("a1", tau),
-        ("p00", Z), ("p11", Z), ("q00", Z), ("q11", Z),
-        ("b0000", Z), ("b1111", Z), ("b1000", Z), ("b0111", Z),
-        ("f00", Z), ("g11", Z), ("h00", Z),
-        ("a4_0000", Z), ("a4_1111", Z),
+        ("gamma.111", sig), ("gamma.221", -sig), ("gamma.121", tau),
+        ("gamma.222", -tau),
+        ("gamma.112", Z), ("gamma.122", Z), ("gamma.211", Z),
+        ("a_cov.1", sig), ("a_cov.2", tau),
+        ("p.11", Z), ("p.22", Z), ("q.11", Z), ("q.22", Z),
+        ("b.1111", Z), ("b.2222", Z), ("b.2111", Z), ("b.1222", Z),
+        ("f2.11", Z), ("g2.22", Z), ("h2.11", Z),
+        ("a4.1111", Z), ("a4.2222", Z),
     ]
 
 
 def claims_06(P):
     sig = (x1 + x2) / (y1 + y2)
     return [
-        ("G000", -sig), ("G010", -sig), ("G101", -sig), ("G111", -sig),
-        ("G001", Z), ("G011", Z), ("G100", Z), ("G110", Z),
-        ("a0", -sig), ("a1", -sig),
-        ("p00", Z), ("p01", Z), ("p11", Z),
-        ("q00", Z), ("q01", Z), ("q11", Z),
-        ("b0000", 2 * sig ** 2), ("b1111", 2 * sig ** 2),
-        ("b0010", 2 * sig ** 2), ("b1101", 2 * sig ** 2),
-        ("b1011", sig ** 2), ("b0001", sig ** 2), ("b0011", sig ** 2),
-        ("b0100", sig ** 2), ("b0110", sig ** 2), ("b1100", sig ** 2),
-        ("b1001", sig ** 2), ("b1110", sig ** 2),
-        ("b0111", Z), ("b1000", Z), ("b0101", Z), ("b1010", Z),
-        ("f00", R(2, 3) * sig ** 2), ("g00", R(2, 3) * sig ** 2),
-        ("h00", R(2, 3) * sig ** 2), ("f11", R(2, 3) * sig ** 2),
-        ("g11", R(2, 3) * sig ** 2), ("h11", R(2, 3) * sig ** 2),
-        ("f01", R(2, 3) * sig ** 2), ("g01", R(2, 3) * sig ** 2),
-        ("h01", R(2, 3) * sig ** 2),
-        ("a4_0000", R(4, 3) * sig ** 2), ("a4_1111", R(4, 3) * sig ** 2),
-        ("a4_0001", R(2, 3) * sig ** 2), ("a4_1011", R(2, 3) * sig ** 2),
-        ("a4_0011", Z), ("a4_1001", Z), ("a4_0111", Z), ("a4_1000", Z),
+        ("gamma.111", -sig), ("gamma.121", -sig), ("gamma.212", -sig),
+        ("gamma.222", -sig),
+        ("gamma.112", Z), ("gamma.122", Z), ("gamma.211", Z), ("gamma.221", Z),
+        ("a_cov.1", -sig), ("a_cov.2", -sig),
+        ("p.11", Z), ("p.12", Z), ("p.22", Z),
+        ("q.11", Z), ("q.12", Z), ("q.22", Z),
+        ("b.1111", 2 * sig ** 2), ("b.2222", 2 * sig ** 2),
+        ("b.1121", 2 * sig ** 2), ("b.2212", 2 * sig ** 2),
+        ("b.2122", sig ** 2), ("b.1112", sig ** 2), ("b.1122", sig ** 2),
+        ("b.1211", sig ** 2), ("b.1221", sig ** 2), ("b.2211", sig ** 2),
+        ("b.2112", sig ** 2), ("b.2221", sig ** 2),
+        ("b.1222", Z), ("b.2111", Z), ("b.1212", Z), ("b.2121", Z),
+        ("f2.11", R(2, 3) * sig ** 2), ("g2.11", R(2, 3) * sig ** 2),
+        ("h2.11", R(2, 3) * sig ** 2), ("f2.22", R(2, 3) * sig ** 2),
+        ("g2.22", R(2, 3) * sig ** 2), ("h2.22", R(2, 3) * sig ** 2),
+        ("f2.12", R(2, 3) * sig ** 2), ("g2.12", R(2, 3) * sig ** 2),
+        ("h2.12", R(2, 3) * sig ** 2),
+        ("a4.1111", R(4, 3) * sig ** 2), ("a4.2222", R(4, 3) * sig ** 2),
+        ("a4.1112", R(2, 3) * sig ** 2), ("a4.2122", R(2, 3) * sig ** 2),
+        ("a4.1122", Z), ("a4.2112", Z), ("a4.1222", Z), ("a4.2111", Z),
     ]
 
 
@@ -304,37 +297,37 @@ def claims_07(P):
     tau = (x2 + y2) ** 2 / (2 * (x1 * y2 - x2 * y1))
     rho = (x2 ** 2 - y2 ** 2) / (x1 * y2 - x2 * y1)
     return [
-        ("G000", -rho), ("G111", rho),
-        ("G001", -sig), ("G010", sig),
-        ("G101", -tau), ("G110", tau),
-        ("G011", Z), ("G100", Z),
-        ("a0", -2 * tau), ("a1", 2 * sig),
-        ("p00", -2 * tau ** 2), ("q00", 2 * tau ** 2),
-        ("p11", -2 * sig ** 2), ("q11", 2 * sig ** 2),
-        ("p01", -rho ** 2 / 2), ("p10", -rho ** 2 / 2),
-        ("q01", rho ** 2 / 2), ("q10", rho ** 2 / 2),
-        ("b0110", -2 * sig ** 2), ("b0101", 2 * sig ** 2),
-        ("b0010", -rho ** 2 / 2), ("b0001", rho ** 2 / 2),
-        ("b1101", -rho ** 2 / 2), ("b1110", rho ** 2 / 2),
-        ("b1001", -2 * tau ** 2), ("b1010", 2 * tau ** 2),
-        ("b0000", Z), ("b1111", Z), ("b0111", Z), ("b1000", Z),
-        ("b0100", Z), ("b1100", Z), ("b0011", Z), ("b1011", Z),
-        ("f00", -2 * tau ** 2), ("g00", 2 * tau ** 2),
-        ("f11", -2 * sig ** 2), ("g11", 2 * sig ** 2),
-        ("f01", -rho ** 2 / 2), ("g01", rho ** 2 / 2),
-        ("h00", Z), ("h01", Z), ("h11", Z),
-        ("a4_0000", Z), ("a4_1111", Z), ("a4_0001", Z), ("a4_1011", Z),
+        ("gamma.111", -rho), ("gamma.222", rho),
+        ("gamma.112", -sig), ("gamma.121", sig),
+        ("gamma.212", -tau), ("gamma.221", tau),
+        ("gamma.122", Z), ("gamma.211", Z),
+        ("a_cov.1", -2 * tau), ("a_cov.2", 2 * sig),
+        ("p.11", -2 * tau ** 2), ("q.11", 2 * tau ** 2),
+        ("p.22", -2 * sig ** 2), ("q.22", 2 * sig ** 2),
+        ("p.12", -rho ** 2 / 2), ("p.21", -rho ** 2 / 2),
+        ("q.12", rho ** 2 / 2), ("q.21", rho ** 2 / 2),
+        ("b.1221", -2 * sig ** 2), ("b.1212", 2 * sig ** 2),
+        ("b.1121", -rho ** 2 / 2), ("b.1112", rho ** 2 / 2),
+        ("b.2212", -rho ** 2 / 2), ("b.2221", rho ** 2 / 2),
+        ("b.2112", -2 * tau ** 2), ("b.2121", 2 * tau ** 2),
+        ("b.1111", Z), ("b.2222", Z), ("b.1222", Z), ("b.2111", Z),
+        ("b.1211", Z), ("b.2211", Z), ("b.1122", Z), ("b.2122", Z),
+        ("f2.11", -2 * tau ** 2), ("g2.11", 2 * tau ** 2),
+        ("f2.22", -2 * sig ** 2), ("g2.22", 2 * sig ** 2),
+        ("f2.12", -rho ** 2 / 2), ("g2.12", rho ** 2 / 2),
+        ("h2.11", Z), ("h2.12", Z), ("h2.22", Z),
+        ("a4.1111", Z), ("a4.2222", Z), ("a4.1112", Z), ("a4.2122", Z),
     ]
 
 
 def claims_08(P):
     return [
-        ("a0", Z), ("a1", Z),
-        ("p00", Z), ("p01", Z), ("p10", Z), ("p11", Z),
-        ("q00", Z), ("q01", Z), ("q10", Z), ("q11", Z),
-        ("f00", Z), ("f01", Z), ("f11", Z),
-        ("g00", Z), ("g01", Z), ("g11", Z),
-        ("h00", Z), ("h01", Z), ("h11", Z),
+        ("a_cov.1", Z), ("a_cov.2", Z),
+        ("p.11", Z), ("p.12", Z), ("p.21", Z), ("p.22", Z),
+        ("q.11", Z), ("q.12", Z), ("q.21", Z), ("q.22", Z),
+        ("f2.11", Z), ("f2.12", Z), ("f2.22", Z),
+        ("g2.11", Z), ("g2.12", Z), ("g2.22", Z),
+        ("h2.11", Z), ("h2.12", Z), ("h2.22", Z),
     ]
 
 
@@ -343,37 +336,39 @@ def claims_09(P):
     m9 = -(x1 * y1 + x2 * y2) / D9
     p9 = (x1 * y2 + x2 * y1) / D9
     return [
-        ("G000", m9), ("G011", m9), ("G101", m9), ("G110", m9),
-        ("G001", p9), ("G010", p9), ("G100", p9), ("G111", p9),
-        ("a0", Z), ("a1", Z),
-        ("p00", Z), ("p01", Z), ("p10", Z), ("p11", Z),
-        ("q00", Z), ("q01", Z), ("q10", Z), ("q11", Z),
-        ("b0000", Z), ("b0001", Z), ("b0110", Z), ("b0111", Z),
-        ("b1000", Z), ("b1111", Z),
-        ("a4_0000", Z), ("a4_1111", Z),
-        ("f00", Z), ("f01", Z), ("f11", Z),
-        ("g00", Z), ("g11", Z), ("h00", Z), ("h11", Z),
+        ("gamma.111", m9), ("gamma.122", m9), ("gamma.212", m9),
+        ("gamma.221", m9),
+        ("gamma.112", p9), ("gamma.121", p9), ("gamma.211", p9),
+        ("gamma.222", p9),
+        ("a_cov.1", Z), ("a_cov.2", Z),
+        ("p.11", Z), ("p.12", Z), ("p.21", Z), ("p.22", Z),
+        ("q.11", Z), ("q.12", Z), ("q.21", Z), ("q.22", Z),
+        ("b.1111", Z), ("b.1112", Z), ("b.1221", Z), ("b.1222", Z),
+        ("b.2111", Z), ("b.2222", Z),
+        ("a4.1111", Z), ("a4.2222", Z),
+        ("f2.11", Z), ("f2.12", Z), ("f2.22", Z),
+        ("g2.11", Z), ("g2.22", Z), ("h2.11", Z), ("h2.22", Z),
     ]
 
 
 def claims_10(P):
     big = sp.exp(y1) + (x1 / x2) * sp.exp(-y2)
     return [
-        ("G100", Z), ("G101", Z), ("G110", Z), ("G111", Z),
-        ("G000", Z), ("G001", sp.Integer(1)),
-        ("G010", -1 / x2), ("G011", -big),
-        ("a0", Z), ("a1", -(1 + 1 / x2)),
-        ("p00", Z), ("p01", Z), ("p10", Z), ("p11", 1 / x2 ** 2),
-        ("q00", Z), ("q01", Z), ("q10", Z), ("q11", Z),
-        ("b0111", big / x2), ("b0110", 1 / x2 ** 2),
-        ("b0000", Z), ("b0001", Z), ("b0010", Z), ("b0011", Z),
-        ("b0100", Z), ("b0101", Z), ("b1000", Z), ("b1111", Z),
-        ("a4_0011", 5 / (24 * x2 ** 2)), ("a4_1111", -3 / (8 * x2 ** 2)),
-        ("a4_0000", Z), ("a4_0001", Z), ("a4_1000", Z),
-        ("a4_0111", big / x2),
-        ("f00", Z), ("f01", Z), ("f11", 19 / (24 * x2 ** 2)),
-        ("g00", Z), ("g01", Z), ("g11", -5 / (24 * x2 ** 2)),
-        ("h00", Z), ("h01", Z), ("h11", -5 / (24 * x2 ** 2)),
+        ("gamma.211", Z), ("gamma.212", Z), ("gamma.221", Z), ("gamma.222", Z),
+        ("gamma.111", Z), ("gamma.112", sp.Integer(1)),
+        ("gamma.121", -1 / x2), ("gamma.122", -big),
+        ("a_cov.1", Z), ("a_cov.2", -(1 + 1 / x2)),
+        ("p.11", Z), ("p.12", Z), ("p.21", Z), ("p.22", 1 / x2 ** 2),
+        ("q.11", Z), ("q.12", Z), ("q.21", Z), ("q.22", Z),
+        ("b.1222", big / x2), ("b.1221", 1 / x2 ** 2),
+        ("b.1111", Z), ("b.1112", Z), ("b.1121", Z), ("b.1122", Z),
+        ("b.1211", Z), ("b.1212", Z), ("b.2111", Z), ("b.2222", Z),
+        ("a4.1122", 5 / (24 * x2 ** 2)), ("a4.2222", -3 / (8 * x2 ** 2)),
+        ("a4.1111", Z), ("a4.1112", Z), ("a4.2111", Z),
+        ("a4.1222", big / x2),
+        ("f2.11", Z), ("f2.12", Z), ("f2.22", 19 / (24 * x2 ** 2)),
+        ("g2.11", Z), ("g2.12", Z), ("g2.22", -5 / (24 * x2 ** 2)),
+        ("h2.11", Z), ("h2.12", Z), ("h2.22", -5 / (24 * x2 ** 2)),
     ]
 
 
@@ -381,35 +376,35 @@ def claims_11(P):
     E_ = sp.E
     e12 = sp.exp(1 - 2 * y2)
     return [
-        ("G100", Z), ("G101", Z), ("G110", Z), ("G111", Z),
-        ("G000", Z), ("G001", sp.Integer(2)),
-        ("G010", (y2 - R(1, 2)) * e12),
-        ("G011", (-y2 + sp.exp(-2 * y2) * (y2 - R(1, 2))
+        ("gamma.211", Z), ("gamma.212", Z), ("gamma.221", Z), ("gamma.222", Z),
+        ("gamma.111", Z), ("gamma.112", sp.Integer(2)),
+        ("gamma.121", (y2 - R(1, 2)) * e12),
+        ("gamma.122", (-y2 + sp.exp(-2 * y2) * (y2 - R(1, 2))
                   * (2 * x1 + E_ * x2 * y2 - R(1, 2) * E_ * y2)) * e12),
-        ("a0", Z), ("a1", (y2 - R(1, 2)) * e12 - 2),
-        ("p00", Z), ("p01", Z), ("p10", Z), ("p11", Z),
-        ("q00", Z), ("q01", Z), ("q10", Z),
-        ("q11", 2 * (1 - y2) * e12),
-        ("b1000", Z), ("b1111", Z),
-        ("b0000", Z), ("b0001", Z), ("b0010", Z), ("b0100", Z),
-        ("b0111", (2 * y2 - 1) * (-(1 + R(1, 2) * E_ * y2) * e12
+        ("a_cov.1", Z), ("a_cov.2", (y2 - R(1, 2)) * e12 - 2),
+        ("p.11", Z), ("p.12", Z), ("p.21", Z), ("p.22", Z),
+        ("q.11", Z), ("q.12", Z), ("q.21", Z),
+        ("q.22", 2 * (1 - y2) * e12),
+        ("b.2111", Z), ("b.2222", Z),
+        ("b.1111", Z), ("b.1112", Z), ("b.1121", Z), ("b.1211", Z),
+        ("b.1222", (2 * y2 - 1) * (-(1 + R(1, 2) * E_ * y2) * e12
                                   + (y2 - R(1, 2)) * sp.exp(2 - 3 * y2)
                                   + (4 * x1 + 2 * E_ * x2 * y2
                                      - R(1, 2) * E_ * x2)
                                   * sp.exp(1 - 4 * y2))),
-        ("b0110", R(1, 2) * e12),
-        ("b0011", (y2 - R(1, 2)) * E_ + (y2 - 1) * e12),
-        ("b0101", (y2 - R(1, 2)) * (E_ - e12)),
-        ("f00", Z), ("f01", Z), ("g00", Z), ("g01", Z),
-        ("h00", Z), ("h01", Z),
-        ("f11", (3 * E_ / 16) * (2 * y2 - 1)
+        ("b.1221", R(1, 2) * e12),
+        ("b.1122", (y2 - R(1, 2)) * E_ + (y2 - 1) * e12),
+        ("b.1212", (y2 - R(1, 2)) * (E_ - e12)),
+        ("f2.11", Z), ("f2.12", Z), ("g2.11", Z), ("g2.12", Z),
+        ("h2.11", Z), ("h2.12", Z),
+        ("f2.22", (3 * E_ / 16) * (2 * y2 - 1)
          + (R(2, 3) * y2 - R(19, 24)) * e12),
-        ("h11", (3 * E_ / 16) * (2 * y2 - 1)
+        ("h2.22", (3 * E_ / 16) * (2 * y2 - 1)
          + (R(2, 3) * y2 - R(19, 24)) * e12),
-        ("g11", (3 * E_ / 16) * (2 * y2 - 1)
+        ("g2.22", (3 * E_ / 16) * (2 * y2 - 1)
          + (R(29, 24) - R(4, 3) * y2) * e12),
-        ("a4_1111", Z), ("a4_1000", Z), ("a4_0000", Z), ("a4_0001", Z),
-        ("a4_0011", R(1, 8) * (2 * y2 - 1) * (2 * E_ - 1)
+        ("a4.2222", Z), ("a4.2111", Z), ("a4.1111", Z), ("a4.1112", Z),
+        ("a4.1122", R(1, 8) * (2 * y2 - 1) * (2 * E_ - 1)
          + R(1, 6) * (R(4, 9) * y2 - R(41, 36)) * e12),
     ]
 
@@ -427,26 +422,26 @@ def claims_12(P):
                                         + 6 * x2 ** 2 * y2 ** 2
                                         - 2 * x2 * y2 ** 3 + y2 ** 4) \
         / (B1_ ** 4 * B2_)
-    pb0 = P["b"][0][0][0][0]
-    pb1 = P["b"][1][1][1][1]
+    pb0 = P.b[0, 0, 0, 0, 0]
+    pb1 = P.b[0, 1, 1, 1, 1]
     return [
-        ("G000", 4 * x1 * y1 * (x1 + y1) / A1_ ** 2),
-        ("G111", 4 * x2 * y2 * (x2 + y2) / B2_ ** 2),
-        ("G001", Z), ("G010", Z), ("G011", Z), ("G100", Z),
-        ("G101", Z), ("G110", Z),
-        ("a0", Z), ("a1", Z),
-        ("p00", Z), ("p01", Z), ("p10", Z), ("p11", Z),
-        ("q00", Z), ("q01", Z), ("q10", Z), ("q11", Z),
-        ("b0000", b0000_print), ("b1111", b1111_print),
-        ("b0001", Z), ("b0010", Z), ("b0011", Z), ("b0100", Z),
-        ("b0101", Z), ("b0110", Z), ("b0111", Z), ("b1000", Z),
-        ("b1110", Z),
-        ("a4_0111", Z), ("a4_1000", Z), ("a4_0001", Z), ("a4_1110", Z),
-        ("a4_0000", 3 * pb0 / 4), ("a4_1111", 3 * pb1 / 4),
-        ("a4_0011", -pb1 / 12), ("a4_1001", -pb0 / 12),
-        ("f00", pb0 / 4), ("g00", pb0 / 4), ("h00", pb0 / 4),
-        ("f01", Z), ("g01", Z), ("h01", Z),
-        ("f11", pb1 / 4), ("g11", pb1 / 4), ("h11", pb1 / 4),
+        ("gamma.111", 4 * x1 * y1 * (x1 + y1) / A1_ ** 2),
+        ("gamma.222", 4 * x2 * y2 * (x2 + y2) / B2_ ** 2),
+        ("gamma.112", Z), ("gamma.121", Z), ("gamma.122", Z), ("gamma.211", Z),
+        ("gamma.212", Z), ("gamma.221", Z),
+        ("a_cov.1", Z), ("a_cov.2", Z),
+        ("p.11", Z), ("p.12", Z), ("p.21", Z), ("p.22", Z),
+        ("q.11", Z), ("q.12", Z), ("q.21", Z), ("q.22", Z),
+        ("b.1111", b0000_print), ("b.2222", b1111_print),
+        ("b.1112", Z), ("b.1121", Z), ("b.1122", Z), ("b.1211", Z),
+        ("b.1212", Z), ("b.1221", Z), ("b.1222", Z), ("b.2111", Z),
+        ("b.2221", Z),
+        ("a4.1222", Z), ("a4.2111", Z), ("a4.1112", Z), ("a4.2221", Z),
+        ("a4.1111", 3 * pb0 / 4), ("a4.2222", 3 * pb1 / 4),
+        ("a4.1122", -pb1 / 12), ("a4.2112", -pb0 / 12),
+        ("f2.11", pb0 / 4), ("g2.11", pb0 / 4), ("h2.11", pb0 / 4),
+        ("f2.12", Z), ("g2.12", Z), ("h2.12", Z),
+        ("f2.22", pb1 / 4), ("g2.22", pb1 / 4), ("h2.22", pb1 / 4),
     ]
 
 
@@ -456,48 +451,48 @@ def claims_13(P):
     B1t = 1 + x1 ** 2 / 2
     B2t = 1 + x2 ** 2 / 2
     b0000_13 = (x1 ** 4 * A1t / 2 - x1 ** 2 - 1) / (A1t ** 3 * B1t)
-    pb0 = P["b"][0][0][0][0]
+    pb0 = P.b[0, 0, 0, 0, 0]
     return [
-        ("G001", Z), ("G011", Z), ("G100", Z), ("G101", Z),
-        ("G010", Z), ("G110", Z),
-        ("G000", -x1 / (A1t * B1t ** 2)),
-        ("G111", -x2 / (A2t * B2t ** 2)),
-        ("a0", Z), ("a1", Z),
-        ("p00", Z), ("p01", Z), ("p10", Z), ("p11", Z),
-        ("q00", Z), ("q01", Z), ("q10", Z), ("q11", Z),
-        ("b0000", b0000_13),
-        ("b0001", Z), ("b0010", Z), ("b0011", Z), ("b0100", Z),
-        ("b0101", Z), ("b0110", Z), ("b0111", Z), ("b1000", Z),
-        ("b1111", Z),
-        ("a4_0001", Z), ("a4_0111", Z), ("a4_1000", Z), ("a4_1111", Z),
-        ("f01", Z), ("g01", Z), ("h01", Z),
-        ("f11", Z), ("g11", Z), ("h11", Z),
-        ("a4_0000", pb0 / 4),
-        ("f00", pb0 / 4), ("g00", pb0 / 4), ("h00", pb0 / 4),
+        ("gamma.112", Z), ("gamma.122", Z), ("gamma.211", Z), ("gamma.212", Z),
+        ("gamma.121", Z), ("gamma.221", Z),
+        ("gamma.111", -x1 / (A1t * B1t ** 2)),
+        ("gamma.222", -x2 / (A2t * B2t ** 2)),
+        ("a_cov.1", Z), ("a_cov.2", Z),
+        ("p.11", Z), ("p.12", Z), ("p.21", Z), ("p.22", Z),
+        ("q.11", Z), ("q.12", Z), ("q.21", Z), ("q.22", Z),
+        ("b.1111", b0000_13),
+        ("b.1112", Z), ("b.1121", Z), ("b.1122", Z), ("b.1211", Z),
+        ("b.1212", Z), ("b.1221", Z), ("b.1222", Z), ("b.2111", Z),
+        ("b.2222", Z),
+        ("a4.1112", Z), ("a4.1222", Z), ("a4.2111", Z), ("a4.2222", Z),
+        ("f2.12", Z), ("g2.12", Z), ("h2.12", Z),
+        ("f2.22", Z), ("g2.22", Z), ("h2.22", Z),
+        ("a4.1111", pb0 / 4),
+        ("f2.11", pb0 / 4), ("g2.11", pb0 / 4), ("h2.11", pb0 / 4),
     ]
 
 
 def claims_14(P):
     q22 = 1 / ((1 + y2) ** 2 * x2 ** 2 * y2)
-    pb = P["b"][0][1][0][1]
+    pb = P.b[0, 0, 1, 0, 1]
     return [
-        ("G001", -1 / (x2 * (1 + y2))),
-        ("G000", Z), ("G010", Z), ("G011", Z),
-        ("G111", -1 / (x2 * y2)),
-        ("G100", Z), ("G101", Z), ("G110", Z),
-        ("a0", Z), ("a1", 1 / ((1 + y2) * x2)),
-        ("p00", Z), ("p01", Z), ("p10", Z), ("p11", Z),
-        ("q00", Z), ("q01", Z), ("q10", Z), ("q11", q22),
-        ("b0101", q22),
-        ("b0000", Z), ("b0001", Z), ("b0010", Z), ("b0011", Z),
-        ("b0100", Z), ("b0110", Z), ("b0111", Z), ("b1000", Z),
-        ("b1111", Z), ("b1110", Z),
-        ("a4_0000", Z), ("a4_0001", Z), ("a4_0011", Z), ("a4_0111", Z),
-        ("a4_1000", Z), ("a4_1001", Z), ("a4_1011", Z),
-        ("f00", Z), ("f01", Z), ("g00", Z), ("g01", Z),
-        ("h00", Z), ("h01", Z),
-        ("a4_1111", -pb / 4), ("f11", -pb / 4), ("h11", -pb / 4),
-        ("g11", 3 * pb / 4),
+        ("gamma.112", -1 / (x2 * (1 + y2))),
+        ("gamma.111", Z), ("gamma.121", Z), ("gamma.122", Z),
+        ("gamma.222", -1 / (x2 * y2)),
+        ("gamma.211", Z), ("gamma.212", Z), ("gamma.221", Z),
+        ("a_cov.1", Z), ("a_cov.2", 1 / ((1 + y2) * x2)),
+        ("p.11", Z), ("p.12", Z), ("p.21", Z), ("p.22", Z),
+        ("q.11", Z), ("q.12", Z), ("q.21", Z), ("q.22", q22),
+        ("b.1212", q22),
+        ("b.1111", Z), ("b.1112", Z), ("b.1121", Z), ("b.1122", Z),
+        ("b.1211", Z), ("b.1221", Z), ("b.1222", Z), ("b.2111", Z),
+        ("b.2222", Z), ("b.2221", Z),
+        ("a4.1111", Z), ("a4.1112", Z), ("a4.1122", Z), ("a4.1222", Z),
+        ("a4.2111", Z), ("a4.2112", Z), ("a4.2122", Z),
+        ("f2.11", Z), ("f2.12", Z), ("g2.11", Z), ("g2.12", Z),
+        ("h2.11", Z), ("h2.12", Z),
+        ("a4.2222", -pb / 4), ("f2.22", -pb / 4), ("h2.22", -pb / 4),
+        ("g2.22", 3 * pb / 4),
     ]
 
 
@@ -506,26 +501,26 @@ def claims_15(P):
     tau = 1 / (y2 * (1 + x2))
     u1_15 = x1 + y1 + x1 * y2 + x2 * y1
     return [
-        ("G000", Z), ("G100", Z), ("G101", Z), ("G110", Z),
-        ("G001", -sig), ("G010", -tau),
-        ("G011", sig * tau * u1_15),
-        ("G111", -1 / (x2 * y2)),
-        ("a0", Z), ("a1", sig * tau * (y2 - x2)),
-        ("p00", Z), ("p01", Z), ("p10", Z), ("p11", -tau ** 2 / x2),
-        ("q00", Z), ("q01", Z), ("q10", Z), ("q11", sig ** 2 / y2),
-        ("b1000", Z), ("b1111", Z), ("b1110", Z),
-        ("b0000", Z), ("b0001", Z), ("b0010", Z), ("b0100", Z),
-        ("b0011", Z),
-        ("b0101", sig ** 2 / y2),
-        ("b0110", -tau ** 2 / x2),
-        ("b0111", sig * tau * u1_15 * sig * tau * (y2 - x2)),
-        ("a4_0111", sig * tau * u1_15 * sig * tau * (y2 - x2)),
-        ("f00", Z), ("f01", Z), ("g00", Z), ("g01", Z),
-        ("h00", Z), ("h01", Z),
-        ("h11", R(1, 4) * sig ** 2 * tau ** 2 * (y2 - x2) * (1 - x2 * y2)),
-        ("f11", -R(1, 4) * sig ** 2 * tau ** 2
+        ("gamma.111", Z), ("gamma.211", Z), ("gamma.212", Z), ("gamma.221", Z),
+        ("gamma.112", -sig), ("gamma.121", -tau),
+        ("gamma.122", sig * tau * u1_15),
+        ("gamma.222", -1 / (x2 * y2)),
+        ("a_cov.1", Z), ("a_cov.2", sig * tau * (y2 - x2)),
+        ("p.11", Z), ("p.12", Z), ("p.21", Z), ("p.22", -tau ** 2 / x2),
+        ("q.11", Z), ("q.12", Z), ("q.21", Z), ("q.22", sig ** 2 / y2),
+        ("b.2111", Z), ("b.2222", Z), ("b.2221", Z),
+        ("b.1111", Z), ("b.1112", Z), ("b.1121", Z), ("b.1211", Z),
+        ("b.1122", Z),
+        ("b.1212", sig ** 2 / y2),
+        ("b.1221", -tau ** 2 / x2),
+        ("b.1222", sig * tau * u1_15 * sig * tau * (y2 - x2)),
+        ("a4.1222", sig * tau * u1_15 * sig * tau * (y2 - x2)),
+        ("f2.11", Z), ("f2.12", Z), ("g2.11", Z), ("g2.12", Z),
+        ("h2.11", Z), ("h2.12", Z),
+        ("h2.22", R(1, 4) * sig ** 2 * tau ** 2 * (y2 - x2) * (1 - x2 * y2)),
+        ("f2.22", -R(1, 4) * sig ** 2 * tau ** 2
          * (3 * x2 * (1 + y2) ** 2 + x2 * (1 + x2) ** 2)),
-        ("g11", R(1, 4) * sig ** 2 * tau ** 2
+        ("g2.22", R(1, 4) * sig ** 2 * tau ** 2
          * (3 * y2 * (1 + x2) ** 2 + y2 * (1 + y2) ** 2)),
     ]
 
@@ -674,12 +669,10 @@ def evalf(expr, subs):
 
 
 def build(index, spec):
+    """The golden sidecar document of example `index`."""
     name = "example%02d" % index
     web = we.parse_web((CORPUS / (name + ".web")).read_text(), name=name)
-    params = {pname: sp.Rational(default) for pname, default in web.params}
-    u1 = to_sympy(web.u1, params)
-    u2 = to_sympy(web.u2, params)
-    P = pipeline(u1, u2)
+    P = pipeline(*to_sympy(web))
 
     points = spec["points"]
     for pnt in points:
@@ -687,26 +680,24 @@ def build(index, spec):
         if not web.admissible(fl):
             raise SystemExit("%s: stored point %s is inadmissible"
                              % (name, fl))
+    subs_list = [dict(zip(X + Y, p)) for p in points]
 
     records = []
-    printed_only = []
     for path, printed in spec["claims"](P):
-        mine = tensor_entry(P, path)
-        subs_list = [{x1: p[0], x2: p[1], y1: p[2], y2: p[3]}
-                     for p in points]
+        # "s" is f2 + g2 + h2, as `TensorSnapshot.lookup` reads it
+        mine = read_spec("f2.{0} + g2.{0} + h2.{0}".format(path[2:])
+                         if path.startswith("s.") else path, P)[0, 0]
         ok = all(abs(evalf(mine - printed, s)) < ZTOL for s in subs_list)
-        if not ok:
-            printed_only.append(path)
         for ip, s in enumerate(subs_list):
             rec = {"point": ip,
-                   "path": package_path(path),
+                   "path": path,
                    "value": float(evalf(printed, s)),
                    "reliability": "verified" if ok else "printed-only"}
             if not ok:
                 rec["recomputed"] = float(evalf(mine, s))
             records.append(rec)
 
-    doc = {
+    return {
         "schema": 1,
         "web": name,
         "index": index,
@@ -716,19 +707,21 @@ def build(index, spec):
         "points": [[float(c) for c in p] for p in points],
         "records": records,
     }
-    out = CORPUS / (name + ".golden.json")
-    with out.open("w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    n_ver = sum(1 for r in records if r["reliability"] == "verified")
-    print("%s: %d records (%d verified), printed-only forms: %s"
-          % (name, len(records), n_ver,
-             " ".join(printed_only) if printed_only else "none"))
 
 
 def main():
     for index in sorted(EXAMPLES):
-        build(index, EXAMPLES[index])
+        doc = build(index, EXAMPLES[index])
+        with (CORPUS / (doc["web"] + ".golden.json")).open("w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        records = doc["records"]
+        n_ver = sum(1 for r in records if r["reliability"] == "verified")
+        printed_only = [r["path"] for r in records if r["point"] == 0
+                        and r["reliability"] == "printed-only"]
+        print("%s: %d records (%d verified), printed-only forms: %s"
+              % (doc["web"], len(records), n_ver,
+                 " ".join(printed_only) or "none"))
 
 
 if __name__ == "__main__":
