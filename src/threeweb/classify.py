@@ -17,7 +17,7 @@ such check but the last reads only the lifted jets, so candidate points
 are judged as soon as they are lifted, and the rest of the pipeline runs
 once, on the sample (`collect_snapshots`).
 
-The sample is one SnapshotBatch, and each zero test reduces its residual
+The sample is one TensorSnapshot, and each zero test reduces its residual
 over all rows at once.  A residual that is not finite fails the test.  The
 tests linear in the snapshot fields are specs (LINEAR_TESTS), read off at
 import into one matrix on the snapshot map's input x (`tensor.read_off`).
@@ -58,12 +58,11 @@ The label lattice, with the defining predicate of each label:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import EvalError, Web
+from .expr import EvalError, Web, is_integer
 from .jet import NCOEFF, jet_lift
 from .tensor import (UNIT_FIELDS, jacobian_blocks, read_off, read_spec,
                      snapshot)
@@ -84,10 +83,10 @@ class RunConfig:
     margin: float = 1e-3
 
     def __post_init__(self):
-        if not isinstance(self.points, numbers.Integral):
+        if not is_integer(self.points):
             raise ValueError("points must be an integer, got %r"
                              % (self.points,))
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (is_integer(self.seed) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer, got %r"
                              % (self.seed,))
         if self.points < 8:
@@ -149,7 +148,7 @@ ROUND_DRAWS = 32000
 
 def collect_snapshots(web: Web, config: RunConfig, params=None):
     """Snapshots at admissible, well-conditioned sample points, as one
-    SnapshotBatch of `config.points` rows in draw order.
+    TensorSnapshot of `config.points` rows in draw order.
 
     Points are drawn in rounds from one seeded stream, so the draws are
     those of one big draw of the budget, max(20000, 500 points).  A round
@@ -556,7 +555,7 @@ def classify_generic(web: Web, config: RunConfig | None = None,
     """
     if not web.params:
         raise ValueError("classify_generic needs a parameterized web")
-    if not (isinstance(bindings, numbers.Integral) and bindings >= 1):
+    if not (is_integer(bindings) and bindings >= 1):
         raise ValueError("bindings must be an integer >= 1, got %r"
                          % (bindings,))
     config = config or RunConfig()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 
-from .expr import Web, parse_web
+from .expr import Web, is_integer, parse_web
 from .tensor import snapshot
 
 N_EXAMPLES = 15
@@ -118,7 +118,7 @@ def load_corpus():
 
 def load_example(index):
     """One bundled web by its 1-based table position."""
-    if not isinstance(index, int) or not 1 <= index <= N_EXAMPLES:
+    if not (is_integer(index) and 1 <= index <= N_EXAMPLES):
         raise ValueError("example index must be 1..%d, got %r"
                          % (N_EXAMPLES, index))
     return load_corpus()[index - 1]

@@ -52,6 +52,7 @@ that Web reuses them.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 from dataclasses import FrozenInstanceError, dataclass, fields
@@ -612,6 +613,12 @@ def _value_step(op, args, value):
 
 # ---------------------------------------------------------------------------
 # web definition
+
+def is_integer(value):
+    """Whether an argument counts as an integer: a numbers.Integral, such as
+    an int or a numpy integer, that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 def check_shape(point):
     """Raise ValueError unless the array `point` is one point, (4,), or N

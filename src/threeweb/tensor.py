@@ -53,8 +53,8 @@ views.  The torsion's shape a^i_jk = (a_j d^i_k - a_k d^i_j)/2 and the
 vanishing trace of a4 hold for any gamma and D gamma; the tests hold
 `_tail` and the map to both, and snapshots do not check them.
 
-All of it runs on N points at once as arrays with a leading axis of N (a
-SnapshotBatch); one point is a batch of one.  Both defining functions are
+All of it runs on N points at once as arrays with a leading axis of N;
+one point is a batch of one, indexed.  Both defining functions are
 lifted in one `jet_lift` call, the partials are read off with two gathers
 (the gradient, then the rest), and gamma and D gamma come from batched
 matrix products.  Each row records what makes it unusable: a singular
@@ -69,7 +69,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,30 +100,18 @@ class InadmissiblePoint(ValueError):
     """The point violates the web's domain constraints."""
 
 
-@dataclass(eq=False)
 class TensorSnapshot:
-    """Every differential invariant of the web at one point."""
-
-    point: tuple
-    params: dict
-    fbar: np.ndarray       # (2,2)  df^i/dx^j
-    ftilde: np.ndarray     # (2,2)  df^i/dy^j
-    gbar: np.ndarray       # (2,2)  inverse of fbar
-    gtilde: np.ndarray     # (2,2)  inverse of ftilde
-    det_bar: float
-    det_til: float
-    gamma: np.ndarray      # (2,2,2)  gamma[i][j][k]
-    torsion: np.ndarray    # (2,2,2)
-    a_cov: np.ndarray      # (2,)
-    b: np.ndarray          # (2,2,2,2)
-    p: np.ndarray          # (2,2)
-    q: np.ndarray          # (2,2)
-    f2: np.ndarray         # (2,2)
-    g2: np.ndarray         # (2,2)
-    h2: np.ndarray         # (2,2)
-    a4: np.ndarray         # (2,2,2,2)
-    t_ratio: float | None  # a_cov[1]/a_cov[0], None when a_cov[0] ~ 0
-    non_isoclinic: bool    # p or q asymmetric beyond tolerance
+    """Every differential invariant of the web at one point, `points` (4,),
+    or at N, (N, 4).  Each field has the leading axes of `points` before its
+    own: fbar, ftilde (2,2) df^i/dx^j, df^i/dy^j, their inverses gbar, gtilde
+    and determinants det_bar, det_til, gamma, torsion (2,2,2), a_cov (2,),
+    b, a4 (2,2,2,2), p, q, f2, g2, h2 (2,2), t_ratio = a_cov[1]/a_cov[0]
+    (None at one point and NaN in a batch where a_cov[0] ~ 0),
+    non_isoclinic (p or q asymmetric), and the flags degenerate, finite.
+    Also the map's input `x` (104,) and the frame products `x` was formed
+    from, `frame` (4,4), `hess_frame` (2,4,4) and `third_frame` (2,4,2,2),
+    as in the module docstring.  An int index gives one point, a slice or
+    index array a batch, with views of these fields."""
 
     _FIELDS = {
         "fbar": 2, "ftilde": 2, "gbar": 2, "gtilde": 2,
@@ -132,18 +119,42 @@ class TensorSnapshot:
         "b": 4, "p": 2, "q": 2, "f2": 2, "g2": 2, "h2": 2, "a4": 4,
     }
 
+    def __init__(self, points, params, fields):
+        self.points = points
+        self.params = params
+        self.fields = fields
+        self.__dict__.update(fields)
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, index):
+        fields = {name: v[index] for name, v in self.fields.items()}
+        if isinstance(index, (int, np.integer)) and np.isnan(
+                fields["t_ratio"]):
+            fields["t_ratio"] = None
+        return TensorSnapshot(self.points[index], self.params, fields)
+
+    @property
+    def point(self):
+        """The one point, a tuple."""
+        return tuple(self.points.tolist())
+
     @property
     def omega_coeffs(self):
-        """(2,2,2,2) connection form coefficients: [0][i][j][k] on base
+        """(..., 2,2,2,2) connection form coefficients: [0][i][j][k] on base
         form 1 is gamma[i][k][j], [1][i][j][k] on base form 2 is gamma."""
-        return np.stack([np.transpose(self.gamma, (0, 2, 1)), self.gamma])
+        return np.stack([np.swapaxes(self.gamma, -1, -2), self.gamma], -4)
 
     def lookup(self, path):
         """Resolve a dotted component path like "b.2111" or "a_cov.1", in
         `read_spec`'s notation with every index given, each the ASCII digit
         1 or 2; any other path raises KeyError.  "s" resolves to f2 + g2 +
         h2.  Scalar fields ("t_ratio", "det_bar", "det_til") take no index.
+        One point only.
         """
+        if self.points.ndim != 1:
+            raise ValueError("lookup reads one point; index the batch first")
         if "." not in path:
             if path in ("t_ratio", "det_bar", "det_til"):
                 return getattr(self, path)
@@ -162,7 +173,9 @@ class TensorSnapshot:
         return float(read_spec(path, self)[0])
 
     def to_dict(self):
-        """JSON-ready dict; arrays become nested lists."""
+        """JSON-ready dict of one point; arrays become nested lists."""
+        if self.points.ndim != 1:
+            raise ValueError("to_dict reads one point; index the batch first")
         out = {"point": [float(c) for c in self.point],
                "params": dict(sorted(self.params.items())),
                "det_bar": float(self.det_bar),
@@ -173,45 +186,6 @@ class TensorSnapshot:
         for name in (*self._FIELDS, "omega_coeffs"):
             out[name] = getattr(self, name).tolist()
         return out
-
-
-class SnapshotBatch:
-    """The invariants at N points: each TensorSnapshot field with a leading
-    axis of N (`t_ratio` NaN for None), `points` (N, 4), and the rows'
-    `degenerate` and `finite` flags.  Also the input `x` (N, 104) of the
-    map the fields came from, and the frame products `x` was formed from:
-    `frame` (N,4,4), `hess_frame` (N,2,4,4) and `third_frame` (N,2,4,2,2),
-    as in the formulas of the module docstring.
-    An int index gives one TensorSnapshot, a slice or index array a batch.
-    """
-
-    def __init__(self, points, params, fields):
-        self.points = points
-        self.params = params
-        self.fields = fields
-        self.__dict__.update(fields)
-
-    def __len__(self):
-        return len(self.points)
-
-    def __getitem__(self, index):
-        if isinstance(index, (int, np.integer)):
-            return self._row(index, copy=True)
-        return SnapshotBatch(self.points[index], self.params,
-                             {name: v[index]
-                              for name, v in self.fields.items()})
-
-    def _row(self, i, copy):
-        """Row i as a TensorSnapshot whose arrays are copies, or views into
-        this batch."""
-        t = float(self.t_ratio[i])
-        return TensorSnapshot(
-            point=tuple(self.points[i].tolist()), params=self.params,
-            det_bar=float(self.det_bar[i]), det_til=float(self.det_til[i]),
-            t_ratio=None if t != t else t,
-            non_isoclinic=bool(self.non_isoclinic[i]),
-            **{name: self.fields[name][i].copy() if copy
-               else self.fields[name][i] for name in TensorSnapshot._FIELDS})
 
     def x_abs(self):
         """|x|, except that D gamma's part is its arithmetic redone on the
@@ -236,8 +210,8 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True,
              coeffs=None):
     """Compute every invariant of the web at one admissible point.
 
-    Given an (N, 4) array of points instead, return their SnapshotBatch;
-    any other shape raises ValueError.
+    Given an (N, 4) array of points instead, return the snapshot of the
+    batch; any other shape raises ValueError.
     The domain gate keeps every constraint `margin` away from 0, and
     `margin` must be positive, as `RunConfig.margin` must.  The gate names
     the first inadmissible row; past it no row is judged: the caller
@@ -274,8 +248,7 @@ def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True,
     if not batch.finite[0]:
         raise EvalError("the defining functions or their invariants are "
                         "not finite at %s" % (tuple(point.tolist()),))
-    # the batch is not kept, so its row can be taken without copies
-    return batch._row(0, copy=False)
+    return batch[0]
 
 
 def _tail(x):
@@ -487,7 +460,7 @@ def _invariants(points, bound, coeffs):
     finite = np.isfinite(np.concatenate(
         [coeffs.reshape(n, 2 * NCOEFF), inv.reshape(n, 8), x, out],
         1)).all(axis=1)
-    return SnapshotBatch(points, bound, dict(
+    return TensorSnapshot(points, bound, dict(
         fields, fbar=blocks[:, 0], ftilde=blocks[:, 1], gbar=gbar,
         gtilde=gtil, gamma=gamma, det_bar=det[:, 0], det_til=det[:, 1],
         t_ratio=t_ratio, non_isoclinic=non_isoclinic, x=x, frame=frame,

@@ -165,8 +165,8 @@ def _horner(coeffs, t):
 
 def _hexagonality_coefficients(snap):
     """The coefficients of the two cubic hexagonality polynomials in t, each
-    a list from t^0 up.  `snap` is a TensorSnapshot, or a SnapshotBatch for
-    per-row values."""
+    a list from t^0 up.  `snap` is a TensorSnapshot at one point, or at N
+    for per-row values."""
     # the tensor indices first: b[i, j, k, l] is then a number, or an array
     # over the rows of a batch
     sym, b = (np.moveaxis(x, range(-4, 0), range(4))
@@ -178,7 +178,7 @@ def _hexagonality_coefficients(snap):
 def hexagonality_polynomials(snap, t):
     """The quartic and the two cubic hexagonality polynomials at t.
 
-    `snap` is a TensorSnapshot, or a SnapshotBatch for per-row values.
+    `snap` is a TensorSnapshot at one point, or at N for per-row values.
     The quartic is written here from b and sym3(b); the cubics are
     classify's.  The three are linearly dependent: quartic + t*cubic2 +
     cubic1 = 0 identically in the curvature components, an oracle for the

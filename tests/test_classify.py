@@ -57,6 +57,8 @@ def test_run_config_validation():
         RunConfig(seed=1.5)
     with pytest.raises(ValueError, match="seed must be a non-negative"):
         RunConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative"):
+        RunConfig(seed=True)
     numpy_ints = RunConfig(points=np.int64(16), seed=np.int64(3))
     assert json.dumps(numpy_ints.to_dict()).startswith(
         '{"points": 16, "tol": 1e-07, "seed": 3,')
@@ -252,7 +254,7 @@ def test_generic_classification_of_parameterized_web():
         assert pb["labels"] == ["B", "D232", "E1"]
 
 
-@pytest.mark.parametrize("bindings", [0, -1, 2.0])
+@pytest.mark.parametrize("bindings", [0, -1, 2.0, True])
 def test_generic_classification_needs_a_whole_number_of_bindings(bindings):
     # no binding at all used to end in an IndexError
     with pytest.raises(ValueError, match="bindings must be an integer >= 1"):

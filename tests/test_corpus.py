@@ -1,6 +1,7 @@
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from threeweb import corpus
@@ -49,7 +50,8 @@ def test_corpus_shape():
 
 def test_load_example_validates_index():
     assert load_example(3).index == 3
-    for bad in (0, 16, -1, "3", 1.0):
+    assert load_example(np.int64(3)).index == 3
+    for bad in (0, 16, -1, "3", 1.0, True):
         with pytest.raises(ValueError):
             load_example(bad)
 

@@ -13,6 +13,7 @@ from threeweb.tensor import (
     UNIT_FIELDS,
     DegenerateWeb,
     InadmissiblePoint,
+    TensorSnapshot,
     _MAP,
     _tail,
     read_spec,
@@ -385,6 +386,29 @@ def test_batch_matches_single_point_snapshots():
                                    for pt in entry.points])
     empty = snapshot(load_example(7).web, np.zeros((0, 4)))
     assert len(empty) == 0 and empty.b.shape == (0, 2, 2, 2, 2)
+
+
+def test_a_batch_indexes_to_snapshots():
+    # one type at one point and at N: a row and a slice of a batch are
+    # snapshots, and omega_coeffs keeps the batch axis in front
+    entry = load_example(6)
+    batch = snapshot(entry.web, np.array(entry.points, dtype=float))
+    assert isinstance(batch[1], TensorSnapshot)
+    assert isinstance(batch[1:3], TensorSnapshot) and len(batch[1:3]) == 2
+    assert batch.omega_coeffs.shape == (len(batch), 2, 2, 2, 2)
+    for i in range(len(batch)):
+        assert np.array_equal(batch.omega_coeffs[i], batch[i].omega_coeffs)
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(0, 1)])
+def test_one_point_readers_refuse_a_batch(rows):
+    # a batch of one too: on old numpy, lookup read its row 0 as a float
+    points = np.array([REFERENCE_POINT] * 3)
+    batch = snapshot(load_example(1).web, points)[rows]
+    with pytest.raises(ValueError, match="reads one point"):
+        batch.to_dict()
+    with pytest.raises(ValueError, match="reads one point"):
+        batch.lookup("p.11")
 
 
 @pytest.mark.parametrize("text,bad_point", [
