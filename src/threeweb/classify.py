@@ -28,7 +28,9 @@ scale over every sample point, into the table the report keeps as
 `verdicts`; the labels and the inconclusive names are read off it.
 The labels are data too: three tables of (label, verdicts that must hold,
 verdicts that must not) rows, A_PATTERNS, CD_PATTERNS and E_PATTERNS, and
-`first_match` picks the first row that matches.
+`first_match` picks the first row that matches.  One function, `classes_of`,
+maps the set of verdicts that hold to the report's `classes`, a letter or ""
+per family A-E; the report's `labels` are the letters that are set.
 
 Every residual component is measured against the larger of 1 and its
 componentwise roundoff bound, the same arithmetic on magnitudes (Higham,
@@ -424,24 +426,23 @@ def _verdicts(snaps, tol):
 
 @dataclass
 class ClassificationReport:
-    """A web's labels, class letters and the verdicts they rest on."""
+    """A web's class letters and the verdicts they rest on."""
 
     web_name: str
-    labels: tuple
-    class_a: str
-    class_b: str
-    class_c: str
-    class_d: str
-    class_e: str
+    classes: dict  # classes_of the verdicts that hold
     predicates: dict
     branch_a: dict
     inconclusive: tuple
-    fg_metadata: tuple
     config: RunConfig
     params: dict
     verdicts: dict  # every verdict, by name; not written by to_dict
     generic: bool | None = None
     per_binding: tuple | None = None
+
+    @property
+    def labels(self):
+        """The class letters that are set, in A-E order."""
+        return tuple(label for label in self.classes.values() if label)
 
     def to_dict(self):
         preds = {k: v.to_dict() for k, v in self.predicates.items()}
@@ -452,23 +453,18 @@ class ClassificationReport:
             "config": self.config.to_dict(),
             "params": dict(sorted(self.params.items())),
             "labels": list(self.labels),
-            "classes": {"A": self.class_a, "B": self.class_b,
-                        "C": self.class_c, "D": self.class_d,
-                        "E": self.class_e},
+            "classes": dict(self.classes),
             "predicates": preds,
             "branch_a": branch,
             "inconclusive": list(self.inconclusive),
         }
-        if self.fg_metadata:
-            out["asserted_metadata"] = list(self.fg_metadata)
         if self.generic is not None:
             out["generic"] = self.generic
             out["per_binding"] = [dict(pb) for pb in self.per_binding]
         return out
 
 
-def classify_web(web: Web, config: RunConfig | None = None, params=None,
-                 metadata=()):
+def classify_web(web: Web, config: RunConfig | None = None, params=None):
     """Full classification of one web under one parameter binding."""
     config = config or RunConfig()
     bound = web.bind(params)
@@ -478,30 +474,28 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None,
               for name in ("integrability", *BRANCH, "t_constant")}
     branch.update(t_value=t0, frame_alignment_residual=frame,
                   hex_at_t=table.get("hex_at_t"))
-    held = {name for name, v in table.items() if v.holds}
-    class_a = first_match(A_PATTERNS, held)
-    class_b = "B" if "isoclinicly_geodesic" in held else ""
-    class_cd = first_match(CD_PATTERNS, held)
-    class_c, class_d = ((class_cd, "") if class_cd.startswith("C")
-                        else ("", class_cd))
-    class_e = first_match(E_PATTERNS, held)
-
-    labels = tuple(l for l in (class_a, class_b, class_c, class_d, class_e)
-                   if l)
     report = ClassificationReport(
         web_name=web.name or "web",
-        labels=labels,
-        class_a=class_a, class_b=class_b, class_c=class_c,
-        class_d=class_d, class_e=class_e,
+        classes=classes_of({name for name, v in table.items() if v.holds}),
         predicates={name: table[name] for name in (*LATTICE, *JOINED)},
         branch_a=branch,
         inconclusive=tuple(name for name, v in table.items()
                            if tol <= v.max_residual < 10.0 * tol),
-        fg_metadata=tuple(metadata),
         config=config, params=bound, verdicts=table,
     )
     _assert_consistent(report)
     return report
+
+
+def classes_of(held):
+    """The label rule: {"A": .., "B": .., "C": .., "D": .., "E": ..} for the
+    set `held` of the verdicts that hold, "" where a family has no label."""
+    cd = first_match(CD_PATTERNS, held)
+    return {"A": first_match(A_PATTERNS, held),
+            "B": "B" if "isoclinicly_geodesic" in held else "",
+            "C": cd if cd.startswith("C") else "",
+            "D": cd if cd.startswith("D") else "",
+            "E": first_match(E_PATTERNS, held)}
 
 
 def first_match(patterns, held):
@@ -533,18 +527,18 @@ def _assert_consistent(report):
                     % (name, p[name].max_residual, report.config.tol))
     if p["parallelizable"].holds:
         assert p["isoclinicly_geodesic"].holds and p["group"].holds
-    assert (report.class_b == "B") == p["isoclinicly_geodesic"].holds
-    assert bool(report.class_a) == (not p["isoclinicly_geodesic"].holds)
-    assert bool(report.class_c) == (not p["transversally_geodesic"].holds)
-    assert bool(report.class_d) == p["transversally_geodesic"].holds
-    if report.class_d == "D232":
+    classes = report.classes
+    assert (classes["B"] == "B") == p["isoclinicly_geodesic"].holds
+    assert bool(classes["A"]) == (not p["isoclinicly_geodesic"].holds)
+    assert bool(classes["C"]) == (not p["transversally_geodesic"].holds)
+    assert bool(classes["D"]) == p["transversally_geodesic"].holds
+    if classes["D"] == "D232":
         assert p["parallelizable"].holds
-    if report.class_d == "D231":
+    if classes["D"] == "D231":
         assert p["group"].holds and not p["isoclinicly_geodesic"].holds
 
 
-def classify_generic(web: Web, config: RunConfig | None = None,
-                     bindings=5, metadata=()):
+def classify_generic(web: Web, config: RunConfig | None = None, bindings=5):
     """Classify a parameterized web under several random bindings.
 
     The returned report is the first binding's, with `generic` set to
@@ -567,8 +561,7 @@ def classify_generic(web: Web, config: RunConfig | None = None,
         binding = {name: float(rng.uniform(-2.0, 2.0))
                    for name, _ in web.params}
         try:
-            reports.append(classify_web(web, config, params=binding,
-                                        metadata=metadata))
+            reports.append(classify_web(web, config, params=binding))
         except (SamplerExhausted, EvalError):
             continue
     if len(reports) < bindings:

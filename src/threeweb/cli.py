@@ -15,6 +15,11 @@ alone.  One rule of the document sets the exit status: 1 when a row's
 labels differ from the expected ones or its golden values fail, else 2
 when a verdict landed in the ambiguity band or parameter bindings
 disagreed, else 0.  Errors, usage errors included, exit 1.
+
+The F and G cells of the bundled table are stored metadata, which
+classification neither computes nor reads: `table` prints them marked as
+such, and `classify` copies a bundled web's cell into its document as
+`asserted_metadata`.
 """
 
 from __future__ import annotations
@@ -119,13 +124,13 @@ def cmd_classify(args):
     overrides = _parse_params(args.param)
     docs = []
     for web, entry in [_load_web(spec) for spec in args.web]:
-        metadata = (entry.fg,) if entry is not None and entry.fg else ()
         if web.params and not overrides:
-            report = classify_generic(web, config, metadata=metadata)
+            report = classify_generic(web, config)
         else:
-            report = classify_web(web, config, params=overrides or None,
-                                  metadata=metadata)
+            report = classify_web(web, config, params=overrides or None)
         docs.append({"schema": 1, **report.to_dict()})
+        if entry is not None and entry.fg:
+            docs[-1]["asserted_metadata"] = [entry.fg]
     return docs[0] if len(docs) == 1 else docs
 
 
@@ -168,8 +173,7 @@ def _entry_rows(entries, config):
     """Each corpus entry with its report and the row fields that `table`
     and `corpus` share."""
     for entry in entries:
-        report = classify_web(entry.web, config,
-                              metadata=(entry.fg,) if entry.fg else ())
+        report = classify_web(entry.web, config)
         yield entry, report, {
             "web": entry.name,
             "labels": list(report.labels),
@@ -221,9 +225,7 @@ def cmd_table(args):
     config = _config_from_args(args)
     rows = [
         {"index": entry.index, **row,
-         "A": report.class_a or None, "B": report.class_b or None,
-         "C": report.class_c or None, "D": report.class_d or None,
-         "E": report.class_e or None,
+         **{c: label or None for c, label in report.classes.items()},
          "F": entry.fg if entry.fg in ("F1", "F2") else None,
          "G": entry.fg if entry.fg == "G" else None}
         for entry, report, row in _entry_rows(load_corpus(), config)]

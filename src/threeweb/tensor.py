@@ -111,7 +111,9 @@ class TensorSnapshot:
     Also the map's input `x` (104,) and the frame products `x` was formed
     from, `frame` (4,4), `hess_frame` (2,4,4) and `third_frame` (2,4,2,2),
     as in the module docstring.  An int index gives one point, a slice or
-    index array a batch, with views of these fields."""
+    index array a batch, with views of these fields.  A one-point snapshot
+    has no length and no index: len, indexing and iteration raise TypeError,
+    and it is true, as a batch is while it has rows."""
 
     _FIELDS = {
         "fbar": 2, "ftilde": 2, "gbar": 2, "gtilde": 2,
@@ -125,10 +127,17 @@ class TensorSnapshot:
         self.fields = fields
         self.__dict__.update(fields)
 
+    def __bool__(self):
+        return self.points.size > 0
+
     def __len__(self):
+        if self.points.ndim == 1:
+            raise TypeError("a one-point snapshot is one point, not a batch")
         return len(self.points)
 
     def __getitem__(self, index):
+        if self.points.ndim == 1:
+            raise TypeError("a one-point snapshot is one point, not a batch")
         fields = {name: v[index] for name, v in self.fields.items()}
         if isinstance(index, (int, np.integer)) and np.isnan(
                 fields["t_ratio"]):
@@ -190,7 +199,10 @@ class TensorSnapshot:
     def x_abs(self):
         """|x|, except that D gamma's part is its arithmetic redone on the
         magnitudes of the frame products, which covers the cancellation
-        there: the magnitude of what formed x.  Computed on demand."""
+        there: the magnitude of what formed x.  Computed on demand, for a
+        batch only."""
+        if self.points.ndim == 1:
+            raise ValueError("x_abs reads a batch; snapshot an (N, 4) array")
         out = np.abs(self.x)
         out[:, 8:40] = _minus_d_gamma(out[:, :8], *map(np.abs, (
             self.frame, self.hess_frame, self.third_frame)))

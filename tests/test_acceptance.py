@@ -183,7 +183,7 @@ def test_spot_check_bol_but_not_group_web():
     p = r.predicates
     assert p["Bol"].holds
     assert not p["group"].holds
-    assert r.class_a == "A2"      # the transversal distribution closes up
+    assert r.classes["A"] == "A2"  # the transversal distribution closes up
     # Bol here means symmetrized curvature zero while b itself is not
     s = snapshot(load_example(7).web, tuple(load_example(7).points[0]))
     from threeweb.tensor import sym3_lower
@@ -249,6 +249,6 @@ def test_negative_control_perturbed_group_web():
     r = classify_web(control)
     assert not r.predicates["parallelizable"].holds
     assert "D232" not in r.labels
-    assert r.class_a == "A2"
-    assert r.class_c == "C2"
+    assert r.classes["A"] == "A2"
+    assert r.classes["C"] == "C2"
     assert not r.inconclusive

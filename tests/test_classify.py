@@ -168,9 +168,9 @@ def test_predicate_implication_chain():
 def test_class_columns_are_exclusive():
     for entry in load_corpus():
         r = classify_web(entry.web)
-        assert not (r.class_b and r.class_a)      # B means a == 0
-        assert not (r.class_c and r.class_d)      # split on a4
-        assert r.class_e                           # corpus always lands an E
+        assert not (r.classes["B"] and r.classes["A"])  # B means a == 0
+        assert not (r.classes["C"] and r.classes["D"])  # split on a4
+        assert r.classes["E"]  # corpus always lands an E
         assert r.labels == entry.expected_labels
 
 
@@ -214,13 +214,12 @@ def test_report_json_is_reproducible():
 
 
 def test_report_to_dict_shape():
-    entry = load_example(9)
-    r = classify_web(entry.web, metadata=(entry.fg,))
-    doc = r.to_dict()
+    doc = classify_web(load_example(9).web).to_dict()
     assert doc["web"] == "example09"
     assert doc["classes"] == {"A": "", "B": "B", "C": "", "D": "D232",
                               "E": "E1"}
-    assert doc["asserted_metadata"] == ["F1"]
+    # the stored F/G cell is the CLI's to show (tests/test_cli.py)
+    assert "asserted_metadata" not in doc
     assert doc["predicates"]["parallelizable"]["holds"] is True
     assert json.loads(json.dumps(doc)) == doc
 
@@ -237,8 +236,8 @@ def test_nonbilinear_perturbation_breaks_parallelizability():
     r = classify_web(parse_web(EX9_MUTATED_NONBILINEAR, name="mut2"))
     assert not r.predicates["parallelizable"].holds
     assert "D232" not in r.labels
-    assert r.class_a == "A2"
-    assert r.class_c == "C2"
+    assert r.classes["A"] == "A2"
+    assert r.classes["C"] == "C2"
     assert not r.inconclusive
 
 
@@ -649,6 +648,26 @@ def test_cd_patterns_match_the_if_walk():
     names = ["transversally_geodesic", "almost_parallelizable", "almost_Bol",
              "almost_algebraizable", "isoclinicly_geodesic"]
     assert_table_matches(classify.CD_PATTERNS, if_walk_cd_label, names)
+
+
+def test_classes_of_sets_one_letter_of_each_pair():
+    # every held set of the names CD_PATTERNS reads, isoclinicly_geodesic
+    # among them: B or A by it, D or C by transversally_geodesic
+    names = sorted({name for _, hold, fail in classify.CD_PATTERNS
+                    for name in (hold + " " + fail).split()})
+    assert "isoclinicly_geodesic" in names
+    for values in itertools.product((False, True), repeat=len(names)):
+        held = {name for name, holds in zip(names, values) if holds}
+        classes = classify.classes_of(held)
+        assert list(classes) == list("ABCDE")
+        assert bool(classes["A"]) != bool(classes["B"])
+        assert bool(classes["B"]) == ("isoclinicly_geodesic" in held)
+        assert bool(classes["C"]) != bool(classes["D"])
+        assert bool(classes["D"]) == ("transversally_geodesic" in held)
+        report = classify.ClassificationReport(
+            "web", classes, {}, {}, (), RunConfig(), {}, {})
+        assert report.labels == tuple(classes[c] for c in "ABCDE"
+                                      if classes[c]), held
 
 
 # --- rejected sample rows -----------------------------------------------

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from threeweb import cli
 from threeweb.classify import RunConfig, classify_web
 from threeweb.cli import exit_status, main
 from threeweb.corpus import load_example
+
+CORPUS_DIR = resources.files(threeweb) / "corpus"
 
 
 def run(capsys, *argv):
@@ -49,6 +52,19 @@ def test_classify_json_round_trips(capsys):
     assert doc["classes"]["D"] == "D21"
     assert doc["predicates"]["Bol"]["holds"] is True
     assert doc["predicates"]["group"]["holds"] is False
+
+
+def test_classify_json_carries_a_bundled_webs_stored_cell(capsys, tmp_path):
+    # the F/G cell is the corpus's, not classification's: a file with
+    # example09's text under another name is not the bundled web
+    code, out, _ = run(capsys, "classify", "example09", "--format", "json")
+    assert code == 0 and json.loads(out)["asserted_metadata"] == ["F1"]
+    copy = tmp_path / "copy.web"
+    copy.write_text(CORPUS_DIR.joinpath("example09.web").read_text())
+    code, out, _ = run(capsys, "classify", str(copy), "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["labels"] == ["B", "D232", "E1"]
+    assert "asserted_metadata" not in doc
 
 
 def test_classify_json_is_bit_identical(capsys):

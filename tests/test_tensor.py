@@ -411,6 +411,21 @@ def test_one_point_readers_refuse_a_batch(rows):
         batch.lookup("p.11")
 
 
+def test_one_point_is_not_a_sequence():
+    # its fields have no point axis, so a length would count the four
+    # coordinates and iteration would stop at numpy's IndexError
+    s = snapshot(load_example(1).web, REFERENCE_POINT)
+    for use in (len, list, lambda s: s[0], lambda s: s[:1]):
+        with pytest.raises(TypeError, match="one point"):
+            use(s)
+    assert s
+    with pytest.raises(ValueError, match="reads a batch"):
+        s.x_abs()
+    batch = snapshot(load_example(1).web, np.array([REFERENCE_POINT] * 2))
+    assert len(list(batch)) == 2 and len(batch[:1]) == 1
+    assert batch and not batch[:0]
+
+
 @pytest.mark.parametrize("text,bad_point", [
     # x1 = y1 makes fbar singular for example01's defining functions
     (None, (1.0, 1.0, 1.0, 1.0)),
