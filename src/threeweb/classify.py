@@ -48,6 +48,12 @@ The label lattice, with the defining predicate of each label:
       A13 a1 = 0 (+ p11 = q11 = 0)       A131 omega_1^2 = 0 and b^i_111 = 0
       A112 a1 = a2 (+ the summed quadratic form vanishes)
           A1121 balanced connection forms and hexagonality at t = 1
+      A12, A13 and A112, with A121, A131 and A1121, are one refinement
+      read at t = a2/a1 = 0, inf and 1, as t^0 coefficients, leading
+      coefficients and coefficient sums of three polynomials in t: the
+      integrability form t^2 p11 - t(p12 + p21) + p22 (and of q), frame
+      alignment (AT_T's first four columns) and hexagonality (its last
+      two).  A111 is hexagonality at the measured t.
   B   torsion covector identically zero
   C   a4 tensor not identically zero: C1 s = 0; C11 f+g = 0 and h = 0;
       C12 f = g = h = 0; C2 otherwise
@@ -64,7 +70,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expr import EvalError, Web, is_integer
+from .expr import MARGIN, EvalError, Web, is_integer
 from .jet import NCOEFF, jet_lift
 from .tensor import (UNIT_FIELDS, jacobian_blocks, read_off, read_spec,
                      snapshot)
@@ -82,7 +88,7 @@ class RunConfig:
     tol: float = 1e-7
     seed: int = 42
     box: tuple = (-3.0, 3.0)
-    margin: float = 1e-3
+    margin: float = MARGIN
 
     def __post_init__(self):
         if not is_integer(self.points):
@@ -96,6 +102,8 @@ class RunConfig:
                              % self.points)
         if not (0.0 < self.tol < 1e-3):
             raise ValueError("tol must be in (0, 1e-3), got %g" % self.tol)
+        if np.shape(self.box) != (2,):
+            raise ValueError("box must be a pair lo, hi, got %r" % (self.box,))
         lo, hi = self.box
         if not (lo < hi and math.isfinite(hi - lo)):
             raise ValueError("box must satisfy lo < hi with a finite width, "
@@ -200,8 +208,7 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
                       & (ndet >= NDET_FLOOR).all(axis=1))
             rows = np.concatenate([rows, lifted[ok]])
             coeffs = np.concatenate([coeffs, c[ok]])
-        batch = snapshot(web, rows[:n], bound, check_domain=False,
-                         coeffs=coeffs[:n])
+        batch = snapshot(web, rows[:n], bound, coeffs=coeffs[:n])
         if batch.finite.all():
             return batch
         keep = np.concatenate([batch.finite, np.ones(len(rows) - n, bool)])
@@ -510,13 +517,9 @@ def first_match(patterns, held):
 
 def _assert_consistent(report):
     p = report.predicates
-    if p["hexagonal"].holds:
-        assert p["transversally_geodesic"].holds
-        assert p["almost_algebraizable"].holds
-    if p["Bol"].holds:
-        assert p["transversally_geodesic"].holds and p["almost_Bol"].holds
+    for name, tests in JOINED.items():
+        assert p[name].holds == all(p[t].holds for t in tests.split()), name
     if p["group"].holds:
-        assert p["almost_parallelizable"].holds
         # two float thresholds: at a tol near roundoff, f2, g2 and h2 can
         # each be below tol where a sum of them is not
         for name in ("almost_Bol", "almost_algebraizable", "hexagonal"):
@@ -525,8 +528,6 @@ def _assert_consistent(report):
                     "group holds but %s fails (max_residual %.3g) at tol "
                     "%g, below what roundoff lets the sample decide"
                     % (name, p[name].max_residual, report.config.tol))
-    if p["parallelizable"].holds:
-        assert p["isoclinicly_geodesic"].holds and p["group"].holds
     classes = report.classes
     assert (classes["B"] == "B") == p["isoclinicly_geodesic"].holds
     assert bool(classes["A"]) == (not p["isoclinicly_geodesic"].holds)

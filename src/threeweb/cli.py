@@ -39,14 +39,9 @@ from .classify import (
     classify_generic,
     classify_web,
 )
-from .corpus import golden_check, load_corpus, load_example
-from .expr import EvalError, ParseError, parse_web
-from .tensor import (
-    DegenerateWeb,
-    InadmissiblePoint,
-    TensorSnapshot,
-    snapshot,
-)
+from .corpus import N_EXAMPLES, golden_check, load_corpus, load_example
+from .expr import parse_web
+from .tensor import TensorSnapshot, snapshot
 
 # argparse reads an argument that starts with "-" as an option unless it
 # matches this; its own pattern leaves out exponents, "-inf" and "-nan"
@@ -85,10 +80,14 @@ def _parse_params(pairs):
 
 
 def _corpus_entry_for(name, web):
-    for entry in load_corpus():
-        if entry.name == name and entry.web == web:
-            return entry
-    return None
+    """The bundled entry a web file holds, by its name and its web, or None.
+    Only example01..example15 can name one, so no other file loads the
+    corpus."""
+    m = re.fullmatch(r"example([0-9]{2})", name)
+    if m is None or not 1 <= int(m.group(1)) <= N_EXAMPLES:
+        return None
+    entry = load_example(int(m.group(1)))
+    return entry if entry.web == web else None
 
 
 def _load_web(spec):
@@ -379,10 +378,9 @@ def main(argv=None):
         # argparse exits 0 after --help and 2 on a usage error, the status
         # of an inconclusive verdict
         return EXIT_ERROR if stop.code else EXIT_OK
-    try:
+    try:  # ParseError, EvalError and the point errors are ValueErrors
         doc = args.func(args)
-    except (ParseError, EvalError, DegenerateWeb, InadmissiblePoint,
-            SamplerExhausted, OSError, ValueError) as err:
+    except (SamplerExhausted, OSError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return EXIT_ERROR
     if args.format == "json":

@@ -77,6 +77,9 @@ class EvalError(ValueError):
 
 VARIABLES = ("x1", "x2", "y1", "y2")
 
+# The default distance a domain constraint keeps from 0 (`Web._checks`).
+MARGIN = 1e-3
+
 _setattr = object.__setattr__
 
 
@@ -667,8 +670,11 @@ class Web:
         The one domain rule: a constraint holds where its value is finite
         and exceeds margin, in magnitude for `expr != 0` and as it is for
         `expr > 0`.  So points hugging the singular set are rejected, and
-        so are points where a constraint is undefined or infinite.
+        so are points where a constraint is undefined or infinite.  margin
+        must be positive (not 0, negative or NaN), or ValueError is raised.
         """
+        if not margin > 0:
+            raise ValueError("margin must be positive, got %r" % (margin,))
         check_shape(point)
         bound = self.bind(params)
         out = []
@@ -700,7 +706,7 @@ class Web:
         # pickle, and a copy compiles its own programs on first use
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def admissible(self, point, params=None, margin=1e-3):
+    def admissible(self, point, params=None, margin=MARGIN):
         """True if every domain constraint holds with the given margin.
         Given an (N, 4) array of points, returns the (N,) boolean mask."""
         point = np.asarray(point, dtype=float)
@@ -709,7 +715,7 @@ class Web:
             ok = ok & holds
         return ok if point.ndim == 2 else bool(ok)
 
-    def violated_constraint(self, point, params=None, margin=1e-3):
+    def violated_constraint(self, point, params=None, margin=MARGIN):
         """The first failing domain constraint as text, or None if all hold.
 
         Given an (N, 4) array of points, the text names the first failing

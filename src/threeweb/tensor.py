@@ -73,7 +73,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .expr import EvalError, Web, check_shape
+from .expr import MARGIN, EvalError, Web, check_shape
 from .jet import NCOEFF, jet_lift, partial_index
 
 # Pointwise thresholds, each relative to the magnitude of what it tests:
@@ -106,8 +106,9 @@ class TensorSnapshot:
     own: fbar, ftilde (2,2) df^i/dx^j, df^i/dy^j, their inverses gbar, gtilde
     and determinants det_bar, det_til, gamma, torsion (2,2,2), a_cov (2,),
     b, a4 (2,2,2,2), p, q, f2, g2, h2 (2,2), t_ratio = a_cov[1]/a_cov[0]
-    (None at one point and NaN in a batch where a_cov[0] ~ 0),
-    non_isoclinic (p or q asymmetric), and the flags degenerate, finite.
+    (NaN where a_cov[0] ~ 0, at one point as in a batch, and null in
+    to_dict), non_isoclinic (p or q asymmetric), and the flags degenerate,
+    finite.
     Also the map's input `x` (104,) and the frame products `x` was formed
     from, `frame` (4,4), `hess_frame` (2,4,4) and `third_frame` (2,4,2,2),
     as in the module docstring.  An int index gives one point, a slice or
@@ -139,9 +140,6 @@ class TensorSnapshot:
         if self.points.ndim == 1:
             raise TypeError("a one-point snapshot is one point, not a batch")
         fields = {name: v[index] for name, v in self.fields.items()}
-        if isinstance(index, (int, np.integer)) and np.isnan(
-                fields["t_ratio"]):
-            fields["t_ratio"] = None
         return TensorSnapshot(self.points[index], self.params, fields)
 
     @property
@@ -189,7 +187,7 @@ class TensorSnapshot:
                "params": dict(sorted(self.params.items())),
                "det_bar": float(self.det_bar),
                "det_til": float(self.det_til),
-               "t_ratio": None if self.t_ratio is None
+               "t_ratio": None if np.isnan(self.t_ratio)
                           else float(self.t_ratio),
                "non_isoclinic": bool(self.non_isoclinic)}
         for name in (*self._FIELDS, "omega_coeffs"):
@@ -218,38 +216,32 @@ def sym3_lower(b):
                for perm in itertools.permutations(range(3))) / 6.0
 
 
-def snapshot(web: Web, point, params=None, margin=1e-3, check_domain=True,
-             coeffs=None):
+def snapshot(web: Web, point, params=None, margin=MARGIN, coeffs=None):
     """Compute every invariant of the web at one admissible point.
 
     Given an (N, 4) array of points instead, return the snapshot of the
-    batch; any other shape raises ValueError.
-    The domain gate keeps every constraint `margin` away from 0, and
-    `margin` must be positive, as `RunConfig.margin` must.  The gate names
-    the first inadmissible row; past it no row is judged: the caller
-    decides from the batch's per-row `degenerate` and `finite` flags which
-    rows to keep.  A caller that has lifted the points already passes
+    batch; any other shape raises ValueError.  The domain gate is the
+    domain rule (`Web.violated_constraint`, which also checks `margin`):
+    it names the first inadmissible row, and past it no row is judged, the
+    caller deciding from the per-row `degenerate` and `finite` flags which
+    rows to keep.  A caller that has gated and lifted the points hands over
     their coefficients, `jet_lift(web.lift_program, point, bound)`, as
-    `coeffs`, and the lift is not repeated.
+    `coeffs`; then neither the gate nor the lift runs.
     """
-    if not margin > 0:
-        raise ValueError("margin must be positive, got %r" % (margin,))
     bound = web.bind(params)
     point = np.asarray(point, dtype=float)
-    points = np.atleast_2d(point)
-    if check_domain:  # the gate checks the shape of `point` too
+    if coeffs is None:  # the gate checks the shape of `point` too
         broken = web.violated_constraint(point, bound, margin)
         if broken is not None:
             raise InadmissiblePoint("inadmissible point %s: %s" % (
                 "at" if point.ndim == 2 else tuple(point.tolist()), broken))
+        # one point lifts as a single jet, which raises EvalError outside
+        # the domain of ln or of a division
+        coeffs = jet_lift(web.lift_program, point, bound)
     else:
         check_shape(point)
-    # one point lifts as a single jet, which raises EvalError outside the
-    # domain of ln or of a division
-    if coeffs is None:
-        coeffs = jet_lift(web.lift_program, point, bound)
     with np.errstate(all="ignore"):
-        batch = _invariants(points, bound, coeffs)
+        batch = _invariants(np.atleast_2d(point), bound, coeffs)
     if point.ndim == 2:
         return batch
     if batch.degenerate[0]:

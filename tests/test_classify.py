@@ -25,7 +25,8 @@ from threeweb.classify import (
 from threeweb.corpus import load_corpus, load_example
 from threeweb.expr import EvalError, Web, format_web, parse_web
 from threeweb.jet import jet_lift
-from threeweb.tensor import UNIT_FIELDS, read_off, snapshot, sym3_lower
+from threeweb.tensor import (UNIT_FIELDS, read_off, read_spec, snapshot,
+                             sym3_lower)
 
 EX9_MUTATED_BILINEAR = (
     "u1 = x1*y1 + x2*y2 + 0.1*x1*y1\n"
@@ -49,6 +50,10 @@ def test_run_config_validation():
         RunConfig(tol=1e-2)
     with pytest.raises(ValueError):
         RunConfig(box=(2.0, -2.0))
+    with pytest.raises(ValueError, match="box must be a pair lo, hi, got"):
+        RunConfig(box=(0.0, 1.0, 2.0))
+    with pytest.raises(ValueError, match="box must be a pair lo, hi, got"):
+        RunConfig(box=1.0)
     with pytest.raises(ValueError):
         RunConfig(margin=0.0)
     with pytest.raises(ValueError, match="points must be an integer"):
@@ -507,6 +512,51 @@ def test_tests_at_t_assemble_their_read_off(t):
     assert np.all(np.abs(matrix - want) <= 1e-15 * max(1.0, abs(t)) ** 3)
 
 
+def columns_up_to_sign(matrix):
+    """The set of a matrix's columns, each as bytes with the sign that makes
+    its first nonzero entry positive."""
+    out = set()
+    for column in matrix.T:
+        nonzero = column[np.flatnonzero(column)]
+        sign = -1.0 if nonzero.size and nonzero[0] < 0 else 1.0
+        out.add((sign * column + 0.0).tobytes())  # + 0.0 turns -0.0 to 0.0
+    return out
+
+
+def test_a_refinements_are_three_polynomials_at_three_directions():
+    # each A refinement spec is a polynomial in t = a2/a1 read at a
+    # direction the A branch fixes: its t^0 coefficients at a2 = 0, its
+    # leading ones at a1 = 0 and its coefficient sums at a1 = a2
+    tests = dict(zip(classify.LINEAR_TESTS, np.split(
+        classify._RESIDUALS, classify._TEST_STARTS[1:], 1)))
+    # the integrability form w . m over a1^2, t^2 p11 - t (p12 + p21) + p22
+    # (and of q), as the coefficients of t^0, t^1 and t^2
+    m = read_spec("p, q", UNIT_FIELDS).reshape(104, 2, 4)
+    integrability = [m @ np.array(w, float) for w in
+                     ([0, 0, 0, 1], [0, -1, -1, 0], [1, 0, 0, 0])]
+    at_1 = classify._tests_at(1.0)[0]
+    polynomials = {  # t^0, leading coefficients, sums
+        "integrability": (integrability[0], integrability[2],
+                          integrability[2] + integrability[1]
+                          + integrability[0]),
+        # frame alignment is of degree 2
+        "frame": (classify._AT_T[0][:, :4], classify._AT_T[2][:, :4],
+                  at_1[:, :4]),
+        "hexagonality": (classify._AT_T[0][:, 4:], classify._AT_T[3][:, 4:],
+                         at_1[:, 4:]),
+    }
+    assert not classify._AT_T[3][:, :4].any()
+    directions = {  # t = 0, t = inf, t = 1
+        "integrability": ("p22_q22_zero", "p11_q11_zero", "pq_quadsum_zero"),
+        "frame": ("omega21_zero", "omega12_zero", "omega_balance"),
+        "hexagonality": ("b_222_zero", "b_111_zero", "hex_at_1"),
+    }
+    for name, coefficients in polynomials.items():
+        for matrix, test in zip(coefficients, directions[name]):
+            assert (columns_up_to_sign(matrix)
+                    == columns_up_to_sign(tests[test])), (name, test)
+
+
 @pytest.mark.parametrize("index", [1, 6, 9])
 def test_residual_matrix_and_bound_on_real_batches(index):
     snaps = collect_snapshots(load_example(index).web, RunConfig(points=16))
@@ -756,7 +806,8 @@ def expected_sample(web, config):
         *config.box, size=(budget, 4))
     kept = []
     for row in draws[web.admissible(draws, {}, config.margin)]:
-        s = snapshot(web, row[None, :], check_domain=False)
+        s = snapshot(web, row[None, :], coeffs=jet_lift(
+            web.lift_program, row[None, :], web.bind()))
         conditioned = all(
             abs(det[0]) >= classify.NDET_FLOOR * np.prod(
                 np.linalg.norm(m[0], axis=1))
@@ -796,7 +847,8 @@ def test_sample_matches_one_big_draw(seed, make_web, monkeypatch):
     web = make_web()
     config = RunConfig(points=32, seed=seed)
     expected = expected_sample(web, config)
-    want = snapshot(web, expected, check_domain=False)
+    want = snapshot(web, expected, coeffs=jet_lift(
+        web.lift_program, expected, web.bind()))
     lifts = rows_through(monkeypatch, classify, "jet_lift")
     tails = rows_through(monkeypatch, tensor, "_invariants", at=0)
     got = classify.collect_snapshots(web, config)
@@ -820,7 +872,8 @@ def test_rows_the_tail_rejects_are_replaced_in_draw_order(monkeypatch):
     planted = candidates[[0, 7, 31, 32, 33, 35]]
     kept = np.array([row for row in candidates
                      if not (row == planted).all(axis=1).any()])[:32]
-    want = snapshot(web, kept, check_domain=False)
+    want = snapshot(web, kept, coeffs=jet_lift(web.lift_program, kept,
+                                               web.bind()))
     real = tensor._invariants
     tails = []
 

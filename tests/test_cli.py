@@ -67,6 +67,20 @@ def test_classify_json_carries_a_bundled_webs_stored_cell(capsys, tmp_path):
     assert "asserted_metadata" not in doc
 
 
+def test_classify_of_a_file_not_named_as_a_bundled_web_skips_the_corpus(
+        capsys, monkeypatch, tmp_path):
+    # only example01..example15 can be a bundled web, so another name need
+    # not parse the 15 webs and decode their sidecars
+    def refuse():
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(cli, "load_corpus", refuse)
+    web = tmp_path / "my.web"
+    web.write_text(CORPUS_DIR.joinpath("example09.web").read_text())
+    code, out, _ = run(capsys, "classify", str(web), "--format", "json")
+    assert code == 0 and "asserted_metadata" not in json.loads(out)
+
+
 def test_classify_json_is_bit_identical(capsys):
     _, out1, _ = run(capsys, "classify", "example12", "--format", "json")
     _, out2, _ = run(capsys, "classify", "example12", "--format", "json")

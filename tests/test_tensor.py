@@ -284,8 +284,10 @@ def test_inadmissible_point_names_the_constraint():
     with pytest.raises(InadmissiblePoint) as info:
         snapshot(web, (1.0, 1.0, 1.0, 1.0))
     assert "x1 - y1 != 0" in str(info.value)
-    # the gate can be skipped explicitly (used by bulk sampling)
-    s = snapshot(web, (1.0, 1.0, 1.0 + 1e-4, 1.0), check_domain=False)
+    # a caller that hands over the lifted coefficients skips the gate
+    # (the sampler does)
+    pt = (1.0, 1.0, 1.0 + 1e-4, 1.0)
+    s = snapshot(web, pt, coeffs=jet_lift(web.lift_program, pt, web.bind()))
     assert s.det_bar != 0.0
 
 
@@ -318,9 +320,16 @@ def test_margin_wider_than_default_rejects_more():
 
 @pytest.mark.parametrize("margin", [-1.0, 0.0, float("nan")])
 def test_margin_must_be_positive(margin):
-    # a point on the singular set x1 = y1 is not let through
-    with pytest.raises(ValueError, match="margin must be positive, got"):
-        snapshot(load_example(1).web, (1.0, 1.0, 1.0, 1.0), margin=margin)
+    # the domain rule owns the margin: at a point on the singular set
+    # x1 = y1, a negative margin let the point through admissible and
+    # violated_constraint, and a NaN one rejected every point
+    web = load_example(1).web
+    for call in (web.admissible, web.violated_constraint,
+                 lambda *args: snapshot(web, *args)):
+        for point in (np.ones(4), np.ones((3, 4))):
+            with pytest.raises(ValueError,
+                               match="margin must be positive, got"):
+                call(point, None, margin)
 
 
 @pytest.mark.parametrize("call,point", [
@@ -336,8 +345,8 @@ def test_points_of_any_other_shape_raise_naming_it(call, point):
     web = load_example(1).web
     calls = {"admissible": web.admissible,
              "snapshot": lambda p: snapshot(web, p),
-             "snapshot unchecked": lambda p: snapshot(web, p,
-                                                      check_domain=False)}
+             "snapshot unchecked": lambda p: snapshot(web, p, coeffs=jet_lift(
+                 web.lift_program, p, web.bind()))}
     with pytest.raises(ValueError,
                        match="got shape " + re.escape(str(np.shape(point)))):
         calls[call](point)
@@ -368,11 +377,9 @@ def _assert_rows_match(batch, snaps):
             got = getattr(row, name)
             scale = max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale, (name, i)
-        for name in ("det_bar", "det_til", "t_ratio"):
-            want, got = getattr(s, name), getattr(row, name)
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        for name in ("det_bar", "det_til", "t_ratio"):  # t_ratio may be NaN
+            assert getattr(row, name) == pytest.approx(
+                getattr(s, name), rel=1e-12, abs=1e-12, nan_ok=True), name
         assert row.non_isoclinic == s.non_isoclinic
 
 
@@ -441,15 +448,18 @@ def test_bad_row_mid_batch_is_masked_alone(text, bad_point):
     good = np.array([[1.0, 1.0, 0.5, 1.0], [2.0, 1.0, -1.0, 3.0],
                      [0.5, 2.0, 0.25, -1.5]])
     mixed = np.insert(good, 1, bad_point, axis=0)
-    batch = snapshot(web, mixed, check_domain=False)
+
+    def unchecked(points):
+        return snapshot(web, points, coeffs=jet_lift(web.lift_program,
+                                                     points, web.bind()))
+
+    batch = unchecked(mixed)
     assert batch.degenerate[1] or not batch.finite[1]
     assert batch.finite[[0, 2, 3]].all()
     assert not batch.degenerate[[0, 2, 3]].any()
     with pytest.raises((DegenerateWeb, EvalError)):
-        snapshot(web, bad_point, check_domain=False)
-    _assert_rows_match(batch[[0, 2, 3]],
-                       [snapshot(web, tuple(pt), check_domain=False)
-                        for pt in good])
+        unchecked(bad_point)
+    _assert_rows_match(batch[[0, 2, 3]], [unchecked(pt) for pt in good])
 
 
 @pytest.mark.parametrize("index", [1, 6, 8, 10, 13])

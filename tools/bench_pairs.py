@@ -21,9 +21,12 @@ and quartiles over the pairs, how many pairs the working tree won and
 lost (ties count for neither side), and whether the gain is resolved: the
 working tree wins at least nine tenths of the pairs and the medians differ
 by more than the base's interquartile range.  Every metric of
-`BENCHMARK.json` is lower-is-better.  It writes all of it, every run's
-value included, to the JSON file `--out`.  A run that fails, or reports failed operations, is
-printed and recorded, and makes the exit status 1.
+`BENCHMARK.json` is lower-is-better.  It also prints a verdict against the
+metric's `bound` in `BENCHMARK.json` (`verdict`): "worse beyond bound",
+"unresolved" or "within bound".  It writes all of it, every run's value
+included, to the JSON file `--out`.  A run that fails, or reports failed
+operations, is printed and recorded, and makes the exit status 1; so does
+a verdict "worse beyond bound".
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 SECONDS = BENCHMARK["run_seconds"]
 PAIRS = 10
 
@@ -65,9 +69,22 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def verdict(base, work, bound):
+    """A metric's verdict from each side's summary: "worse beyond bound"
+    when the working tree's median exceeds the base median times 1 + bound,
+    else "unresolved" when the base's interquartile range over its median
+    exceeds bound, too wide to tell, else "within bound"."""
+    if work["median"] > base["median"] * (1.0 + bound):
+        return "worse beyond bound"
+    if (base["q3"] - base["q1"]) / base["median"] > bound:
+        return "unresolved"
+    return "within bound"
+
+
 def compare(base_runs, work_runs):
     """Per metric: each side's summary, the working tree's wins and
-    losses, and whether its gain is resolved."""
+    losses, whether its gain is resolved, and its verdict against the
+    metric's bound."""
     out = {}
     for metric in METRICS:
         base = [r["metrics"][metric]["value"] for r in base_runs]
@@ -80,6 +97,7 @@ def compare(base_runs, work_runs):
             "change": w["median"] / b["median"] - 1.0,
             "gain_resolved": (wins >= 0.9 * len(base) and
                               b["median"] - w["median"] > b["q3"] - b["q1"]),
+            "verdict": verdict(b, w, BOUNDS[metric]),
         }
     return out
 
@@ -137,13 +155,14 @@ def main(argv=None):
             entry["metrics"] = compare(runs["base"], runs["work"])
             for metric, m in entry["metrics"].items():
                 print("%-7s %-15s base %.6g [%.6g, %.6g]  work %.6g "
-                      "[%.6g, %.6g]  %+.1f%%  wins %d losses %d of %d%s" % (
-                          workload, metric, m["base"]["median"],
-                          m["base"]["q1"], m["base"]["q3"],
-                          m["work"]["median"], m["work"]["q1"],
-                          m["work"]["q3"], 100.0 * m["change"], m["wins"],
-                          m["losses"], PAIRS,
-                          "  resolved gain" if m["gain_resolved"] else ""))
+                      "[%.6g, %.6g]  %+.1f%%  wins %d losses %d of %d  %s%s"
+                      % (workload, metric, m["base"]["median"],
+                         m["base"]["q1"], m["base"]["q3"],
+                         m["work"]["median"], m["work"]["q1"],
+                         m["work"]["q3"], 100.0 * m["change"], m["wins"],
+                         m["losses"], PAIRS, m["verdict"],
+                         "  resolved gain" if m["gain_resolved"] else ""))
+                ok = ok and m["verdict"] != "worse beyond bound"
         doc["workloads"][workload] = entry
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0 if ok else 1
