@@ -12,10 +12,11 @@ Jacobian blocks are nearly singular are skipped (see NDET_FLOOR): the
 pipeline's values there are dominated by roundoff and would poison the
 residuals of identities that genuinely hold.  So are points where the
 defining functions or the invariants are not finite, which count as
-outside an implicit domain; only running out of draws is an error.  Every
-such check but the last reads only the lifted jets, so candidate points
-are judged as soon as they are lifted, and the rest of the pipeline runs
-once, on the sample (`collect_snapshots`).
+outside an implicit domain; only running out of draws is an error.  The
+conditioning check reads only the lifted jets, and fails wherever the
+gradient is not finite, so candidate points are judged as soon as they are
+lifted, and the rest of the pipeline runs once, on the sample
+(`collect_snapshots`).
 
 The sample is one TensorSnapshot, and each zero test reduces its residual
 over all rows at once.  A residual that is not finite fails the test.  The
@@ -28,9 +29,11 @@ scale over every sample point, into the table the report keeps as
 `verdicts`; the labels and the inconclusive names are read off it.
 The labels are data too: three tables of (label, verdicts that must hold,
 verdicts that must not) rows, A_PATTERNS, CD_PATTERNS and E_PATTERNS, and
-`first_match` picks the first row that matches.  One function, `classes_of`,
-maps the set of verdicts that hold to the report's `classes`, a letter or ""
-per family A-E; the report's `labels` are the letters that are set.
+`first_match` picks the first row that matches; A_PATTERNS' first row is B
+and CD_PATTERNS' D rows are the joined predicates.  One function,
+`classes_of`, closes the set of verdicts that hold under JOINED and files
+each table's first match by its label's first letter into the report's
+`classes`, a letter or "" per family A-E; `labels` are the letters set.
 
 Every residual component is measured against the larger of 1 and its
 componentwise roundoff bound, the same arithmetic on magnitudes (Higham,
@@ -66,6 +69,7 @@ The label lattice, with the defining predicate of each label:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,6 +82,17 @@ from .tensor import (UNIT_FIELDS, jacobian_blocks, read_off, read_spec,
 
 class SamplerExhausted(RuntimeError):
     """Could not find enough admissible sample points in the budget."""
+
+
+# The most sample points a run takes.  The sample's memory grows by about
+# 6 KB a point: classify_web(example01) peaks at 437 MB RSS at this bound.
+MAX_POINTS = 65536
+
+
+def _is_real(value):
+    """Whether an argument counts as a real number: a numbers.Real, such as
+    a float or a numpy float, that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -100,10 +115,20 @@ class RunConfig:
         if self.points < 8:
             raise ValueError("need at least 8 sample points, got %d"
                              % self.points)
+        if self.points > MAX_POINTS:
+            raise ValueError("points must be at most %d, got %d"
+                             % (MAX_POINTS, self.points))
+        for name, value in (("tol", self.tol), ("margin", self.margin)):
+            if not _is_real(value):
+                raise ValueError("%s must be a real number, got %r"
+                                 % (name, value))
         if not (0.0 < self.tol < 1e-3):
             raise ValueError("tol must be in (0, 1e-3), got %g" % self.tol)
         if np.shape(self.box) != (2,):
             raise ValueError("box must be a pair lo, hi, got %r" % (self.box,))
+        if not all(map(_is_real, self.box)):
+            raise ValueError("box must be a pair of real numbers, got %r"
+                             % (self.box,))
         lo, hi = self.box
         if not (lo < hi and math.isfinite(hi - lo)):
             raise ValueError("box must satisfy lo < hi with a finite width, "
@@ -112,9 +137,10 @@ class RunConfig:
             raise ValueError("margin must be positive, got %r" % self.margin)
 
     def to_dict(self):
-        return {"points": int(self.points), "tol": self.tol,
+        return {"points": int(self.points), "tol": float(self.tol),
                 "seed": int(self.seed),
-                "box": [self.box[0], self.box[1]], "margin": self.margin}
+                "box": [float(self.box[0]), float(self.box[1])],
+                "margin": float(self.margin)}
 
 
 @dataclass(frozen=True)
@@ -168,14 +194,14 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
     so far, so a restrictive domain costs only a few rounds more than an
     open one; no round draws more than ROUND_DRAWS.  A round's admissible
     rows, at most 60 per wanted point in all, are lifted and judged on
-    their coefficients alone: a row is rejected when they are not finite,
-    or when a Jacobian block's normalized determinant is below NDET_FLOOR
-    (or NaN).  Once
-    `config.points` rows pass, `snapshot` runs the tensor tail once, on
-    exactly those rows and their coefficients.  A row whose invariants are
-    not finite is dropped and the next passing row in draw order takes its
-    place, so the sample is the first `config.points` admissible rows that
-    pass every check.
+    their coefficients alone: a row is rejected when a Jacobian block's
+    normalized determinant is below NDET_FLOOR or NaN, which it is wherever
+    the gradient is not finite.  Once `config.points` rows pass, `snapshot`
+    runs the tensor tail once, on exactly those rows and their
+    coefficients.  A row whose coefficients or invariants are not finite is
+    dropped and the next passing row in draw order takes its place, so the
+    sample is the first `config.points` admissible rows that pass every
+    check.
     """
     bound = web.bind(params)
     rng = np.random.default_rng(config.seed)
@@ -203,9 +229,7 @@ def collect_snapshots(web: Web, config: RunConfig, params=None):
                 continue
             c = jet_lift(web.lift_program, lifted, bound)
             with np.errstate(all="ignore"):
-                ndet = jacobian_blocks(c)[2]
-                ok = (np.isfinite(c).all(axis=(1, 2))
-                      & (ndet >= NDET_FLOOR).all(axis=1))
+                ok = (jacobian_blocks(c)[2] >= NDET_FLOOR).all(axis=1)
             rows = np.concatenate([rows, lifted[ok]])
             coeffs = np.concatenate([coeffs, c[ok]])
         batch = snapshot(web, rows[:n], bound, coeffs=coeffs[:n])
@@ -264,11 +288,11 @@ E_TESTS = {
 
 # The labels, as (label, verdicts that must hold, verdicts that must not)
 # rows, most specific first: the first row that matches gives the label
-# (`first_match`).  A verdict that was not computed (t_constant and hex_at_t
-# without a constant t) does not hold.  The A rows after the second see an
-# integrable torsion direction; the C/D rows after the fourth see a4 = 0.
+# (`first_match`), filed under its first letter.  A verdict not computed (no
+# constant t for t_constant and hex_at_t) does not hold.  The A rows after
+# the second see an integrable torsion direction; the D rows are JOINED's.
 A_PATTERNS = (
-    ("", "isoclinicly_geodesic", ""),
+    ("B", "isoclinicly_geodesic", ""),
     ("A2", "", "integrability"),
     ("A121", "a2_zero p22_q22_zero omega21_zero b_222_zero", "a1_zero"),
     ("A12", "a2_zero p22_q22_zero", "a1_zero"),
@@ -289,11 +313,11 @@ CD_PATTERNS = (
     ("C11", "almost_Bol", "transversally_geodesic"),
     ("C1", "almost_algebraizable", "transversally_geodesic"),
     ("C2", "", "transversally_geodesic"),
-    ("D232", "almost_parallelizable isoclinicly_geodesic", ""),
-    ("D231", "almost_parallelizable", ""),
-    ("D21", "almost_Bol", ""),
-    ("D22", "almost_algebraizable", ""),
-    ("D1", "", ""),
+    ("D232", "parallelizable", ""),
+    ("D231", "group", ""),
+    ("D21", "Bol", ""),
+    ("D22", "hexagonal", ""),
+    ("D1", "transversally_geodesic", ""),
 )
 
 E_PATTERNS = (
@@ -496,13 +520,16 @@ def classify_web(web: Web, config: RunConfig | None = None, params=None):
 
 def classes_of(held):
     """The label rule: {"A": .., "B": .., "C": .., "D": .., "E": ..} for the
-    set `held` of the verdicts that hold, "" where a family has no label."""
-    cd = first_match(CD_PATTERNS, held)
-    return {"A": first_match(A_PATTERNS, held),
-            "B": "B" if "isoclinicly_geodesic" in held else "",
-            "C": cd if cd.startswith("C") else "",
-            "D": cd if cd.startswith("D") else "",
-            "E": first_match(E_PATTERNS, held)}
+    set `held` of the verdicts that hold, "" where a family has no label.
+    A joined predicate holds where all of its tests hold."""
+    held = held | {name for name, tests in JOINED.items()
+                   if held.issuperset(tests.split())}
+    classes = dict.fromkeys("ABCDE", "")
+    for patterns in (A_PATTERNS, CD_PATTERNS, E_PATTERNS):
+        label = first_match(patterns, held)
+        if label:
+            classes[label[0]] = label
+    return classes
 
 
 def first_match(patterns, held):
@@ -528,15 +555,6 @@ def _assert_consistent(report):
                     "group holds but %s fails (max_residual %.3g) at tol "
                     "%g, below what roundoff lets the sample decide"
                     % (name, p[name].max_residual, report.config.tol))
-    classes = report.classes
-    assert (classes["B"] == "B") == p["isoclinicly_geodesic"].holds
-    assert bool(classes["A"]) == (not p["isoclinicly_geodesic"].holds)
-    assert bool(classes["C"]) == (not p["transversally_geodesic"].holds)
-    assert bool(classes["D"]) == p["transversally_geodesic"].holds
-    if classes["D"] == "D232":
-        assert p["parallelizable"].holds
-    if classes["D"] == "D231":
-        assert p["group"].holds and not p["isoclinicly_geodesic"].holds
 
 
 def classify_generic(web: Web, config: RunConfig | None = None, bindings=5):

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
+    CD_PATTERNS,
     RunConfig,
     SamplerExhausted,
     classify_generic,
@@ -52,13 +53,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
-_D_SUMMARY = {
-    "D1": "transversally geodesic",
-    "D21": "Bol",
-    "D22": "hexagonal",
-    "D231": "group",
-    "D232": "parallelizable",
-}
+_D_SUMMARY = {label: hold.replace("_", " ")
+              for label, hold, _ in CD_PATTERNS if label.startswith("D")}
 
 
 def _config_from_args(args):

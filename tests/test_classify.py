@@ -64,9 +64,27 @@ def test_run_config_validation():
         RunConfig(seed=-1)
     with pytest.raises(ValueError, match="seed must be a non-negative"):
         RunConfig(seed=True)
+    with pytest.raises(ValueError, match="points must be at most 65536"):
+        RunConfig(points=65537)
+    assert RunConfig(points=65536).points == classify.MAX_POINTS
+    with pytest.raises(ValueError, match="tol must be a real number"):
+        RunConfig(tol="1e-7")
+    with pytest.raises(ValueError, match="tol must be a real number"):
+        RunConfig(tol=True)
+    with pytest.raises(ValueError, match="box must be a pair of real"):
+        RunConfig(box=("a", "b"))
+    with pytest.raises(ValueError, match="box must be a pair of real"):
+        RunConfig(box=(False, 1.0))
+    with pytest.raises(ValueError, match="margin must be a real number"):
+        RunConfig(margin="x")
     numpy_ints = RunConfig(points=np.int64(16), seed=np.int64(3))
     assert json.dumps(numpy_ints.to_dict()).startswith(
         '{"points": 16, "tol": 1e-07, "seed": 3,')
+    numpy_floats = RunConfig(tol=np.float32(1e-7), margin=np.float32(1e-3),
+                             box=(np.float32(-3.0), np.float32(3.0)))
+    assert json.loads(json.dumps(numpy_floats.to_dict())) == {
+        "points": 64, "tol": float(np.float32(1e-7)), "seed": 42,
+        "box": [-3.0, 3.0], "margin": float(np.float32(1e-3))}
     cfg = RunConfig()
     assert cfg.points == 64 and cfg.tol == 1e-7 and cfg.seed == 42
 
@@ -610,12 +628,15 @@ def if_chain_e_label(z):
 def assert_table_matches(table, walk, names, maybe=()):
     """first_match(table) equals `walk` at every combination of verdicts of
     `names`: holds or not, or not computed (None) for those in `maybe`;
-    and every row of the table is the first match of some combination."""
+    and every row of the table is the first match of some combination.
+    Each held set is closed under JOINED, as `_verdicts` computes it."""
     first_rows = set()
     for values in itertools.product(*[(None, False, True) if name in maybe
                                       else (False, True) for name in names]):
         z = dict(zip(names, values))
         held = {name for name, holds in z.items() if holds}
+        held |= {name for name, tests in classify.JOINED.items()
+                 if held.issuperset(tests.split())}
         assert first_match(table, held) == walk(z), z
         first_rows.add(next((i for i, (_, hold, fail) in enumerate(table)
                              if held.issuperset(hold.split())
@@ -638,7 +659,7 @@ def test_e_patterns_match_the_if_chain():
 def if_walk_a_label(z):
     """The A label as the nested if-walk that A_PATTERNS replaced."""
     if z["isoclinicly_geodesic"]:
-        return ""
+        return "B"
     if not z["integrability"]:
         return "A2"
     label = "A1"
@@ -701,10 +722,11 @@ def test_cd_patterns_match_the_if_walk():
 
 
 def test_classes_of_sets_one_letter_of_each_pair():
-    # every held set of the names CD_PATTERNS reads, isoclinicly_geodesic
-    # among them: B or A by it, D or C by transversally_geodesic
-    names = sorted({name for _, hold, fail in classify.CD_PATTERNS
-                    for name in (hold + " " + fail).split()})
+    # every held set of the component names that JOINED and the B row read:
+    # B or A by isoclinicly_geodesic, D or C by transversally_geodesic
+    names = sorted({name for tests in classify.JOINED.values()
+                    for name in tests.split()}
+                   | set(classify.A_PATTERNS[0][1].split()))
     assert "isoclinicly_geodesic" in names
     for values in itertools.product((False, True), repeat=len(names)):
         held = {name for name, holds in zip(names, values) if holds}
@@ -714,6 +736,12 @@ def test_classes_of_sets_one_letter_of_each_pair():
         assert bool(classes["B"]) == ("isoclinicly_geodesic" in held)
         assert bool(classes["C"]) != bool(classes["D"])
         assert bool(classes["D"]) == ("transversally_geodesic" in held)
+        # D232 => parallelizable, D231 => group and not isoclinicly_geodesic
+        if classes["D"] == "D232":
+            assert held.issuperset(classify.JOINED["parallelizable"].split())
+        if classes["D"] == "D231":
+            assert held.issuperset(classify.JOINED["group"].split())
+            assert "isoclinicly_geodesic" not in held
         report = classify.ClassificationReport(
             "web", classes, {}, {}, (), RunConfig(), {}, {})
         assert report.labels == tuple(classes[c] for c in "ABCDE"

@@ -10,7 +10,7 @@ import pytest
 
 import threeweb
 from oracles import plant_group_without_bol
-from threeweb import cli
+from threeweb import classify, cli
 from threeweb.classify import RunConfig, classify_web
 from threeweb.cli import exit_status, main
 from threeweb.corpus import load_example
@@ -28,8 +28,25 @@ def test_classify_text_report(capsys):
     code, out, err = run(capsys, "classify", "example09")
     assert code == 0 and not err
     assert "labels: B D232 E1" in out
-    assert "parallelizable (D232)" in out
+    assert "\nsummary: parallelizable (D232)\n" in out
     assert "asserted metadata: F1" in out
+
+
+@pytest.mark.parametrize("web, summary", [
+    ("example03", "group (D231)"), ("example07", "Bol (D21)")])
+def test_classify_text_summarizes_the_d_label(capsys, web, summary):
+    code, out, _ = run(capsys, "classify", web)
+    assert code == 0
+    assert "\nsummary: %s\n" % summary in out
+
+
+def test_each_d_label_has_one_summary():
+    d_labels = [label for label, _, _ in classify.CD_PATTERNS
+                if label.startswith("D")]
+    assert sorted(cli._D_SUMMARY) == sorted(d_labels)
+    assert cli._D_SUMMARY == {
+        "D1": "transversally geodesic", "D21": "Bol", "D22": "hexagonal",
+        "D231": "group", "D232": "parallelizable"}
 
 
 def test_classify_resolves_every_web_before_classifying(
@@ -172,6 +189,13 @@ def test_rejected_tolerance_is_an_error(capsys):
     code, _, err = run(capsys, "classify", "example01", "--tol", "1e-2")
     assert code == 1
     assert "tol" in err
+
+
+def test_too_many_points_is_an_error(capsys):
+    code, out, err = run(capsys, "classify", "example01", "--points",
+                         str(classify.MAX_POINTS + 1))
+    assert code == 1 and not out
+    assert err == "error: points must be at most 65536, got 65537\n"
 
 
 def test_unknown_parameter_is_an_error(capsys):

@@ -35,23 +35,27 @@ are reported only; they do not set the exit status.
 
 The text format is compared too: `threeweb table` at every seed, and
 `threeweb corpus` and `threeweb classify` on all bundled webs at the
-default seed, byte for byte; `threeweb snapshot` at each bundled web's
-stored points.  So is the exit status of every run above, and of four
-runs that fail with exit status 1: `threeweb classify` on a missing file
-and on each web of CONSTANT_WEBS, and `threeweb snapshot` at an
-inadmissible point.  A difference in the classify or snapshot text is
-printed only, since its residual digits may move with the arithmetic.
+default seed; `threeweb snapshot` at each bundled web's stored points.
+So is the exit status of every run above, and of four runs that fail with
+exit status 1: `threeweb classify` on a missing file and on each web of
+CONSTANT_WEBS, and `threeweb snapshot` at an inadmissible point.  The
+table and corpus text are compared byte for byte.  The classify text is
+compared with the number after each `max residual` masked, since residual
+digits may move with the arithmetic, and its unmasked diff is printed.  A
+difference in the snapshot text is printed only.
 
 Exit status 1 when a table differs, as JSON or as text, when the corpus
-text differs, when any exit status differs, or when the labels bucket is
-not empty.
+text or the masked classify text differs, when any exit status differs,
+or when the labels bucket is not empty.
 Wall time is not measured; this compares outputs only.
 """
 
 from __future__ import annotations
 
+import difflib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -59,6 +63,9 @@ from collections import Counter, defaultdict
 import numpy as np
 
 SEEDS = tuple(range(10)) + (42,)
+# the residual digits of the classify text, masked before it is compared
+RESIDUAL = re.compile(r"max residual \S+")
+DIFF_LINES = 40
 LABEL_KEYS = {"labels", "classes", "holds", "inconclusive", "generic",
               "per_binding"}
 WHOLE_KEYS = LABEL_KEYS | {"witness"}
@@ -346,10 +353,19 @@ def main(argv):
           % (same_table_texts, len(SEEDS)))
     print("corpus text: %s" % ("byte-identical" if same_corpus
                                else "DIFFERS"))
-    print("classify text, bundled webs: %s (printed only)"
-          % ("byte-identical"
-             if old["classify text"][0] == new["classify text"][0]
-             else "differs"))
+    texts = old["classify text"][0], new["classify text"][0]
+    same_classify = (RESIDUAL.sub("max residual #", texts[0])
+                     == RESIDUAL.sub("max residual #", texts[1]))
+    print("classify text, bundled webs: %s" % (
+        "byte-identical" if texts[0] == texts[1]
+        else "identical but for residual digits" if same_classify
+        else "DIFFERS"))
+    diff = list(difflib.unified_diff(*(t.splitlines() for t in texts),
+                                     lineterm="", n=0))
+    for line in diff[2:2 + DIFF_LINES]:
+        print("    " + line)
+    if len(diff) > 2 + DIFF_LINES:
+        print("    ... %d more lines" % (len(diff) - 2 - DIFF_LINES))
     print("snapshot text: byte-identical at %d of %d stored points "
           "(printed only)" % (same_snapshot_texts, stored))
     code_diffs = [c for c in codes if c[1] != c[2]]
@@ -360,7 +376,7 @@ def main(argv):
     for where, a, b in code_diffs[:EXAMPLES]:
         print("    %s: %r -> %r" % (where, a, b))
     return int(same_tables < len(SEEDS) or same_table_texts < len(SEEDS)
-               or not same_corpus or bool(code_diffs)
+               or not same_corpus or not same_classify or bool(code_diffs)
                or bool(buckets["labels"]))
 
 
